@@ -25,13 +25,9 @@ from causal_layering import (
     sir_discover,
     sour_discover,
 )
+from causal_layering.discovery import licensed_pairs
+from causal_layering.scm import guaranteed_assumptions
 
-# profile -> licensed (algorithm, mode) pairs
-COMBOS = {
-    "plus_one": [("sour", "known"), ("sour", "monotone")],
-    "sir_faithful": [("sir", "known"), ("sir", "monotone")],
-    "base": [("sir", "monotone")],
-}
 ENTROPY_FOR = {"plus_one": "weak", "sir_faithful": "weak", "base": "strict"}
 
 
@@ -45,6 +41,8 @@ class Tally:
 
 def run_batch(profile: str, count: int, max_nodes: int, seed: int) -> dict:
     rng = random.Random(seed)
+    guaranteed = set(guaranteed_assumptions(profile, ENTROPY_FOR[profile]))
+    pairs = licensed_pairs(guaranteed.__contains__)
     tallies: dict = {}
     for i in range(count):
         cfg = GeneratorConfig(
@@ -57,7 +55,7 @@ def run_batch(profile: str, count: int, max_nodes: int, seed: int) -> dict:
         m = generate_scm(cfg, seed=seed * 100_000 + i)
         oracle = EntropyOracle(joint_distribution(m))
         n = len(m.graph.nodes)
-        for algo, mode_name in COMBOS[profile]:
+        for algo, mode_name in pairs:
             if mode_name == "known":
                 mode = KnownNoiseEntropy(
                     {v: noise_entropy(m, v) for v in m.graph.nodes}
@@ -87,7 +85,7 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    for profile in COMBOS:
+    for profile in ENTROPY_FOR:
         t0 = time.time()
         tallies = run_batch(profile, args.models, args.max_nodes, args.seed)
         dt = time.time() - t0

@@ -16,23 +16,23 @@ from pathlib import Path
 from . import scm as _scm
 from . import verify as _verify
 from .discovery import (
+    LICENSES,
     AssumptionViolation,
     KnownNoiseEntropy,
     MonotoneEntropy,
+    license_failures,
+    licensed_pairs,
     render_discovery_report,
     sir_discover,
     sour_discover,
 )
 from .oracle import EnumerationBudgetError, EntropyOracle, joint_distribution
 from .scm import (
+    VALIDATORS,
+    Assumptions,
     GenerationError,
     GeneratorConfig,
-    check_directed_faithfulness,
-    check_faithfulness,
-    check_injective_noise,
-    check_injective_noise_plus_one,
-    check_noise_entropy_order,
-    check_nonconstant_noise,
+    check_faithfulness,  # noqa: F401  perfbench/test_perfbench.py traces this binding
     generate_scm,
     noise_entropy,
     parse_scm,
@@ -152,25 +152,21 @@ def _cmd_gen(args) -> int:
     report_path = args.report or args.out.with_name(args.out.name + ".report.txt")
     args.out.write_text(scm_to_text(model))
 
-    checks = [
-        check_nonconstant_noise(model),
-        check_injective_noise(model),
-        check_injective_noise_plus_one(model),
-        check_noise_entropy_order(model, "weak"),
-        check_noise_entropy_order(model, "strict"),
-        check_faithfulness(model),
-    ]
-    if args.profile == "sir_faithful":
-        checks.append(check_directed_faithfulness(model))
+    # reuses the generator's reports; lists directed faithfulness only where guaranteed
     meta = model.meta
+    audit = Assumptions(model, reports=meta.reports)
     lines = [
         f"profile: {meta.profile}",
         f"entropy_mode: {meta.entropy_mode}",
         f"seed: {meta.seed}",
         f"attempts: {meta.attempts}",
-        f"faithfulness_scope: {meta.faithfulness_scope}",
+        f"faithfulness_scope: {audit.report('faithfulness').detail}",
     ]
-    lines += [_report_line(r) for r in checks]
+    lines += [
+        _report_line(audit.report(name))
+        for name in VALIDATORS
+        if name != "directed_faithfulness" or args.profile == "sir_faithful"
+    ]
     report_path.write_text("\n".join(lines) + "\n")
 
     if args.machine:
@@ -181,63 +177,37 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _license_problems(model: _scm.Scm, algo: str, mode: str) -> list[str]:
-    problems = []
-    for report in (check_nonconstant_noise(model), check_injective_noise(model)):
-        if not report.holds:
-            problems.append(_report_line(report))
-    if algo == "sour":
-        plus_one = check_injective_noise_plus_one(model)
-        if not plus_one.holds:
-            problems.append(_report_line(plus_one))
-        if mode == "monotone":
-            weak = check_noise_entropy_order(model, "weak")
-            if not weak.holds:
-                problems.append(_report_line(weak))
+def _run_pair(model, orc, algo, mode_name, tol=1e-9, one_at_a_time=False):
+    if mode_name == "known":
+        entropies = {v: noise_entropy(model, v) for v in model.graph.nodes}
+        mode = KnownNoiseEntropy(entropies, tol=tol)
     else:
-        if mode == "known":
-            directed = check_directed_faithfulness(model)
-            if not directed.holds:
-                problems.append(_report_line(directed))
-        else:
-            strict = check_noise_entropy_order(model, "strict")
-            if not strict.holds:
-                weak = check_noise_entropy_order(model, "weak")
-                directed = check_directed_faithfulness(model)
-                if not (weak.holds and directed.holds):
-                    problems.append(
-                        "sir monotone needs strictly increasing noise entropies, "
-                        "or weakly increasing ones plus directed faithfulness"
-                    )
-                    for report in (strict, weak, directed):
-                        if not report.holds:
-                            problems.append(_report_line(report))
-    return problems
+        mode = MonotoneEntropy(tol=tol)
+    run = sour_discover if algo == "sour" else sir_discover
+    return run(model.graph.nodes, orc, mode, one_at_a_time=one_at_a_time)
 
 
 def _cmd_discover(args) -> int:
     model = _load_scm(args.scm)
+    budget = _enumeration_budget(args)
+    audit = Assumptions(model, budget)
     guarantee = "validated"
-    problems = _license_problems(model, args.algo, args.mode)
-    if problems:
+    failing = license_failures(args.algo, args.mode, audit.holds)
+    if failing:
         if not args.unsafe:
-            print("refusing to run: required assumptions fail", file=sys.stderr)
-            for p in problems:
-                print(f"  {p}", file=sys.stderr)
+            rule = " or ".join(
+                " + ".join(names) for names in LICENSES[(args.algo, args.mode)]
+            )
+            print(f"refusing to run: {args.algo}/{args.mode} needs {rule}", file=sys.stderr)
+            for name in failing:
+                print(f"  {_report_line(audit.report(name))}", file=sys.stderr)
             print("re-run with --unsafe to proceed anyway", file=sys.stderr)
             return 2
         guarantee = "none"
 
-    orc = EntropyOracle(joint_distribution(model, budget=_enumeration_budget(args)))
-    if args.mode == "known":
-        mode = KnownNoiseEntropy(
-            {v: noise_entropy(model, v) for v in model.graph.nodes}, tol=args.tol
-        )
-    else:
-        mode = MonotoneEntropy(tol=args.tol)
-    run = sour_discover if args.algo == "sour" else sir_discover
+    orc = EntropyOracle(joint_distribution(model, budget=budget))
     try:
-        result = run(model.graph.nodes, orc, mode, one_at_a_time=args.one_at_a_time)
+        result = _run_pair(model, orc, args.algo, args.mode, args.tol, args.one_at_a_time)
     except AssumptionViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -263,69 +233,45 @@ def _cmd_discover(args) -> int:
     return 0
 
 
-def _licensed_combos(model: _scm.Scm) -> list[tuple[str, str]]:
-    combos = []
-    if check_injective_noise(model).holds and check_nonconstant_noise(model).holds:
-        plus_one = check_injective_noise_plus_one(model).holds
-        weak = check_noise_entropy_order(model, "weak").holds
-        strict = check_noise_entropy_order(model, "strict").holds
-        directed = check_directed_faithfulness(model).holds
-        if plus_one:
-            combos.append(("sour", "known"))
-            if weak:
-                combos.append(("sour", "monotone"))
-        if directed:
-            combos.append(("sir", "known"))
-        if strict or (weak and directed):
-            combos.append(("sir", "monotone"))
-    return combos
-
-
 def _cmd_check(args) -> int:
     model = _load_scm(args.scm)
     budget = _enumeration_budget(args)
     orc = EntropyOracle(joint_distribution(model, budget=budget))
+    audit = Assumptions(model, budget)
     labels = {v: model.label(v) for v in model.graph.nodes}
     n = len(model.graph.nodes)
     failed = False
     out: list[str] = []
 
     bound_cases = _verify.check_entropy_bounds(
-        model, orc, budget=args.cases, seed=args.seed
+        model, orc, cases=args.cases, seed=args.seed, assumptions=audit
     )
     out.append("== entropy bounds ==")
     out.append(_verify.render_bound_report(bound_cases, labels).rstrip("\n"))
     failed |= any(c.verdict is _verify.Verdict.FAIL for c in bound_cases)
 
     indep_cases = _verify.check_noise_independence(
-        model, budget=args.cases, seed=args.seed
+        model, cases=args.cases, seed=args.seed, budget=budget
     )
     out.append("== noise independence ==")
     out.append(_verify.render_independence_report(indep_cases, labels).rstrip("\n"))
     failed |= any(c.verdict is _verify.Verdict.FAIL for c in indep_cases)
 
     out.append("== discovery ==")
-    combos = _licensed_combos(model)
-    if not combos:
+    pairs = licensed_pairs(audit.holds)
+    if not pairs:
         out.append("no licensed algorithm/mode combination; discovery skipped")
-    for algo, mode_name in combos:
-        if mode_name == "known":
-            mode = KnownNoiseEntropy(
-                {v: noise_entropy(model, v) for v in model.graph.nodes}
-            )
-        else:
-            mode = MonotoneEntropy()
-        run = sour_discover if algo == "sour" else sir_discover
+    for algo, mode_name in pairs:
         removal = "sources" if algo == "sour" else "sinks"
         try:
-            result = run(model.graph.nodes, orc, mode)
+            result = _run_pair(model, orc, algo, mode_name)
         except AssumptionViolation as exc:
             out.append(f"discovery {algo}/{mode_name}: FAIL ({exc})")
             failed = True
             continue
         replay = _verify.check_discovery_result(
             model.graph, result, removal,
-            expect_exact_selection=isinstance(mode, KnownNoiseEntropy),
+            expect_exact_selection=mode_name == "known",
         )
         calls_ok = _verify.check_call_bound(result, n)
         ok = replay.ok and calls_ok
@@ -348,7 +294,7 @@ def _cmd_check(args) -> int:
         dataset = sample(model, args.seed, args.empirical)
         emp = EntropyOracle(empirical_joint(dataset))
         emp_cases = _verify.check_entropy_bounds(
-            model, emp, budget=args.cases, seed=args.seed
+            model, emp, cases=args.cases, seed=args.seed, assumptions=audit
         )
         out.append(f"== entropy bounds on {args.empirical} sampled rows (diagnostic) ==")
         out.append(_verify.render_bound_report(emp_cases, labels).rstrip("\n"))

@@ -9,16 +9,54 @@ candidate on everything already removed: a node whose conditional entropy
 collapses to its noise entropy has all its parents removed, so it is a
 source of the residual graph. ``sir_discover`` peels sink groups back-to-
 front, conditioning each candidate on every other remaining node.
+
+``LICENSES`` states which model assumptions make each pair sound.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 
 from .graph import Layering, NodeId
-from .oracle import CountingOracle
+
+_NOISE = ("nonconstant_noise", "injective_noise")
+
+# (algorithm, mode) -> alternative sets of assumption names (the keys of
+# ``scm.VALIDATORS``); a pair is licensed when every name of one set holds.
+# Keys are in the order ``causal-layering check`` reports its discovery runs.
+LICENSES: dict[tuple[str, str], tuple[tuple[str, ...], ...]] = {
+    ("sour", "known"): ((*_NOISE, "injective_noise_plus_one"),),
+    ("sour", "monotone"): (
+        (*_NOISE, "injective_noise_plus_one", "weak_entropy_order"),
+    ),
+    ("sir", "known"): ((*_NOISE, "directed_faithfulness"),),
+    ("sir", "monotone"): (
+        (*_NOISE, "strict_entropy_order"),
+        (*_NOISE, "weak_entropy_order", "directed_faithfulness"),
+    ),
+}
+
+
+def license_failures(algo: str, mode: str, holds: Callable[[str], bool]) -> list[str]:
+    """The failing names of every alternative in the pair's license.
+
+    Empty when one alternative holds in full; the alternatives after it are
+    not evaluated.
+    """
+    failing: dict[str, None] = {}
+    for names in LICENSES[(algo, mode)]:
+        missing = [name for name in names if not holds(name)]
+        if not missing:
+            return []
+        failing.update(dict.fromkeys(missing))
+    return list(failing)
+
+
+def licensed_pairs(holds: Callable[[str], bool]) -> list[tuple[str, str]]:
+    """The (algorithm, mode) pairs whose license holds, in table order."""
+    return [pair for pair in LICENSES if not license_failures(*pair, holds)]
 
 
 @dataclass(frozen=True)
@@ -109,7 +147,7 @@ def _peel(
         if uncovered:
             raise ValueError(f"known entropies missing for nodes {sorted(uncovered)}")
 
-    counter = CountingOracle(oracle)
+    calls = 0
     remaining = set(all_nodes)
     layers: deque[frozenset[int]] = deque()
     trace: list[IterationTrace] = []
@@ -119,7 +157,8 @@ def _peel(
         entropies: dict[int, float] = {}
         for v in sorted(current):
             given = (all_nodes - current) if removal == "sources" else (current - {v})
-            entropies[v] = counter.cond_entropy((v,), given)
+            entropies[v] = oracle.cond_entropy((v,), given)
+            calls += 1
 
         if isinstance(mode, KnownNoiseEntropy):
             qualifying = frozenset(
@@ -148,7 +187,7 @@ def _peel(
             layers.appendleft(selected)
         remaining -= selected
 
-    return DiscoveryResult(Layering(tuple(layers)), counter.calls, tuple(trace))
+    return DiscoveryResult(Layering(tuple(layers)), calls, tuple(trace))
 
 
 def render_discovery_report(

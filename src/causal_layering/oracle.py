@@ -65,6 +65,8 @@ class JointTable:
         if denom is not None:
             if total != denom:
                 raise ValueError(f"probabilities sum to {total}/{denom}, not 1")
+        elif not math.isfinite(total):  # a NaN or infinite entry
+            raise ValueError("probabilities must be finite")
         elif abs(total - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
 
@@ -285,34 +287,3 @@ class EntropyOracle:
     ) -> bool:
         """Conditional independence as mutual information at most ``tol`` bits."""
         return self.mutual_information(xs, ys, given) <= tol
-
-
-class CountingOracle:
-    """Wrapper that counts ``cond_entropy`` calls without changing answers."""
-
-    def __init__(self, oracle):
-        self._inner = oracle
-        self._calls = 0
-        self._lock = threading.Lock()
-
-    @property
-    def calls(self) -> int:
-        return self._calls
-
-    @property
-    def variables(self):
-        return self._inner.variables
-
-    def cond_entropy(self, target, given=()):
-        with self._lock:
-            self._calls += 1
-        return self._inner.cond_entropy(target, given)
-
-    def marginal_entropy(self, variables=()):
-        return self._inner.marginal_entropy(variables)
-
-    def mutual_information(self, xs, ys, given=()):
-        return self._inner.mutual_information(xs, ys, given)
-
-    def is_independent(self, xs, ys, given=(), tol: float = 1e-9):
-        return self._inner.is_independent(xs, ys, given, tol)

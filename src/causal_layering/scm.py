@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -53,6 +53,8 @@ class Pmf:
         if exact:
             if total != 1:
                 raise ValueError(f"probabilities sum to {total}, not 1")
+        elif not math.isfinite(total):  # a NaN or infinite entry
+            raise ValueError("probabilities must be finite")
         elif abs(total - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
 
@@ -336,9 +338,9 @@ def check_nonconstant_noise(m: Scm) -> AssumptionReport:
     return AssumptionReport("nonconstant_noise", not witnesses, witnesses)
 
 
-def check_noise_entropy_order(m: Scm, mode: str, tol: float = 1e-12) -> AssumptionReport:
+def check_noise_entropy_order(m: Scm, mode: str) -> AssumptionReport:
     """Noise entropy must not decrease (``weak``) or must increase (``strict``)
-    from any node to each of its descendants."""
+    from any node to each of its descendants, at a 1e-12 bit tolerance."""
     if mode not in ("weak", "strict"):
         raise ValueError(f"unknown entropy order mode {mode!r}")
     ent = {v: noise_entropy(m, v) for v in m.graph.nodes}
@@ -346,17 +348,19 @@ def check_noise_entropy_order(m: Scm, mode: str, tol: float = 1e-12) -> Assumpti
     for v in sorted(m.graph.nodes):
         for d in sorted(m.graph.descendants(v)):
             if mode == "weak":
-                ok = ent[v] <= ent[d] + tol
+                ok = ent[v] <= ent[d] + 1e-12
             else:
-                ok = ent[d] - ent[v] > tol
+                ok = ent[d] - ent[v] > 1e-12
             if not ok:
                 witnesses.append((m.label(v), m.label(d), ent[v], ent[d]))
     return AssumptionReport(f"{mode}_entropy_order", not witnesses, tuple(witnesses))
 
 
-def check_directed_faithfulness(
-    m: Scm, tol: float = 1e-9, budget: int | None = None
-) -> AssumptionReport:
+# mutual information at or below this many bits counts as independence
+_MI_TOL = 1e-9
+
+
+def check_directed_faithfulness(m: Scm, budget: int | None = None) -> AssumptionReport:
     """Each noise variable must be dependent on every descendant of its node."""
     table = _oracle.joint_distribution(m, include_noise=True, budget=budget)
     orc = _oracle.EntropyOracle(table)
@@ -364,43 +368,34 @@ def check_directed_faithfulness(
     for v in sorted(m.graph.nodes):
         for d in sorted(m.graph.descendants(v)):
             mi = orc.mutual_information({m.noise_node(v)}, {d})
-            if mi <= tol:
+            if mi <= _MI_TOL:
                 witnesses.append((m.noise_label(v), m.label(d), mi))
     return AssumptionReport("directed_faithfulness", not witnesses, tuple(witnesses))
 
 
-def check_faithfulness(
-    m: Scm,
-    tol: float = 1e-9,
-    exhaustive_limit: int = 6,
-    budget: int | None = None,
-    oracle: "_oracle.EntropyOracle | None" = None,
-) -> AssumptionReport:
+def check_faithfulness(m: Scm, budget: int | None = None) -> AssumptionReport:
     """Observed conditional independences must coincide with d-separations.
 
-    Exhaustive over all disjoint X, Y, S triples up to ``exhaustive_limit``
-    nodes; beyond that only singleton X, Y pairs are checked and the report
-    says so. An independence where the graph is d-connected is a violation;
-    the converse would mean broken arithmetic and raises.
+    Exhaustive over all disjoint X, Y, S triples up to six nodes; beyond
+    that only singleton X, Y pairs are checked and the report says so. An
+    independence where the graph is d-connected is a violation; the
+    converse would mean broken arithmetic and raises.
     """
     g = m.graph
     nodes = sorted(g.nodes)
     n = len(nodes)
-    orc = oracle if oracle is not None else _oracle.EntropyOracle(
-        _oracle.joint_distribution(m, budget=budget)
-    )
+    orc = _oracle.EntropyOracle(_oracle.joint_distribution(m, budget=budget))
     witnesses: list[tuple] = []
-    exhaustive = n <= exhaustive_limit
 
     def probe(xs: frozenset[int], ys: frozenset[int], ss: frozenset[int]) -> None:
         mi = orc.mutual_information(xs, ys, ss)
         sep = d_separated(g, xs, ys, ss)
-        if sep and mi > tol:
+        if sep and mi > _MI_TOL:
             raise RuntimeError(
                 f"d-separated sets show mutual information {mi}; "
                 "exact arithmetic is broken"
             )
-        if not sep and mi <= tol:
+        if not sep and mi <= _MI_TOL:
             witnesses.append(
                 (
                     tuple(m.label(v) for v in sorted(xs)),
@@ -410,7 +405,7 @@ def check_faithfulness(
                 )
             )
 
-    if exhaustive:
+    if n <= 6:
         for digits in product(range(4), repeat=n):
             xs = frozenset(v for v, d in zip(nodes, digits) if d == 1)
             ys = frozenset(v for v, d in zip(nodes, digits) if d == 2)
@@ -432,6 +427,42 @@ def check_faithfulness(
     return AssumptionReport("faithfulness", not witnesses, tuple(witnesses), detail)
 
 
+# --- assumption registry -----------------------------------------------------
+
+# Assumption name -> validator(model, enumeration budget). The checks that
+# enumerate no noise tuples come first: the generator stops at the first
+# failure, and the gen sidecar lists its reports in this order.
+VALIDATORS: dict[str, Callable[[Scm, int | None], AssumptionReport]] = {
+    "nonconstant_noise": lambda m, budget: check_nonconstant_noise(m),
+    "injective_noise": lambda m, budget: check_injective_noise(m),
+    "injective_noise_plus_one": lambda m, budget: check_injective_noise_plus_one(m),
+    "weak_entropy_order": lambda m, budget: check_noise_entropy_order(m, "weak"),
+    "strict_entropy_order": lambda m, budget: check_noise_entropy_order(m, "strict"),
+    "faithfulness": lambda m, budget: check_faithfulness(m, budget),
+    "directed_faithfulness": lambda m, budget: check_directed_faithfulness(m, budget),
+}
+
+
+class Assumptions:
+    """One model's assumption reports, each validator run at most once;
+    ``reports`` holds any already computed on this model (as in ``meta``)."""
+
+    def __init__(
+        self, m: Scm, budget: int | None = None, reports: Iterable[AssumptionReport] = ()
+    ):
+        self._model = m
+        self._budget = budget
+        self._reports = {r.assumption: r for r in reports}
+
+    def report(self, name: str) -> AssumptionReport:
+        if name not in self._reports:
+            self._reports[name] = VALIDATORS[name](self._model, self._budget)
+        return self._reports[name]
+
+    def holds(self, name: str) -> bool:
+        return self.report(name).holds
+
+
 # --- generation --------------------------------------------------------------
 
 PROFILES = ("base", "plus_one", "sir_faithful")
@@ -444,13 +475,13 @@ class GenerationError(RuntimeError):
 
 @dataclass(frozen=True)
 class ScmMeta:
-    """How a generated instance was produced and what was verified."""
+    """How a generated instance was produced, and the reports that accepted it."""
 
     profile: str
     entropy_mode: str
     seed: int
     attempts: int
-    faithfulness_scope: str
+    reports: tuple[AssumptionReport, ...]
 
 
 @dataclass(frozen=True)
@@ -464,7 +495,6 @@ class GeneratorConfig:
     max_retries: int = 60
     table_budget: int = 1 << 18
     enumeration_budget: int = _oracle.DEFAULT_ENUMERATION_BUDGET
-    faithfulness_exhaustive_limit: int = 6
     strict_entropy_gap: float = 1e-6
 
     def __post_init__(self) -> None:
@@ -615,13 +645,27 @@ def _parent_matters(maps, domain, pas, j: int) -> bool:
     return False
 
 
+def guaranteed_assumptions(profile: str, entropy_mode: str) -> tuple[str, ...]:
+    """The assumptions every generated model of this profile and entropy mode
+    is verified to satisfy, in registry order."""
+    wanted = {"nonconstant_noise", "injective_noise", "faithfulness"}
+    if profile == "plus_one":
+        wanted.add("injective_noise_plus_one")
+    if profile == "sir_faithful":
+        wanted.add("directed_faithfulness")
+    if entropy_mode != "known":
+        wanted.add(f"{entropy_mode}_entropy_order")
+    return tuple(name for name in VALIDATORS if name in wanted)
+
+
 def generate_scm(cfg: GeneratorConfig, seed: int) -> Scm:
     """Generate an SCM matching the profile and entropy mode, or raise.
 
     Deterministic in (cfg, seed). Every constructed candidate is re-checked
-    with the reporting validators; candidates failing faithfulness (or
-    directed faithfulness for the ``sir_faithful`` profile) are discarded
-    and regenerated.
+    against ``guaranteed_assumptions``; a candidate failing any of them (in
+    practice faithfulness, or directed faithfulness for ``sir_faithful``) is
+    discarded and regenerated. The accepted model keeps the reports in
+    ``meta.reports``.
     """
     rng = random.Random(seed)
     last = "no attempt ran"
@@ -660,33 +704,13 @@ def _generate_once(
     m = Scm(g, pmfs, tables)
 
     # construction is re-verified, never trusted
-    if not check_nonconstant_noise(m).holds:
-        raise _Retry("constructed noise was constant")
-    if not check_injective_noise(m).holds:
-        raise _Retry("constructed table lost noise injectivity")
-    if cfg.profile == "plus_one" and not check_injective_noise_plus_one(m).holds:
-        raise _Retry("constructed table lost single-parent injectivity")
-    if cfg.entropy_mode in ("weak", "strict"):
-        if not check_noise_entropy_order(m, cfg.entropy_mode).holds:
-            raise _Retry(f"noise entropies lost the {cfg.entropy_mode} order")
-
-    orc = _oracle.EntropyOracle(
-        _oracle.joint_distribution(m, budget=cfg.enumeration_budget)
-    )
-    faith = check_faithfulness(
-        m,
-        exhaustive_limit=cfg.faithfulness_exhaustive_limit,
-        oracle=orc,
-    )
-    if not faith.holds:
-        raise _Retry(f"faithfulness violated ({len(faith.witnesses)} independences)")
-    if cfg.profile == "sir_faithful":
-        directed = check_directed_faithfulness(m, budget=cfg.enumeration_budget)
-        if not directed.holds:
-            raise _Retry(
-                f"directed faithfulness violated ({len(directed.witnesses)} pairs)"
-            )
-    m.meta = ScmMeta(cfg.profile, cfg.entropy_mode, seed, attempt, faith.detail)
+    reports = []
+    for name in guaranteed_assumptions(cfg.profile, cfg.entropy_mode):
+        report = VALIDATORS[name](m, cfg.enumeration_budget)
+        if not report.holds:
+            raise _Retry(f"{name} fails ({len(report.witnesses)} witnesses)")
+        reports.append(report)
+    m.meta = ScmMeta(cfg.profile, cfg.entropy_mode, seed, attempt, tuple(reports))
     return m
 
 
@@ -790,6 +814,8 @@ def scm_to_text(m: Scm) -> str:
 
 
 def scm_from_dict(data: dict) -> Scm:
+    """Build an Scm from its JSON form; malformed input raises ``ValueError``
+    naming the JSON path at fault."""
     try:
         node_specs = data["nodes"]
         edge_specs = data["edges"]
@@ -797,36 +823,54 @@ def scm_from_dict(data: dict) -> Scm:
         function_specs = data["functions"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"SCM object is missing section {exc}") from None
-    labels = [spec["label"] for spec in node_specs]
-    g = Dag.of(labels, [(a, b) for a, b in edge_specs])
-    ids = {lab: i for i, lab in enumerate(labels)}
-    noise = {}
-    functions = {}
-    for lab in labels:
-        if lab not in noise_specs:
-            raise ValueError(f"node {lab!r} has no noise entry")
-        if lab not in function_specs:
-            raise ValueError(f"node {lab!r} has no function entry")
-        spec = noise_specs[lab]
-        noise[ids[lab]] = Pmf.of(
-            spec["support"], [_prob_from_json(p) for p in spec["probs"]]
-        )
-        fspec = function_specs[lab]
-        parent_order = tuple(ids[p] for p in fspec["parent_order"])
-        entries = {}
-        for row in fspec["table"]:
-            key = (*(int(x) for x in row["parents"]), int(row["noise"]))
-            if key in entries:
-                raise ValueError(f"node {lab!r} has duplicate table row {key}")
-            entries[key] = int(row["out"])
-        functions[ids[lab]] = StructuralTable(parent_order, entries)
+    try:
+        for where, specs in (("nodes", node_specs), ("edges", edge_specs)):
+            if not isinstance(specs, list):
+                raise TypeError(f"expected a list, got {type(specs).__name__}")
+        labels, declared = [], []
+        for i, spec in enumerate(node_specs):
+            where = f"nodes[{i}]"
+            labels.append(spec["label"])
+            declared.append(tuple(int(x) for x in spec["alphabet"]))
+        where = "edges"
+        g = Dag.of(labels, [(a, b) for a, b in edge_specs])
+        ids = {lab: i for i, lab in enumerate(labels)}
+        noise = {}
+        functions = {}
+        for lab in labels:
+            where = "noise"
+            if lab not in noise_specs:
+                raise ValueError(f"node {lab!r} has no noise entry")
+            where = f"noise.{lab}"
+            support, probs = noise_specs[lab]["support"], noise_specs[lab]["probs"]
+            where += ".probs"
+            noise[ids[lab]] = Pmf.of(support, [_prob_from_json(p) for p in probs])
+            where = "functions"
+            if lab not in function_specs:
+                raise ValueError(f"node {lab!r} has no function entry")
+            where = f"functions.{lab}"
+            fspec = function_specs[lab]
+            parent_order = tuple(ids[p] for p in fspec["parent_order"])
+            entries = {}
+            for k, row in enumerate(fspec["table"]):
+                where = f"functions.{lab}.table[{k}]"
+                key = (*(int(x) for x in row["parents"]), int(row["noise"]))
+                if key in entries:
+                    raise ValueError(f"node {lab!r} has duplicate table row {key}")
+                entries[key] = int(row["out"])
+            functions[ids[lab]] = StructuralTable(parent_order, entries)
+    except KeyError as exc:
+        raise ValueError(f"{where}: missing key {exc}") from None
+    except ZeroDivisionError:
+        raise ValueError(f"{where}: zero denominator") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
     m = Scm(g, noise, functions)
-    for spec in node_specs:
-        declared = tuple(int(x) for x in spec["alphabet"])
-        computed = m.alphabets[ids[spec["label"]]]
-        if declared != computed:
+    for lab, alphabet in zip(labels, declared):
+        computed = m.alphabets[ids[lab]]
+        if alphabet != computed:
             raise ValueError(
-                f"node {spec['label']!r} declares alphabet {declared} "
+                f"node {lab!r} declares alphabet {alphabet} "
                 f"but its table yields {computed}"
             )
     return m

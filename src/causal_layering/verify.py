@@ -15,13 +15,7 @@ from enum import Enum
 from . import oracle as _oracle
 from .discovery import DiscoveryResult, KnownNoiseEntropy
 from .graph import Dag, NodeId, d_separated, layering_violations
-from .scm import (
-    Scm,
-    check_directed_faithfulness,
-    check_injective_noise_plus_one,
-    explicit_noise_graph,
-    noise_entropy,
-)
+from .scm import Assumptions, Scm, explicit_noise_graph, noise_entropy
 
 
 class BoundKind(Enum):
@@ -73,7 +67,7 @@ class BoundCheckCase:
     verdict: Verdict
 
 
-def _bound_pairs(g: Dag, budget: int, seed: int) -> list[tuple[int, frozenset[int]]]:
+def _bound_pairs(g: Dag, cases: int, seed: int) -> list[tuple[int, frozenset[int]]]:
     nodes = sorted(g.nodes)
     if len(nodes) <= 5:
         pairs = []
@@ -86,7 +80,7 @@ def _bound_pairs(g: Dag, budget: int, seed: int) -> list[tuple[int, frozenset[in
         return pairs
     rng = random.Random(seed)
     pairs = []
-    for _ in range(budget):
+    for _ in range(cases):
         v = rng.choice(nodes)
         rest = [u for u in nodes if u != v]
         pairs.append((v, frozenset(u for u in rest if rng.random() < 0.5)))
@@ -96,27 +90,30 @@ def _bound_pairs(g: Dag, budget: int, seed: int) -> list[tuple[int, frozenset[in
 def check_entropy_bounds(
     m: Scm,
     oracle: "_oracle.EntropyOracle",
-    budget: int = 200,
+    cases: int = 200,
     seed: int = 0,
     tol: float = 1e-9,
+    assumptions: Assumptions | None = None,
 ) -> list[BoundCheckCase]:
     """Measure H(v | S) against noise entropy over (v, S) cases.
 
     Exhaustive over all conditioning sets up to 5 nodes, sampled beyond.
     The strict clauses are gated on their validators: BELOW_NOISE needs
     directed faithfulness and ABOVE_NOISE needs single-parent injectivity;
-    when the validator fails, those cases are reported as SKIP.
+    when the validator fails, those cases are reported as SKIP. The
+    validators are read from ``assumptions`` (by default, run on ``m``).
     """
     g = m.graph
-    assert_above = check_injective_noise_plus_one(m).holds
-    assert_below = check_directed_faithfulness(m).holds
-    cases: list[BoundCheckCase] = []
-    for v, cond in _bound_pairs(g, budget, seed):
+    audit = assumptions if assumptions is not None else Assumptions(m)
+    assert_above = audit.holds("injective_noise_plus_one")
+    assert_below = audit.holds("directed_faithfulness")
+    out: list[BoundCheckCase] = []
+    for v, cond in _bound_pairs(g, cases, seed):
         kinds = classify_bound_case(g, v, cond)
         measured = oracle.cond_entropy((v,), cond)
         reference = noise_entropy(m, v)
         if not kinds:
-            cases.append(BoundCheckCase(v, cond, None, measured, reference, Verdict.SKIP))
+            out.append(BoundCheckCase(v, cond, None, measured, reference, Verdict.SKIP))
             continue
         for kind in sorted(kinds, key=lambda k: k.value):
             if kind is BoundKind.ABOVE_NOISE and not assert_above:
@@ -133,8 +130,8 @@ def check_entropy_bounds(
                 else:
                     ok = measured > reference + tol
                 verdict = Verdict.PASS if ok else Verdict.FAIL
-            cases.append(BoundCheckCase(v, cond, kind, measured, reference, verdict))
-    return cases
+            out.append(BoundCheckCase(v, cond, kind, measured, reference, verdict))
+    return out
 
 
 @dataclass(frozen=True)
@@ -148,29 +145,33 @@ class IndependenceCase:
 
 def check_noise_independence(
     m: Scm,
-    budget: int = 200,
+    cases: int = 200,
     seed: int = 0,
     tol: float = 1e-9,
+    budget: int | None = None,
 ) -> list[IndependenceCase]:
     """Noise of v against sets disjoint from v's descendants.
 
     For every such set the explicit-noise graph must d-separate them and
-    the measured mutual information must vanish. Exhaustive up to 5 nodes.
+    the measured mutual information must vanish. Exhaustive up to 5 nodes;
+    ``budget`` caps the noise enumeration.
     """
     g = m.graph
     noise_graph = explicit_noise_graph(m)
-    orc = _oracle.EntropyOracle(_oracle.joint_distribution(m, include_noise=True))
+    orc = _oracle.EntropyOracle(
+        _oracle.joint_distribution(m, include_noise=True, budget=budget)
+    )
     nodes = sorted(g.nodes)
-    cases: list[IndependenceCase] = []
+    out: list[IndependenceCase] = []
 
     def run_case(v: int, ss: frozenset[int]) -> None:
         if not ss:
-            cases.append(IndependenceCase(v, ss, True, 0.0, Verdict.PASS))
+            out.append(IndependenceCase(v, ss, True, 0.0, Verdict.PASS))
             return
         separated = d_separated(noise_graph, {m.noise_node(v)}, ss)
         mi = orc.mutual_information({m.noise_node(v)}, ss)
         ok = separated and mi <= tol
-        cases.append(
+        out.append(
             IndependenceCase(v, ss, separated, mi, Verdict.PASS if ok else Verdict.FAIL)
         )
 
@@ -181,11 +182,11 @@ def check_noise_independence(
                 run_case(v, frozenset(u for k, u in enumerate(allowed) if mask >> k & 1))
     else:
         rng = random.Random(seed)
-        for _ in range(budget):
+        for _ in range(cases):
             v = rng.choice(nodes)
             allowed = [u for u in nodes if u != v and u not in g.descendants(v)]
             run_case(v, frozenset(u for u in allowed if rng.random() < 0.5))
-    return cases
+    return out
 
 
 @dataclass(frozen=True)

@@ -106,3 +106,38 @@ def random_dag(rng: random.Random, n: int, edge_prob: float = 0.4) -> Dag:
             if rng.random() < edge_prob:
                 edges.append((perm[i], perm[j]))
     return Dag(labels, edges)
+
+
+def licensed_combos(holds: dict[str, bool]) -> list[tuple[str, str]]:
+    """Reference licensing: the (algorithm, mode) pairs ``check`` runs."""
+    combos = []
+    if holds["injective_noise"] and holds["nonconstant_noise"]:
+        plus_one = holds["injective_noise_plus_one"]
+        weak = holds["weak_entropy_order"]
+        strict = holds["strict_entropy_order"]
+        directed = holds["directed_faithfulness"]
+        if plus_one:
+            combos.append(("sour", "known"))
+            if weak:
+                combos.append(("sour", "monotone"))
+        if directed:
+            combos.append(("sir", "known"))
+        if strict or (weak and directed):
+            combos.append(("sir", "monotone"))
+    return combos
+
+
+def license_refuses(holds: dict[str, bool], algo: str, mode: str) -> bool:
+    """Reference gate: whether ``discover`` refuses the pair without --unsafe."""
+    if not (holds["nonconstant_noise"] and holds["injective_noise"]):
+        return True
+    if algo == "sour":
+        return not holds["injective_noise_plus_one"] or (
+            mode == "monotone" and not holds["weak_entropy_order"]
+        )
+    if mode == "known":
+        return not holds["directed_faithfulness"]
+    return not (
+        holds["strict_entropy_order"]
+        or (holds["weak_entropy_order"] and holds["directed_faithfulness"])
+    )

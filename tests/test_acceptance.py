@@ -16,6 +16,7 @@ from causal_layering.cli import main as cli_main
 from causal_layering.discovery import (
     KnownNoiseEntropy,
     MonotoneEntropy,
+    licensed_pairs,
     sir_discover,
     sour_discover,
 )
@@ -33,6 +34,7 @@ from causal_layering.scm import (
     Pmf,
     check_injective_noise_plus_one,
     generate_scm,
+    guaranteed_assumptions,
     noise_entropy,
     scm_to_text,
 )
@@ -90,28 +92,19 @@ def run_discovery(m, algo: str, mode_name: str):
 def discovery_runs():
     """All discovery batteries, shared by criteria 5-7.
 
-    Every (battery, algorithm, mode) combination here is licensed by the
-    generating profile: source peeling needs single-parent injectivity
-    (plus_one), sink peeling in known mode needs directed faithfulness
-    (sir_faithful), and monotone sink peeling needs a strict entropy order
-    or a weak order plus directed faithfulness.
+    Each battery runs every (algorithm, mode) pair that the assumptions its
+    generating profile guarantees license.
     """
     t0 = time.time()
-    batteries = {
-        # single-parent-injective models get rare past six nodes
-        "plus_one/weak": (model_battery("plus_one", "weak", 200, 6),
-                          [("sour", "known"), ("sour", "monotone")]),
-        "sir_faithful/weak": (model_battery("sir_faithful", "weak", 200, 7),
-                              [("sir", "known"), ("sir", "monotone")]),
-        "base/strict": (model_battery("base", "strict", 200, 7),
-                        [("sir", "monotone")]),
-    }
+    # single-parent-injective models get rare past six nodes
+    batteries = (("plus_one", "weak", 6), ("sir_faithful", "weak", 7), ("base", "strict", 7))
     runs = []
-    for name, (models, combos) in batteries.items():
-        for m in models:
-            for algo, mode_name in combos:
+    for profile, entropy_mode, nmax in batteries:
+        pairs = licensed_pairs(set(guaranteed_assumptions(profile, entropy_mode)).__contains__)
+        for m in model_battery(profile, entropy_mode, 200, nmax):
+            for algo, mode_name in pairs:
                 result = run_discovery(m, algo, mode_name)
-                runs.append((name, m, algo, mode_name, result))
+                runs.append((f"{profile}/{entropy_mode}", m, algo, mode_name, result))
     return {"runs": runs, "elapsed": time.time() - t0}
 
 

@@ -1,10 +1,13 @@
+import json
 import subprocess
 import sys
 
 import pytest
 
+from causal_layering import oracle, scm
 from causal_layering.cli import main
-from causal_layering.scm import scm_to_text
+from causal_layering.discovery import LICENSES
+from causal_layering.scm import scm_to_dict, scm_to_text
 
 
 @pytest.fixture()
@@ -175,6 +178,15 @@ class TestBudget:
                      "--algo", "sour", "--mode", "known", "--budget", "100"])
         assert code == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["discover", "--algo", "sir", "--mode", "known"],
+        ["check"],
+    ])
+    def test_flag_bounds_every_enumeration(self, affine_file, argv, monkeypatch):
+        # the license gate and the check suites must enumerate under --budget too
+        monkeypatch.setattr(oracle, "DEFAULT_ENUMERATION_BUDGET", 4)
+        assert main([*argv, "--scm", str(affine_file), "--budget", "100"]) == 0
+
     def test_bad_env_value(self, affine_file, capsys, monkeypatch):
         monkeypatch.setenv("CAUSAL_LAYERING_BUDGET", "lots")
         code = main(["discover", "--scm", str(affine_file),
@@ -210,6 +222,98 @@ class TestCheck:
     def test_empirical_section(self, affine_file, capsys):
         assert main(["check", "--scm", str(affine_file), "--empirical", "500"]) == 0
         assert "sampled rows (diagnostic)" in capsys.readouterr().out
+
+
+class TestMalformedModel:
+    @pytest.mark.parametrize("path, value, where", [
+        (("nodes", 0, "label"), None, "nodes[0]: missing key 'label'"),
+        (("noise", "A", "probs"), None, "noise.A: missing key 'probs'"),
+        (("nodes",), {"A": {"label": "A"}}, "nodes: expected a list"),
+        (("noise", "A", "probs", 0), "1/0", "noise.A.probs: zero denominator"),
+        (("edges", 0), ["A"], "edges: "),
+        (("noise", "A", "probs"), [float("nan")] * 2,
+         "noise.A.probs: probabilities must be finite"),
+    ])
+    def test_named_error_without_traceback(self, tmp_path, affine_chain, path, value,
+                                           where, capsys):
+        data = scm_to_dict(affine_chain)
+        *parents, last = path
+        target = data
+        for key in parents:
+            target = target[key]
+        if value is None:
+            del target[last]
+        else:
+            target[last] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))  # NaN is written as a bare NaN literal
+        assert main(["check", "--scm", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and where in err
+        assert "Traceback" not in err
+
+
+@pytest.fixture()
+def validator_calls(monkeypatch):
+    """(assumption, model) of every validator run, through any binding."""
+    calls = []
+    modules = [mod for key, mod in sys.modules.items() if key.startswith("causal_layering")]
+    for fname in ("check_nonconstant_noise", "check_injective_noise",
+                  "check_injective_noise_plus_one", "check_noise_entropy_order",
+                  "check_faithfulness", "check_directed_faithfulness"):
+        original = getattr(scm, fname)
+
+        def counted(m, *args, _original=original, **kwargs):
+            report = _original(m, *args, **kwargs)
+            calls.append((report.assumption, m))
+            return report
+
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+class TestValidatorRuns:
+    def test_check_runs_each_validator_at_most_once(self, affine_file, validator_calls):
+        assert main(["check", "--scm", str(affine_file), "--empirical", "100"]) == 0
+        names = [name for name, _ in validator_calls]
+        assert sorted(names) == sorted(set(names))
+        assert "faithfulness" not in names
+
+    @pytest.mark.parametrize("profile", ["base", "plus_one", "sir_faithful"])
+    def test_gen_reuses_the_generator_reports(self, tmp_path, profile, validator_calls):
+        out = tmp_path / "m.json"
+        assert main(["gen", "--nodes", "5", "--profile", profile, "--entropy", "weak",
+                     "--seed", "2", "--out", str(out)]) == 0
+        accepted = validator_calls[-1][1]
+        names = [name for name, m in validator_calls if m is accepted]
+        assert sorted(names) == sorted(set(names))
+        report = (tmp_path / "m.json.report.txt").read_text()
+        assert all(f"{name}: " in report for name in names)
+
+    @pytest.mark.parametrize("chain, algo, mode", [
+        ("affine", "sour", "known"),
+        ("affine", "sour", "monotone"),
+        ("affine", "sir", "known"),
+        ("affine", "sir", "monotone"),
+        ("xor", "sour", "known"),
+        ("xor", "sir", "known"),
+        ("xor", "sir", "monotone"),
+    ])
+    def test_discover_runs_only_what_its_pair_needs(self, affine_file, xor_file, chain,
+                                                     algo, mode, validator_calls):
+        path = affine_file if chain == "affine" else xor_file
+        main(["discover", "--scm", str(path), "--algo", algo, "--mode", mode])
+        names = [name for name, _ in validator_calls]
+        needed = [name for alternative in LICENSES[(algo, mode)] for name in alternative]
+        assert sorted(names) == sorted(set(names))
+        assert set(names) <= set(needed)
+        if (algo, mode) == ("sir", "monotone"):
+            # strict entropy order holds on both chains: the second
+            # alternative is never evaluated
+            assert "directed_faithfulness" not in names
 
 
 class TestEntryPoint:

@@ -5,9 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causal_layering.discovery import (
+    LICENSES,
     AssumptionViolation,
     KnownNoiseEntropy,
     MonotoneEntropy,
+    license_failures,
+    licensed_pairs,
     render_discovery_report,
     sir_discover,
     sour_discover,
@@ -16,11 +19,14 @@ from causal_layering.graph import Dag, is_layering
 from causal_layering.oracle import EntropyOracle, joint_distribution
 from causal_layering.presets import xor_model
 from causal_layering.scm import (
+    VALIDATORS,
     GeneratorConfig,
     Pmf,
     generate_scm,
     noise_entropy,
 )
+
+import bruteforce
 
 A, B, C = 0, 1, 2
 
@@ -237,3 +243,29 @@ class TestRendering:
             "iter 2: candidates {B: 0.811278124, C: 1.811278124} selected {B}\n"
             "iter 3: candidates {C: 1.000000000} selected {C}\n"
         )
+
+
+class TestLicenses:
+    def test_table_names_are_registered_assumptions(self):
+        for alternatives in LICENSES.values():
+            for names in alternatives:
+                assert set(names) <= set(VALIDATORS)
+
+    def test_table_matches_reference_on_every_assignment(self):
+        # faithfulness licenses nothing; every other assumption holds or fails
+        names = [name for name in VALIDATORS if name != "faithfulness"]
+        assert len(names) == 6
+        for bits in range(1 << len(names)):
+            holds = {name: bool(bits >> i & 1) for i, name in enumerate(names)}
+            assert licensed_pairs(holds.__getitem__) == bruteforce.licensed_combos(holds)
+            for algo, mode in LICENSES:
+                refused = bool(license_failures(algo, mode, holds.__getitem__))
+                assert refused == bruteforce.license_refuses(holds, algo, mode), (
+                    algo, mode, holds)
+
+    def test_failures_name_only_failing_assumptions(self):
+        holds = dict.fromkeys(VALIDATORS, True)
+        holds.update(strict_entropy_order=False, directed_faithfulness=False)
+        assert license_failures("sir", "monotone", holds.__getitem__) == [
+            "strict_entropy_order", "directed_faithfulness"]
+        assert license_failures("sour", "monotone", holds.__getitem__) == []

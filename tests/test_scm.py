@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from causal_layering.scm import (
     check_nonconstant_noise,
     explicit_noise_graph,
     generate_scm,
+    guaranteed_assumptions,
     noise_entropy,
     parse_dataset,
     parse_scm,
@@ -73,6 +75,11 @@ class TestPmf:
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="non-negative"):
             Pmf.of((0, 1), ("3/2", "-1/2"))
+
+    @pytest.mark.parametrize("probs", [(math.nan, math.nan), (math.inf, 0.0)])
+    def test_rejects_non_finite(self, probs):
+        with pytest.raises(ValueError, match="finite"):
+            Pmf.of((0, 1), probs)
 
     def test_rejects_mixed_types_in_raw_constructor(self):
         with pytest.raises(TypeError, match="all Fraction or all float"):
@@ -325,6 +332,9 @@ class TestGenerator:
         assert m.meta.entropy_mode == "strict"
         assert m.meta.seed == 2
         assert m.meta.attempts >= 1
+        assert [r.assumption for r in m.meta.reports] == list(
+            guaranteed_assumptions("plus_one", "strict"))
+        assert all(r.holds for r in m.meta.reports)
 
     @pytest.mark.parametrize("profile", ["base", "plus_one", "sir_faithful"])
     def test_profiles_deliver_their_guarantees(self, profile):
