@@ -14,6 +14,7 @@ from collections import Counter
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from itertools import product
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .graph import NodeId
@@ -103,33 +104,60 @@ class JointTable:
         """Entries sorted by assignment, probabilities as Fraction or float."""
         return [(key, self.prob(key)) for key in sorted(self._weights)]
 
+    @classmethod
+    def _derived(
+        cls,
+        variables: tuple[NodeId, ...],
+        labels: tuple[str, ...],
+        weights: dict[tuple[int, ...], int | float],
+        denom: int | None,
+    ) -> JointTable:
+        """A projection of a checked table. Its weights are sums of positive
+        weights, so they are positive and (when exact) still sum to ``denom``:
+        nothing needs checking again."""
+        table = cls.__new__(cls)
+        table._variables = variables
+        table._labels = labels
+        table._weights = weights
+        table._denom = denom
+        return table
+
     def marginal(self, keep: Iterable[NodeId]) -> JointTable:
         keep_set = {int(v) for v in keep}
         unknown = keep_set - set(self._variables)
         if unknown:
             raise ValueError(f"unknown variables {sorted(unknown)}")
-        kept = tuple(v for v in self._variables if v in keep_set)
-        if kept == self._variables:
+        idx = [i for i, v in enumerate(self._variables) if v in keep_set]
+        if len(idx) == len(self._variables):
             return self
-        idx = tuple(self._variables.index(v) for v in kept)
-        out: dict[tuple[int, ...], int | float] = {}
-        for key, w in self._weights.items():
-            sub = tuple(key[i] for i in idx)
-            prev = out.get(sub)
-            out[sub] = w if prev is None else prev + w
-        labels = tuple(self._labels[self._variables.index(v)] for v in kept)
-        return JointTable(kept, labels, out, self._denom)
+        out: dict = {}
+        if idx:
+            project = itemgetter(*idx)
+            for key, w in self._weights.items():
+                sub = project(key)
+                out[sub] = out.get(sub, 0) + w
+            if len(idx) == 1:  # itemgetter of one index returns the bare value
+                out = {(k,): w for k, w in out.items()}
+        else:
+            out[()] = sum(self._weights.values())
+        return JointTable._derived(
+            tuple(self._variables[i] for i in idx),
+            tuple(self._labels[i] for i in idx),
+            out,
+            self._denom,
+        )
 
     def entropy_bits(self) -> float:
-        """Shannon entropy of the full table, in bits; 0 log 0 counts as 0."""
+        """Shannon entropy of the full table, in bits; 0 log 0 counts as 0.
+
+        The terms are summed with ``math.fsum``, so the result depends only on
+        the multiset of weights, not on the order the table was built in.
+        """
         if self._denom is not None:
             d = self._denom
-            acc = 0.0
-            for w in self._weights.values():
-                if w > 1:
-                    acc += w * math.log2(w)
+            acc = math.fsum(w * math.log2(w) for w in self._weights.values())
             return math.log2(d) - acc / d
-        return -sum(p * math.log2(p) for p in self._weights.values())
+        return -math.fsum(p * math.log2(p) for p in self._weights.values())
 
 
 def joint_distribution(
@@ -219,13 +247,18 @@ class EntropyOracle:
     """Conditional-entropy and independence queries over one joint table.
 
     Marginal entropies are memoized per variable set; the cache is guarded
-    by a lock so concurrent queries never change any answer.
+    by a lock so concurrent queries never change any answer. The oracle also
+    keeps one slot, the last marginal it projected from the full table: a
+    set inside the slot's variables is projected from the slot instead.
+    Queries that look up their largest set first (as ``cond_entropy`` and
+    ``mutual_information`` do) then scan the full table once each.
     """
 
     def __init__(self, table: JointTable):
         self._table = table
         self._scope = frozenset(table.variables)
         self._cache: dict[frozenset[int], float] = {}
+        self._slot: tuple[frozenset[int], JointTable] | None = None
         self._lock = threading.Lock()
 
     @property
@@ -238,17 +271,22 @@ class EntropyOracle:
             raise ValueError(f"unknown variables {sorted(key - self._scope)}")
         with self._lock:
             hit = self._cache.get(key)
+            slot = self._slot
         if hit is not None:
             return hit
-        value = self._table.marginal(key).entropy_bits()
+        source = slot[1] if slot is not None and key <= slot[0] else self._table
+        table = source.marginal(key)
+        value = table.entropy_bits()
         with self._lock:
             self._cache.setdefault(key, value)
+            if source is self._table:
+                self._slot = (key, table)
         return value
 
     def cond_entropy(
         self, target: Iterable[NodeId], given: Iterable[NodeId] = ()
     ) -> float:
-        """H(target | given) in bits, via H(T ∪ G) - H(G)."""
+        """H(target | given) in bits, via H(T ∪ G) - H(G), in that order."""
         xs = frozenset(int(v) for v in target)
         ss = frozenset(int(v) for v in given)
         if not xs:
@@ -271,11 +309,12 @@ class EntropyOracle:
             raise ValueError("both variable sets must be non-empty")
         if xs & ys or xs & ss or ys & ss:
             raise ValueError("variable sets must be pairwise disjoint")
+        h_xys = self.marginal_entropy(xs | ys | ss)  # first, so the rest reuse it
         return (
             self.marginal_entropy(xs | ss)
             + self.marginal_entropy(ys | ss)
             - self.marginal_entropy(ss)
-            - self.marginal_entropy(xs | ys | ss)
+            - h_xys
         )
 
     def is_independent(

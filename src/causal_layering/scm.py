@@ -360,10 +360,17 @@ def check_noise_entropy_order(m: Scm, mode: str) -> AssumptionReport:
 _MI_TOL = 1e-9
 
 
-def check_directed_faithfulness(m: Scm, budget: int | None = None) -> AssumptionReport:
-    """Each noise variable must be dependent on every descendant of its node."""
-    table = _oracle.joint_distribution(m, include_noise=True, budget=budget)
-    orc = _oracle.EntropyOracle(table)
+def check_directed_faithfulness(
+    m: Scm, budget: int | None = None, oracle: _oracle.EntropyOracle | None = None
+) -> AssumptionReport:
+    """Each noise variable must be dependent on every descendant of its node.
+
+    ``oracle`` must cover the noise variables; by default the noise-augmented
+    joint table is enumerated here, within ``budget``.
+    """
+    orc = oracle or _oracle.EntropyOracle(
+        _oracle.joint_distribution(m, include_noise=True, budget=budget)
+    )
     witnesses: list[tuple] = []
     for v in sorted(m.graph.nodes):
         for d in sorted(m.graph.descendants(v)):
@@ -373,21 +380,50 @@ def check_directed_faithfulness(m: Scm, budget: int | None = None) -> Assumption
     return AssumptionReport("directed_faithfulness", not witnesses, tuple(witnesses))
 
 
-def check_faithfulness(m: Scm, budget: int | None = None) -> AssumptionReport:
+def _faithfulness_probes(nodes: list[int]):
+    """(X, Y, S) triples to probe: every disjoint triple up to six nodes,
+    singleton X and Y beyond."""
+    n = len(nodes)
+    if n <= 6:
+        for digits in product(range(4), repeat=n):
+            xs = frozenset(v for v, d in zip(nodes, digits) if d == 1)
+            ys = frozenset(v for v, d in zip(nodes, digits) if d == 2)
+            ss = frozenset(v for v, d in zip(nodes, digits) if d == 3)
+            if not xs or not ys:
+                continue
+            if min(xs) > min(ys):  # (X, Y) and (Y, X) are the same question
+                continue
+            yield xs, ys, ss
+        return
+    for i, x in enumerate(nodes):
+        for y in nodes[i + 1:]:
+            rest = [v for v in nodes if v != x and v != y]
+            for mask in range(1 << len(rest)):
+                ss = frozenset(v for k, v in enumerate(rest) if mask >> k & 1)
+                yield frozenset({x}), frozenset({y}), ss
+
+
+def check_faithfulness(
+    m: Scm,
+    budget: int | None = None,
+    first_witness: bool = False,
+    oracle: _oracle.EntropyOracle | None = None,
+) -> AssumptionReport:
     """Observed conditional independences must coincide with d-separations.
 
     Exhaustive over all disjoint X, Y, S triples up to six nodes; beyond
     that only singleton X, Y pairs are checked and the report says so. An
     independence where the graph is d-connected is a violation; the
-    converse would mean broken arithmetic and raises.
+    converse would mean broken arithmetic and raises. With ``first_witness``
+    the check stops at the first violation, which is the first witness of
+    the full check. ``oracle`` may be any oracle covering the graph's nodes;
+    by default the observed joint table is enumerated here, within ``budget``.
     """
     g = m.graph
     nodes = sorted(g.nodes)
-    n = len(nodes)
-    orc = _oracle.EntropyOracle(_oracle.joint_distribution(m, budget=budget))
+    orc = oracle or _oracle.EntropyOracle(_oracle.joint_distribution(m, budget=budget))
     witnesses: list[tuple] = []
-
-    def probe(xs: frozenset[int], ys: frozenset[int], ss: frozenset[int]) -> None:
+    for xs, ys, ss in _faithfulness_probes(nodes):
         mi = orc.mutual_information(xs, ys, ss)
         sep = d_separated(g, xs, ys, ss)
         if sep and mi > _MI_TOL:
@@ -404,48 +440,41 @@ def check_faithfulness(m: Scm, budget: int | None = None) -> AssumptionReport:
                     mi,
                 )
             )
-
-    if n <= 6:
-        for digits in product(range(4), repeat=n):
-            xs = frozenset(v for v, d in zip(nodes, digits) if d == 1)
-            ys = frozenset(v for v, d in zip(nodes, digits) if d == 2)
-            ss = frozenset(v for v, d in zip(nodes, digits) if d == 3)
-            if not xs or not ys:
-                continue
-            if min(xs) > min(ys):  # (X, Y) and (Y, X) are the same question
-                continue
-            probe(xs, ys, ss)
-        detail = "exhaustive triples"
-    else:
-        for i, x in enumerate(nodes):
-            for y in nodes[i + 1:]:
-                rest = [v for v in nodes if v != x and v != y]
-                for mask in range(1 << len(rest)):
-                    ss = frozenset(v for k, v in enumerate(rest) if mask >> k & 1)
-                    probe(frozenset({x}), frozenset({y}), ss)
-        detail = "singleton pairs only"
+            if first_witness:
+                break
+    detail = "exhaustive triples" if len(nodes) <= 6 else "singleton pairs only"
     return AssumptionReport("faithfulness", not witnesses, tuple(witnesses), detail)
 
 
 # --- assumption registry -----------------------------------------------------
 
-# Assumption name -> validator(model, enumeration budget). The checks that
-# enumerate no noise tuples come first: the generator stops at the first
-# failure, and the gen sidecar lists its reports in this order.
-VALIDATORS: dict[str, Callable[[Scm, int | None], AssumptionReport]] = {
-    "nonconstant_noise": lambda m, budget: check_nonconstant_noise(m),
-    "injective_noise": lambda m, budget: check_injective_noise(m),
-    "injective_noise_plus_one": lambda m, budget: check_injective_noise_plus_one(m),
-    "weak_entropy_order": lambda m, budget: check_noise_entropy_order(m, "weak"),
-    "strict_entropy_order": lambda m, budget: check_noise_entropy_order(m, "strict"),
-    "faithfulness": lambda m, budget: check_faithfulness(m, budget),
-    "directed_faithfulness": lambda m, budget: check_directed_faithfulness(m, budget),
+# Assumption name -> validator(model, oracle), where ``oracle()`` returns the
+# command's oracle over the noise-augmented joint table, enumerated on its
+# first call. The checks that enumerate no noise tuples come first: the
+# generator stops at the first failure, and the gen sidecar lists its reports
+# in this order.
+VALIDATORS: dict[
+    str, Callable[[Scm, Callable[[], _oracle.EntropyOracle]], AssumptionReport]
+] = {
+    "nonconstant_noise": lambda m, oracle: check_nonconstant_noise(m),
+    "injective_noise": lambda m, oracle: check_injective_noise(m),
+    "injective_noise_plus_one": lambda m, oracle: check_injective_noise_plus_one(m),
+    "weak_entropy_order": lambda m, oracle: check_noise_entropy_order(m, "weak"),
+    "strict_entropy_order": lambda m, oracle: check_noise_entropy_order(m, "strict"),
+    "faithfulness": lambda m, oracle: check_faithfulness(m, oracle=oracle()),
+    "directed_faithfulness": lambda m, oracle: check_directed_faithfulness(m, oracle=oracle()),
 }
 
 
 class Assumptions:
     """One model's assumption reports, each validator run at most once;
-    ``reports`` holds any already computed on this model (as in ``meta``)."""
+    ``reports`` holds any already computed on this model (as in ``meta``).
+
+    ``oracle()`` enumerates the noise-augmented joint table once, within
+    ``budget``, and answers observed and noise queries alike: the validators
+    and the rest of a command share it. Nothing keeps it after the command
+    drops this object.
+    """
 
     def __init__(
         self, m: Scm, budget: int | None = None, reports: Iterable[AssumptionReport] = ()
@@ -453,10 +482,19 @@ class Assumptions:
         self._model = m
         self._budget = budget
         self._reports = {r.assumption: r for r in reports}
+        self._oracle: _oracle.EntropyOracle | None = None
+
+    def oracle(self) -> _oracle.EntropyOracle:
+        if self._oracle is None:
+            table = _oracle.joint_distribution(
+                self._model, include_noise=True, budget=self._budget
+            )
+            self._oracle = _oracle.EntropyOracle(table)
+        return self._oracle
 
     def report(self, name: str) -> AssumptionReport:
         if name not in self._reports:
-            self._reports[name] = VALIDATORS[name](self._model, self._budget)
+            self._reports[name] = VALIDATORS[name](self._model, self.oracle)
         return self._reports[name]
 
     def holds(self, name: str) -> bool:
@@ -704,11 +742,16 @@ def _generate_once(
     m = Scm(g, pmfs, tables)
 
     # construction is re-verified, never trusted
+    audit = Assumptions(m, cfg.enumeration_budget)
     reports = []
     for name in guaranteed_assumptions(cfg.profile, cfg.entropy_mode):
-        report = VALIDATORS[name](m, cfg.enumeration_budget)
+        if name == "faithfulness":
+            # a rejected candidate needs one witness; an accepted one runs every probe
+            report = check_faithfulness(m, first_witness=True, oracle=audit.oracle())
+        else:
+            report = audit.report(name)
         if not report.holds:
-            raise _Retry(f"{name} fails ({len(report.witnesses)} witnesses)")
+            raise _Retry(f"{name} fails; first witness {report.witnesses[0]}")
         reports.append(report)
     m.meta = ScmMeta(cfg.profile, cfg.entropy_mode, seed, attempt, tuple(reports))
     return m
@@ -782,6 +825,19 @@ def _prob_from_json(raw) -> Fraction | float:
     raise ValueError(f"invalid probability {raw!r}")
 
 
+def _json_int(raw) -> int:
+    # a float, a string or a bool would otherwise coerce into a different model
+    if type(raw) is not int:
+        raise ValueError(f"expected an integer, got {raw!r}")
+    return raw
+
+
+def _json_ints(raw) -> tuple[int, ...]:
+    if not isinstance(raw, list):
+        raise ValueError(f"expected a list of integers, got {raw!r}")
+    return tuple(_json_int(x) for x in raw)
+
+
 def scm_to_dict(m: Scm) -> dict:
     nodes = [
         {"label": m.label(v), "alphabet": list(m.alphabets[v])}
@@ -831,7 +887,8 @@ def scm_from_dict(data: dict) -> Scm:
         for i, spec in enumerate(node_specs):
             where = f"nodes[{i}]"
             labels.append(spec["label"])
-            declared.append(tuple(int(x) for x in spec["alphabet"]))
+            where += ".alphabet"
+            declared.append(_json_ints(spec["alphabet"]))
         where = "edges"
         g = Dag.of(labels, [(a, b) for a, b in edge_specs])
         ids = {lab: i for i, lab in enumerate(labels)}
@@ -843,7 +900,9 @@ def scm_from_dict(data: dict) -> Scm:
                 raise ValueError(f"node {lab!r} has no noise entry")
             where = f"noise.{lab}"
             support, probs = noise_specs[lab]["support"], noise_specs[lab]["probs"]
-            where += ".probs"
+            where = f"noise.{lab}.support"
+            support = _json_ints(support)
+            where = f"noise.{lab}.probs"
             noise[ids[lab]] = Pmf.of(support, [_prob_from_json(p) for p in probs])
             where = "functions"
             if lab not in function_specs:
@@ -853,11 +912,18 @@ def scm_from_dict(data: dict) -> Scm:
             parent_order = tuple(ids[p] for p in fspec["parent_order"])
             entries = {}
             for k, row in enumerate(fspec["table"]):
-                where = f"functions.{lab}.table[{k}]"
-                key = (*(int(x) for x in row["parents"]), int(row["noise"]))
+                row_at = where = f"functions.{lab}.table[{k}]"
+                parents, u, out = row["parents"], row["noise"], row["out"]
+                where = row_at + ".parents"
+                key = _json_ints(parents)
+                where = row_at + ".noise"
+                key += (_json_int(u),)
+                where = row_at + ".out"
+                out = _json_int(out)
+                where = row_at
                 if key in entries:
                     raise ValueError(f"node {lab!r} has duplicate table row {key}")
-                entries[key] = int(row["out"])
+                entries[key] = out
             functions[ids[lab]] = StructuralTable(parent_order, entries)
     except KeyError as exc:
         raise ValueError(f"{where}: missing key {exc}") from None

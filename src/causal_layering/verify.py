@@ -149,16 +149,18 @@ def check_noise_independence(
     seed: int = 0,
     tol: float = 1e-9,
     budget: int | None = None,
+    oracle: "_oracle.EntropyOracle | None" = None,
 ) -> list[IndependenceCase]:
     """Noise of v against sets disjoint from v's descendants.
 
     For every such set the explicit-noise graph must d-separate them and
-    the measured mutual information must vanish. Exhaustive up to 5 nodes;
-    ``budget`` caps the noise enumeration.
+    the measured mutual information must vanish. Exhaustive up to 5 nodes.
+    ``oracle`` must cover the noise variables; by default the noise-augmented
+    joint table is enumerated here, within ``budget``.
     """
     g = m.graph
     noise_graph = explicit_noise_graph(m)
-    orc = _oracle.EntropyOracle(
+    orc = oracle or _oracle.EntropyOracle(
         _oracle.joint_distribution(m, include_noise=True, budget=budget)
     )
     nodes = sorted(g.nodes)

@@ -12,6 +12,7 @@ import random
 from itertools import product
 
 from causal_layering.graph import Dag
+from causal_layering.oracle import JointTable
 
 
 def joint_probs(scm) -> dict[tuple, float]:
@@ -41,6 +42,22 @@ def entropy(joint: dict[tuple, float], keep: tuple[int, ...]) -> float:
         sub = tuple(key[i] for i in keep)
         marg[sub] = marg.get(sub, 0.0) + w
     return -sum(p * math.log2(p) for p in marg.values() if p > 0.0)
+
+
+def marginal(table: JointTable, keep) -> JointTable:
+    """Project a JointTable the first way the package did: a tuple built per
+    key by a generator, summed into a dict, and the result passed back
+    through the validating public constructor."""
+    keep_set = {int(v) for v in keep}
+    kept = tuple(v for v in table.variables if v in keep_set)
+    idx = tuple(table.variables.index(v) for v in kept)
+    out: dict[tuple[int, ...], int | float] = {}
+    for key, w in table._weights.items():
+        sub = tuple(key[i] for i in idx)
+        prev = out.get(sub)
+        out[sub] = w if prev is None else prev + w
+    labels = tuple(table.label_of(v) for v in kept)
+    return JointTable(kept, labels, out, table._denom)
 
 
 def cond_entropy(joint: dict[tuple, float], target: tuple[int, ...],

@@ -233,6 +233,20 @@ class TestMalformedModel:
         (("edges", 0), ["A"], "edges: "),
         (("noise", "A", "probs"), [float("nan")] * 2,
          "noise.A.probs: probabilities must be finite"),
+        # integer fields take JSON integers only; each of these used to load
+        # as a different model, and check passed on it
+        (("functions", "C", "table", 0, "out"), 0.5,
+         "functions.C.table[0].out: expected an integer, got 0.5"),
+        (("noise", "A", "support"), "01",
+         "noise.A.support: expected a list of integers, got '01'"),
+        (("nodes", 1, "alphabet", 1), 1.0,
+         "nodes[1].alphabet: expected an integer, got 1.0"),
+        (("functions", "B", "table", 0, "parents"), [False],
+         "functions.B.table[0].parents: expected an integer, got False"),
+        (("functions", "B", "table", 0, "noise"), True,
+         "functions.B.table[0].noise: expected an integer, got True"),
+        (("functions", "A", "table", 1, "out"), "1",
+         "functions.A.table[1].out: expected an integer, got '1'"),
     ])
     def test_named_error_without_traceback(self, tmp_path, affine_chain, path, value,
                                            where, capsys):
@@ -250,6 +264,7 @@ class TestMalformedModel:
         assert main(["check", "--scm", str(bad)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and where in err
+        assert len(err.splitlines()) == 1
         assert "Traceback" not in err
 
 
@@ -314,6 +329,34 @@ class TestValidatorRuns:
             # strict entropy order holds on both chains: the second
             # alternative is never evaluated
             assert "directed_faithfulness" not in names
+
+
+@pytest.fixture()
+def enumerations(monkeypatch):
+    """include_noise of every joint_distribution call, through any binding."""
+    calls = []
+    original = oracle.joint_distribution
+
+    def counted(m, include_noise=False, budget=None):
+        calls.append(include_noise)
+        return original(m, include_noise=include_noise, budget=budget)
+
+    for mod in [mod for key, mod in sys.modules.items() if key.startswith("causal_layering")]:
+        for attr, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+class TestOneEnumeration:
+    @pytest.mark.parametrize("argv", [
+        ["check"],
+        ["discover", "--algo", "sir", "--mode", "known"],
+        ["discover", "--algo", "sour", "--mode", "known"],
+    ])
+    def test_command_enumerates_once(self, affine_file, argv, enumerations, capsys):
+        assert main([*argv, "--scm", str(affine_file)]) == 0
+        assert enumerations == [True]
 
 
 class TestEntryPoint:

@@ -18,6 +18,7 @@ from causal_layering.scm import Dataset, GeneratorConfig, generate_scm, noise_en
 from bruteforce import cond_entropy as bf_cond_entropy
 from bruteforce import entropy as bf_entropy
 from bruteforce import joint_probs
+from bruteforce import marginal as bf_marginal
 
 # Entropy of a coin with bias p, computed independently and frozen.
 H_EIGHTH = 0.5435644431995964   # p = 1/8
@@ -97,6 +98,89 @@ class TestJointTable:
     def test_render_sorted_rows(self):
         text = render_joint_table(exact_pair())
         assert text == "X=0,Y=0 : 1/2\nX=0,Y=1 : 1/4\nX=1,Y=1 : 1/4\n"
+
+
+@st.composite
+def weighted_tables(draw):
+    """(variables, weights by assignment, T, S) with S a subset of T."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    variables = tuple(draw(st.permutations(range(n + 2)))[:n])
+    keys = draw(st.lists(st.tuples(*[st.integers(0, 2)] * n), min_size=1, max_size=40,
+                         unique=True))
+    weights = dict(zip(keys, draw(st.lists(st.integers(1, 10**6), min_size=len(keys),
+                                           max_size=len(keys)))))
+    in_t = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    big = frozenset(v for v, keep in zip(variables, in_t) if keep)
+    small = frozenset(v for v in big if draw(st.booleans()))
+    return variables, weights, big, small
+
+
+def _exact(variables, weights, order=None) -> JointTable:
+    keys = list(weights) if order is None else order
+    labels = [f"V{v}" for v in variables]
+    return JointTable(variables, labels, {k: weights[k] for k in keys}, sum(weights.values()))
+
+
+class TestMarginalEngine:
+    """The projection path against the reference in ``bruteforce.marginal``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(weighted_tables())
+    def test_nested_projection_matches_reference(self, case):
+        variables, weights, big, small = case
+        t = _exact(variables, weights)
+        direct = t.marginal(small)
+        via_superset = t.marginal(big).marginal(small)
+        reference = bf_marginal(t, small)
+        assert via_superset.items() == direct.items() == reference.items()
+        assert direct.variables == via_superset.variables == reference.variables
+        assert direct.labels == reference.labels
+        # derived weights still sum to the shared denominator
+        assert direct.total() == via_superset.total() == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(weighted_tables(), st.randoms(use_true_random=False))
+    def test_entropy_is_bitwise_free_of_source_and_order(self, case, rng):
+        variables, weights, big, small = case
+        t = _exact(variables, weights)
+        keys = list(weights)
+        rng.shuffle(keys)
+        shuffled = _exact(variables, weights, keys)
+        h = t.marginal(small).entropy_bits()
+        assert t.marginal(big).marginal(small).entropy_bits() == h
+        assert shuffled.marginal(small).entropy_bits() == h
+        assert shuffled.marginal(big).marginal(small).entropy_bits() == h
+        # the oracle projects ``small`` from its slot once ``big`` is looked up
+        orc = EntropyOracle(shuffled)
+        orc.marginal_entropy(big)
+        assert orc.marginal_entropy(small) == h
+
+    @settings(max_examples=100, deadline=None)
+    @given(weighted_tables())
+    def test_float_tables_stay_near_reference(self, case):
+        variables, weights, big, small = case
+        total = sum(weights.values())
+        labels = [f"V{v}" for v in variables]
+        t = JointTable(variables, labels, {k: w / total for k, w in weights.items()}, None)
+        reference = bf_marginal(t, small)
+        got = t.marginal(big).marginal(small)
+        assert [k for k, _ in got.items()] == [k for k, _ in reference.items()]
+        for (_, p), (_, q) in zip(got.items(), reference.items()):
+            assert abs(p - q) <= 1e-12
+        assert abs(got.entropy_bits() - reference.entropy_bits()) <= 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(weighted_tables(), st.randoms(use_true_random=False))
+    def test_oracle_answers_do_not_depend_on_query_history(self, case, rng):
+        variables, weights, _, _ = case
+        t = _exact(variables, weights)
+        shared = EntropyOracle(t)
+        for _ in range(12):
+            xs = frozenset(v for v in variables if rng.random() < 0.5)
+            ss = frozenset(v for v in variables if v not in xs and rng.random() < 0.5)
+            if not xs:
+                continue
+            assert shared.cond_entropy(xs, ss) == EntropyOracle(t).cond_entropy(xs, ss)
 
 
 class TestJointDistribution:

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -129,6 +130,26 @@ def tiny_chain(noise_b=None) -> Scm:
         0: StructuralTable((), {(0,): 0, (1,): 1}),
         1: StructuralTable((0,), {(0, 0): 0, (0, 1): 1, (1, 0): 2, (1, 1): 3}),
     }
+    return Scm(g, noise, functions)
+
+
+@st.composite
+def random_models(draw) -> Scm:
+    """Small models with random tables: faithful or not, injective or not."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())]
+    g = Dag([f"V{i}" for i in range(n)], edges)
+    noise, functions, alphabets = {}, {}, {}
+    for v in range(n):  # 0..n-1 is a topological order
+        pas = tuple(sorted(g.parents(v)))
+        noise[v] = Pmf.from_weights((0, 1), [draw(st.integers(1, 4)) for _ in range(2)])
+        entries = {
+            (*combo, u): draw(st.integers(0, 2))
+            for combo in product(*(alphabets[p] for p in pas))
+            for u in (0, 1)
+        }
+        alphabets[v] = tuple(sorted(set(entries.values())))
+        functions[v] = StructuralTable(pas, entries)
     return Scm(g, noise, functions)
 
 
@@ -292,6 +313,16 @@ class TestAssumptionChecks:
         report = check_faithfulness(xor_chain)
         assert not report.holds
         assert (("A",), ("C",), ()) in {w[:3] for w in report.witnesses}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_first_witness_stops_at_the_full_checks_first_witness(self, data):
+        m = data.draw(random_models())
+        full = check_faithfulness(m)
+        first = check_faithfulness(m, first_witness=True)
+        assert first.holds == full.holds
+        assert first.witnesses == full.witnesses[:1]
+        assert first.detail == full.detail
 
     def test_report_witness_discipline(self):
         from causal_layering.scm import AssumptionReport
