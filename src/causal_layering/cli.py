@@ -242,7 +242,7 @@ def _cmd_check(args) -> int:
     model = _load_scm(args.scm)
     budget = _enumeration_budget(args)
     audit = Assumptions(model, budget)
-    orc = audit.oracle()  # the command's one enumeration, shared by every check below
+    orc = audit.oracle()  # projected from the command's one enumeration, shared below
     labels = {v: model.label(v) for v in model.graph.nodes}
     n = len(model.graph.nodes)
     failed = False
@@ -256,7 +256,7 @@ def _cmd_check(args) -> int:
     failed |= any(c.verdict is _verify.Verdict.FAIL for c in bound_cases)
 
     indep_cases = _verify.check_noise_independence(
-        model, cases=args.cases, seed=args.seed, oracle=orc
+        model, audit.noise_oracle(), cases=args.cases, seed=args.seed
     )
     out.append("== noise independence ==")
     out.append(_verify.render_independence_report(indep_cases, labels).rstrip("\n"))

@@ -265,6 +265,10 @@ class EntropyOracle:
     def variables(self) -> tuple[NodeId, ...]:
         return self._table.variables
 
+    @property
+    def table(self) -> JointTable:
+        return self._table
+
     def marginal_entropy(self, variables: Iterable[NodeId] = ()) -> float:
         key = frozenset(int(v) for v in variables)
         if not key <= self._scope:

@@ -360,21 +360,16 @@ def check_noise_entropy_order(m: Scm, mode: str) -> AssumptionReport:
 _MI_TOL = 1e-9
 
 
-def check_directed_faithfulness(
-    m: Scm, budget: int | None = None, oracle: _oracle.EntropyOracle | None = None
-) -> AssumptionReport:
+def check_directed_faithfulness(m: Scm, oracle: _oracle.EntropyOracle) -> AssumptionReport:
     """Each noise variable must be dependent on every descendant of its node.
 
-    ``oracle`` must cover the noise variables; by default the noise-augmented
-    joint table is enumerated here, within ``budget``.
+    ``oracle`` must cover the noise variables, as ``Assumptions.noise_oracle()``
+    does.
     """
-    orc = oracle or _oracle.EntropyOracle(
-        _oracle.joint_distribution(m, include_noise=True, budget=budget)
-    )
     witnesses: list[tuple] = []
     for v in sorted(m.graph.nodes):
         for d in sorted(m.graph.descendants(v)):
-            mi = orc.mutual_information({m.noise_node(v)}, {d})
+            mi = oracle.mutual_information({m.noise_node(v)}, {d})
             if mi <= _MI_TOL:
                 witnesses.append((m.noise_label(v), m.label(d), mi))
     return AssumptionReport("directed_faithfulness", not witnesses, tuple(witnesses))
@@ -404,27 +399,24 @@ def _faithfulness_probes(nodes: list[int]):
 
 
 def check_faithfulness(
-    m: Scm,
-    budget: int | None = None,
-    first_witness: bool = False,
-    oracle: _oracle.EntropyOracle | None = None,
+    m: Scm, oracle: _oracle.EntropyOracle, first_witness: bool = False
 ) -> AssumptionReport:
     """Observed conditional independences must coincide with d-separations.
 
-    Exhaustive over all disjoint X, Y, S triples up to six nodes; beyond
-    that only singleton X, Y pairs are checked and the report says so. An
-    independence where the graph is d-connected is a violation; the
+    ``oracle`` must cover the graph's nodes, as ``Assumptions.oracle()``
+    does. Exhaustive over all disjoint X, Y, S triples up to six nodes;
+    beyond that only singleton X, Y pairs are checked and the report says
+    so. An independence where the graph is d-connected is a violation; the
     converse would mean broken arithmetic and raises. With ``first_witness``
     the check stops at the first violation, which is the first witness of
-    the full check. ``oracle`` may be any oracle covering the graph's nodes;
-    by default the observed joint table is enumerated here, within ``budget``.
+    the full check; the probes after it are not run, so neither is the
+    broken-arithmetic check on them.
     """
     g = m.graph
     nodes = sorted(g.nodes)
-    orc = oracle or _oracle.EntropyOracle(_oracle.joint_distribution(m, budget=budget))
     witnesses: list[tuple] = []
     for xs, ys, ss in _faithfulness_probes(nodes):
-        mi = orc.mutual_information(xs, ys, ss)
+        mi = oracle.mutual_information(xs, ys, ss)
         sep = d_separated(g, xs, ys, ss)
         if sep and mi > _MI_TOL:
             raise RuntimeError(
@@ -448,21 +440,18 @@ def check_faithfulness(
 
 # --- assumption registry -----------------------------------------------------
 
-# Assumption name -> validator(model, oracle), where ``oracle()`` returns the
-# command's oracle over the noise-augmented joint table, enumerated on its
-# first call. The checks that enumerate no noise tuples come first: the
-# generator stops at the first failure, and the gen sidecar lists its reports
-# in this order.
-VALIDATORS: dict[
-    str, Callable[[Scm, Callable[[], _oracle.EntropyOracle]], AssumptionReport]
-] = {
-    "nonconstant_noise": lambda m, oracle: check_nonconstant_noise(m),
-    "injective_noise": lambda m, oracle: check_injective_noise(m),
-    "injective_noise_plus_one": lambda m, oracle: check_injective_noise_plus_one(m),
-    "weak_entropy_order": lambda m, oracle: check_noise_entropy_order(m, "weak"),
-    "strict_entropy_order": lambda m, oracle: check_noise_entropy_order(m, "strict"),
-    "faithfulness": lambda m, oracle: check_faithfulness(m, oracle=oracle()),
-    "directed_faithfulness": lambda m, oracle: check_directed_faithfulness(m, oracle=oracle()),
+# Assumption name -> validator(model, assumptions), where ``assumptions`` is
+# the model's ``Assumptions``, whose oracles share one enumeration. The checks
+# that enumerate no noise tuples come first: the generator stops at the first
+# failure, and the gen sidecar lists its reports in this order.
+VALIDATORS: dict[str, Callable[[Scm, "Assumptions"], AssumptionReport]] = {
+    "nonconstant_noise": lambda m, a: check_nonconstant_noise(m),
+    "injective_noise": lambda m, a: check_injective_noise(m),
+    "injective_noise_plus_one": lambda m, a: check_injective_noise_plus_one(m),
+    "weak_entropy_order": lambda m, a: check_noise_entropy_order(m, "weak"),
+    "strict_entropy_order": lambda m, a: check_noise_entropy_order(m, "strict"),
+    "faithfulness": lambda m, a: check_faithfulness(m, a.oracle()),
+    "directed_faithfulness": lambda m, a: check_directed_faithfulness(m, a.noise_oracle()),
 }
 
 
@@ -470,9 +459,11 @@ class Assumptions:
     """One model's assumption reports, each validator run at most once;
     ``reports`` holds any already computed on this model (as in ``meta``).
 
-    ``oracle()`` enumerates the noise-augmented joint table once, within
-    ``budget``, and answers observed and noise queries alike: the validators
-    and the rest of a command share it. Nothing keeps it after the command
+    The noise-augmented joint table is enumerated once, within ``budget``, on
+    the first oracle request. ``noise_oracle()`` answers over that table;
+    ``oracle()`` answers over its observed marginal, projected once, which
+    can have far fewer rows when noise is not injective. The validators and
+    the rest of a command share both. Nothing keeps them after the command
     drops this object.
     """
 
@@ -482,19 +473,28 @@ class Assumptions:
         self._model = m
         self._budget = budget
         self._reports = {r.assumption: r for r in reports}
+        self._noise_oracle: _oracle.EntropyOracle | None = None
         self._oracle: _oracle.EntropyOracle | None = None
 
-    def oracle(self) -> _oracle.EntropyOracle:
-        if self._oracle is None:
+    def noise_oracle(self) -> _oracle.EntropyOracle:
+        """Oracle over the observed and the noise variables."""
+        if self._noise_oracle is None:
             table = _oracle.joint_distribution(
                 self._model, include_noise=True, budget=self._budget
             )
+            self._noise_oracle = _oracle.EntropyOracle(table)
+        return self._noise_oracle
+
+    def oracle(self) -> _oracle.EntropyOracle:
+        """Oracle over the observed variables only."""
+        if self._oracle is None:
+            table = self.noise_oracle().table.marginal(self._model.graph.nodes)
             self._oracle = _oracle.EntropyOracle(table)
         return self._oracle
 
     def report(self, name: str) -> AssumptionReport:
         if name not in self._reports:
-            self._reports[name] = VALIDATORS[name](self._model, self.oracle)
+            self._reports[name] = VALIDATORS[name](self._model, self)
         return self._reports[name]
 
     def holds(self, name: str) -> bool:
@@ -747,7 +747,7 @@ def _generate_once(
     for name in guaranteed_assumptions(cfg.profile, cfg.entropy_mode):
         if name == "faithfulness":
             # a rejected candidate needs one witness; an accepted one runs every probe
-            report = check_faithfulness(m, first_witness=True, oracle=audit.oracle())
+            report = check_faithfulness(m, audit.oracle(), first_witness=True)
         else:
             report = audit.report(name)
         if not report.holds:

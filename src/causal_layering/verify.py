@@ -145,24 +145,20 @@ class IndependenceCase:
 
 def check_noise_independence(
     m: Scm,
+    oracle: "_oracle.EntropyOracle",
     cases: int = 200,
     seed: int = 0,
     tol: float = 1e-9,
-    budget: int | None = None,
-    oracle: "_oracle.EntropyOracle | None" = None,
 ) -> list[IndependenceCase]:
     """Noise of v against sets disjoint from v's descendants.
 
     For every such set the explicit-noise graph must d-separate them and
     the measured mutual information must vanish. Exhaustive up to 5 nodes.
-    ``oracle`` must cover the noise variables; by default the noise-augmented
-    joint table is enumerated here, within ``budget``.
+    ``oracle`` must cover the noise variables, as
+    ``Assumptions.noise_oracle()`` does.
     """
     g = m.graph
     noise_graph = explicit_noise_graph(m)
-    orc = oracle or _oracle.EntropyOracle(
-        _oracle.joint_distribution(m, include_noise=True, budget=budget)
-    )
     nodes = sorted(g.nodes)
     out: list[IndependenceCase] = []
 
@@ -171,7 +167,7 @@ def check_noise_independence(
             out.append(IndependenceCase(v, ss, True, 0.0, Verdict.PASS))
             return
         separated = d_separated(noise_graph, {m.noise_node(v)}, ss)
-        mi = orc.mutual_information({m.noise_node(v)}, ss)
+        mi = oracle.mutual_information({m.noise_node(v)}, ss)
         ok = separated and mi <= tol
         out.append(
             IndependenceCase(v, ss, separated, mi, Verdict.PASS if ok else Verdict.FAIL)

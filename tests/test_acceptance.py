@@ -30,6 +30,7 @@ from causal_layering.graph import (
 from causal_layering.oracle import EntropyOracle, joint_distribution
 from causal_layering.presets import xor_model
 from causal_layering.scm import (
+    Assumptions,
     GeneratorConfig,
     Pmf,
     check_injective_noise_plus_one,
@@ -166,7 +167,7 @@ def test_criterion_3_noise_independence():
         m = generate_scm(
             GeneratorConfig(nodes=rng.randint(2, 5), profile="base"), seed=i
         )
-        for case in check_noise_independence(m, tol=TOL):
+        for case in check_noise_independence(m, Assumptions(m).noise_oracle(), tol=TOL):
             cases += 1
             if case.verdict is not Verdict.PASS:
                 fails += 1

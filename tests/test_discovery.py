@@ -180,12 +180,13 @@ class TestCallCounts:
             # monotone sink peeling needs the stronger licence; skip models
             # where neither strict order nor directed faithfulness holds
             from causal_layering.scm import (
+                Assumptions,
                 check_directed_faithfulness,
                 check_noise_entropy_order,
             )
 
             if not (check_noise_entropy_order(m, "strict").holds
-                    or check_directed_faithfulness(m).holds):
+                    or check_directed_faithfulness(m, Assumptions(m).noise_oracle()).holds):
                 return
         result = run(m.graph.nodes, oracle_for(m), mode)
         n = len(m.graph.nodes)

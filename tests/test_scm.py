@@ -11,6 +11,7 @@ from causal_layering.graph import Dag, d_separated
 from causal_layering.oracle import EntropyOracle, joint_distribution
 from causal_layering.presets import xor_model
 from causal_layering.scm import (
+    Assumptions,
     Dataset,
     GenerationError,
     GeneratorConfig,
@@ -284,11 +285,12 @@ class TestAssumptionChecks:
             check_noise_entropy_order(affine_chain, "loose")
 
     def test_directed_faithfulness_holds_on_affine(self, affine_chain):
-        assert check_directed_faithfulness(affine_chain).holds
+        report = check_directed_faithfulness(affine_chain, Assumptions(affine_chain).noise_oracle())
+        assert report.holds
 
     def test_directed_faithfulness_fails_on_xor(self, xor_chain):
         # uniform noise on C makes C independent of everything upstream
-        report = check_directed_faithfulness(xor_chain)
+        report = check_directed_faithfulness(xor_chain, Assumptions(xor_chain).noise_oracle())
         assert not report.holds
         witnessed = {(w[0], w[1]) for w in report.witnesses}
         assert ("N_A", "C") in witnessed and ("N_B", "C") in witnessed
@@ -296,21 +298,21 @@ class TestAssumptionChecks:
     def test_faithfulness_fails_on_affine_by_decoding(self, affine_chain):
         # C = B + 4*N_C decodes B exactly, so conditioning on C makes B
         # deterministic and hence independent of A despite d-connection
-        report = check_faithfulness(affine_chain)
+        report = check_faithfulness(affine_chain, Assumptions(affine_chain).oracle())
         assert not report.holds
         assert report.detail == "exhaustive triples"
         assert (("A",), ("B",), ("C",)) in {w[:3] for w in report.witnesses}
 
     def test_faithfulness_holds_on_generated_base(self):
         m = generate_scm(GeneratorConfig(nodes=4, profile="base"), seed=0)
-        report = check_faithfulness(m)
+        report = check_faithfulness(m, Assumptions(m).oracle())
         assert report.holds
         assert report.detail == "exhaustive triples"
 
     def test_faithfulness_fails_on_xor(self, xor_chain):
         # the chain ends in uniform noise, so A and C are exactly independent
         # despite being d-connected
-        report = check_faithfulness(xor_chain)
+        report = check_faithfulness(xor_chain, Assumptions(xor_chain).oracle())
         assert not report.holds
         assert (("A",), ("C",), ()) in {w[:3] for w in report.witnesses}
 
@@ -318,11 +320,31 @@ class TestAssumptionChecks:
     @given(st.data())
     def test_first_witness_stops_at_the_full_checks_first_witness(self, data):
         m = data.draw(random_models())
-        full = check_faithfulness(m)
-        first = check_faithfulness(m, first_witness=True)
+        full = check_faithfulness(m, Assumptions(m).oracle())
+        first = check_faithfulness(m, Assumptions(m).oracle(), first_witness=True)
         assert first.holds == full.holds
         assert first.witnesses == full.witnesses[:1]
         assert first.detail == full.detail
+
+    def test_observed_oracle_projects_the_one_enumeration(self):
+        # support-4 noise into binary outputs: 16 noise tuples, 4 observed rows
+        g = Dag(["A", "B"], [(0, 1)])
+        noise = {v: Pmf.from_weights(range(4), [1, 2, 3, 4]) for v in (0, 1)}
+        functions = {
+            0: StructuralTable((), {(u,): u % 2 for u in range(4)}),
+            1: StructuralTable(
+                (0,), {(a, u): (a + u // 2) % 2 for a in (0, 1) for u in range(4)}
+            ),
+        }
+        m = Scm(g, noise, functions)
+        audit = Assumptions(m)
+        observed = audit.oracle()
+        assert len(audit.noise_oracle().table) == 16
+        assert observed.table.items() == joint_distribution(m).items()
+        assert audit.oracle() is observed
+        direct = EntropyOracle(joint_distribution(m))
+        for vs in ((), (0,), (1,), (0, 1)):
+            assert observed.marginal_entropy(vs) == direct.marginal_entropy(vs)
 
     def test_report_witness_discipline(self):
         from causal_layering.scm import AssumptionReport
@@ -373,11 +395,11 @@ class TestGenerator:
             m = generate_scm(GeneratorConfig(nodes=5, profile=profile), seed=seed)
             assert check_injective_noise(m).holds
             assert check_nonconstant_noise(m).holds
-            assert check_faithfulness(m).holds
+            assert check_faithfulness(m, Assumptions(m).oracle()).holds
             if profile == "plus_one":
                 assert check_injective_noise_plus_one(m).holds
             if profile == "sir_faithful":
-                assert check_directed_faithfulness(m).holds
+                assert check_directed_faithfulness(m, Assumptions(m).noise_oracle()).holds
 
     @pytest.mark.parametrize("mode", ["weak", "strict"])
     def test_entropy_modes_deliver_order(self, mode):

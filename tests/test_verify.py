@@ -10,7 +10,7 @@ from causal_layering.discovery import (
 )
 from causal_layering.graph import Dag, Layering
 from causal_layering.oracle import EntropyOracle, joint_distribution
-from causal_layering.scm import GeneratorConfig, generate_scm, noise_entropy
+from causal_layering.scm import Assumptions, GeneratorConfig, generate_scm, noise_entropy
 from causal_layering.verify import (
     BoundKind,
     Verdict,
@@ -130,13 +130,13 @@ class TestEntropyBounds:
 class TestNoiseIndependence:
     def test_chains_pass_exhaustively(self, affine_chain, xor_chain):
         for m in (affine_chain, xor_chain):
-            cases = check_noise_independence(m)
+            cases = check_noise_independence(m, Assumptions(m).noise_oracle())
             assert cases
             assert all(c.verdict is Verdict.PASS for c in cases)
 
     def test_case_counts_exhaustive(self, affine_chain):
         # chain A->B->C: non-descendant pools have sizes 0, 1, 2 -> 1+2+4 sets
-        cases = check_noise_independence(affine_chain)
+        cases = check_noise_independence(affine_chain, Assumptions(affine_chain).noise_oracle())
         assert len(cases) == 7
 
 
@@ -237,7 +237,7 @@ class TestRendering:
         assert text.rstrip("\n").splitlines()[-1].startswith("summary: ")
 
     def test_independence_report_lines(self, affine_chain):
-        cases = check_noise_independence(affine_chain)
+        cases = check_noise_independence(affine_chain, Assumptions(affine_chain).noise_oracle())
         labels = {v: affine_chain.label(v) for v in range(3)}
         text = render_independence_report(cases, labels)
         assert "noise_independence v=A S={} dsep=true" in text
