@@ -1,147 +1,44 @@
-"""Layering discovery for discrete structural causal models via entropy oracles."""
+"""Layering discovery for discrete structural causal models via entropy oracles.
+
+The package re-exports the names its README example and scripts use; every
+other name is imported from its submodule (``graph``, ``scm``, ``oracle``,
+``discovery``, ``verify``, ``cli``, ``presets``).
+"""
 
 from .discovery import (
-    AssumptionViolation,
-    DiscoveryResult,
-    IterationTrace,
     KnownNoiseEntropy,
     MonotoneEntropy,
     render_discovery_report,
     sir_discover,
     sour_discover,
 )
-from .graph import (
-    CycleError,
-    Dag,
-    Layering,
-    d_separated,
-    is_layering,
-    layering_violations,
-    parse_dag,
-    parse_layering,
-    render_dag,
-    render_layering,
-    rr,
-    select_all,
-    sir_layering,
-    sour_layering,
-    take_k_by_label,
-)
-from .oracle import (
-    EntropyOracle,
-    EnumerationBudgetError,
-    JointTable,
-    empirical_joint,
-    joint_distribution,
-    render_joint_table,
-)
-from .scm import (
-    AssumptionReport,
-    Dataset,
-    GenerationError,
-    GeneratorConfig,
-    Pmf,
-    Scm,
-    StructuralTable,
-    check_directed_faithfulness,
-    check_faithfulness,
-    check_injective_noise,
-    check_injective_noise_plus_one,
-    check_noise_entropy_order,
-    check_nonconstant_noise,
-    explicit_noise_graph,
-    generate_scm,
-    noise_entropy,
-    parse_dataset,
-    parse_scm,
-    render_dataset,
-    sample,
-    scm_from_dict,
-    scm_to_dict,
-    scm_to_text,
-)
+from .graph import render_dag
+from .oracle import EntropyOracle, joint_distribution, render_joint_table
+from .scm import GeneratorConfig, generate_scm, noise_entropy
 from .verify import (
-    BoundCheckCase,
-    BoundKind,
-    IndependenceCase,
-    TraceCheck,
-    Verdict,
     check_call_bound,
     check_discovery_result,
     check_entropy_bounds,
-    check_noise_independence,
-    classify_bound_case,
-    known_mode_exact,
     render_bound_report,
-    render_independence_report,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssumptionReport",
-    "AssumptionViolation",
-    "BoundCheckCase",
-    "BoundKind",
-    "CycleError",
-    "Dag",
-    "Dataset",
-    "DiscoveryResult",
     "EntropyOracle",
-    "EnumerationBudgetError",
-    "GenerationError",
     "GeneratorConfig",
-    "IndependenceCase",
-    "IterationTrace",
-    "JointTable",
     "KnownNoiseEntropy",
-    "Layering",
     "MonotoneEntropy",
-    "Pmf",
-    "Scm",
-    "StructuralTable",
-    "TraceCheck",
-    "Verdict",
     "check_call_bound",
-    "check_directed_faithfulness",
     "check_discovery_result",
     "check_entropy_bounds",
-    "check_faithfulness",
-    "check_injective_noise",
-    "check_injective_noise_plus_one",
-    "check_noise_entropy_order",
-    "check_noise_independence",
-    "check_nonconstant_noise",
-    "classify_bound_case",
-    "d_separated",
-    "empirical_joint",
-    "explicit_noise_graph",
     "generate_scm",
-    "is_layering",
     "joint_distribution",
-    "known_mode_exact",
-    "layering_violations",
     "noise_entropy",
-    "parse_dag",
-    "parse_dataset",
-    "parse_layering",
-    "parse_scm",
     "render_bound_report",
     "render_dag",
-    "render_dataset",
     "render_discovery_report",
-    "render_independence_report",
     "render_joint_table",
-    "render_layering",
-    "rr",
-    "sample",
-    "scm_from_dict",
-    "scm_to_dict",
-    "scm_to_text",
-    "select_all",
     "sir_discover",
-    "sir_layering",
     "sour_discover",
-    "sour_layering",
-    "take_k_by_label",
 ]

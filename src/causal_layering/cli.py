@@ -137,6 +137,11 @@ def _report_line(report: _scm.AssumptionReport) -> str:
     return line
 
 
+def _layering_text(layering, labels) -> str:
+    """Layers joined by ``;``, each layer's sorted labels joined by ``,``."""
+    return ";".join(",".join(sorted(labels[v] for v in layer)) for layer in layering)
+
+
 def _cmd_gen(args) -> int:
     cfg = GeneratorConfig(
         nodes=args.nodes,
@@ -219,13 +224,10 @@ def _cmd_discover(args) -> int:
 
     labels = {v: model.label(v) for v in model.graph.nodes}
     if args.machine:
-        layers = ";".join(
-            ",".join(sorted(labels[v] for v in layer)) for layer in result.layering
-        )
         lines = [
             f"algo={args.algo}",
             f"mode={args.mode}",
-            f"layering={layers}",
+            f"layering={_layering_text(result.layering, labels)}",
             f"oracle_calls={result.oracle_calls}",
             f"guarantee={guarantee}",
         ]
@@ -281,9 +283,7 @@ def _cmd_check(args) -> int:
         calls_ok = _verify.check_call_bound(result, n)
         ok = replay.ok and calls_ok
         failed |= not ok
-        layering = ";".join(
-            ",".join(sorted(labels[v] for v in layer)) for layer in result.layering
-        )
+        layering = _layering_text(result.layering, labels)
         detail = "" if replay.ok else f" ({replay.reason})"
         if not calls_ok:
             detail += f" (oracle calls {result.oracle_calls} over bound)"

@@ -15,11 +15,11 @@ front, conditioning each candidate on every other remaining node.
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 
-from .graph import Layering, NodeId
+from .graph import Groups, Layering, NodeId, peel
 
 _NOISE = ("nonconstant_noise", "injective_noise")
 
@@ -59,27 +59,30 @@ def licensed_pairs(holds: Callable[[str], bool]) -> list[tuple[str, str]]:
     return [pair for pair in LICENSES if not license_failures(*pair, holds)]
 
 
+class _Tolerance:
+    """Rejects a ``tol`` that is not positive and finite: a NaN tolerance
+    selects nothing and an infinite one selects everything."""
+
+    tol: float
+
+    def __post_init__(self) -> None:
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tol}")
+
+
 @dataclass(frozen=True)
-class KnownNoiseEntropy:
+class KnownNoiseEntropy(_Tolerance):
     """Select nodes whose conditional entropy matches the given noise entropy."""
 
     entropies: Mapping[NodeId, float]
     tol: float = 1e-9
 
-    def __post_init__(self) -> None:
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
-
 
 @dataclass(frozen=True)
-class MonotoneEntropy:
+class MonotoneEntropy(_Tolerance):
     """Select the extreme conditional entropies, grouping ties within ``tol``."""
 
     tol: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
 
 
 DiscoveryMode = KnownNoiseEntropy | MonotoneEntropy
@@ -147,18 +150,13 @@ def _peel(
         if uncovered:
             raise ValueError(f"known entropies missing for nodes {sorted(uncovered)}")
 
-    calls = 0
-    remaining = set(all_nodes)
-    layers: deque[frozenset[int]] = deque()
     trace: list[IterationTrace] = []
 
-    while remaining:
-        current = frozenset(remaining)
+    def choose(current: frozenset[NodeId]) -> Groups:
         entropies: dict[int, float] = {}
         for v in sorted(current):
             given = (all_nodes - current) if removal == "sources" else (current - {v})
             entropies[v] = oracle.cond_entropy((v,), given)
-            calls += 1
 
         if isinstance(mode, KnownNoiseEntropy):
             qualifying = frozenset(
@@ -180,14 +178,14 @@ def _peel(
             )
 
         selected = frozenset({min(qualifying)}) if one_at_a_time else qualifying
-        trace.append(IterationTrace(current, dict(entropies), qualifying, selected))
+        trace.append(IterationTrace(current, entropies, qualifying, selected))
         if removal == "sources":
-            layers.append(selected)
-        else:
-            layers.appendleft(selected)
-        remaining -= selected
+            return selected, frozenset()
+        return frozenset(), selected
 
-    return DiscoveryResult(Layering(tuple(layers)), calls, tuple(trace))
+    layering = peel(all_nodes, choose)
+    calls = sum(len(step.entropies) for step in trace)
+    return DiscoveryResult(layering, calls, tuple(trace))
 
 
 def render_discovery_report(

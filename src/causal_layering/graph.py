@@ -325,11 +325,10 @@ def d_separated(
 
 # --- removal-based layering ------------------------------------------------
 
-RemovalSelector = Callable[
-    [frozenset[NodeId], frozenset[NodeId]],
-    tuple[AbstractSet[NodeId], AbstractSet[NodeId]],
-]
+Groups = tuple[AbstractSet[NodeId], AbstractSet[NodeId]]  # (front or sources, back or sinks)
+RemovalSelector = Callable[[frozenset[NodeId], frozenset[NodeId]], Groups]
 SetSelector = Callable[[frozenset[NodeId]], AbstractSet[NodeId]]
+PeelChooser = Callable[[frozenset[NodeId]], Groups]
 
 
 def select_all(
@@ -351,6 +350,34 @@ def take_k_by_label(g: Dag, k: int = 1) -> SetSelector:
     return pick
 
 
+def peel(nodes: Iterable[NodeId], choose: PeelChooser) -> Layering:
+    """Layer ``nodes`` by repeatedly removing groups at the front or the back.
+
+    Each round ``choose`` sees the remaining nodes and returns (front, back):
+    disjoint sets of remaining nodes, not both empty. Front groups extend the
+    layering at the front in removal order; back groups extend it at the back
+    in reverse order.
+    """
+    remaining = frozenset(nodes)
+    front: list[frozenset[int]] = []
+    back: deque[frozenset[int]] = deque()
+    while remaining:
+        fr_raw, bk_raw = choose(remaining)
+        fr, bk = frozenset(fr_raw), frozenset(bk_raw)
+        if not (fr or bk):
+            raise ValueError("selector returned two empty sets")
+        if fr & bk:
+            raise ValueError("selector returned overlapping source and sink sets")
+        if not (fr | bk) <= remaining:
+            raise ValueError("selector returned nodes that are not remaining")
+        if fr:
+            front.append(fr)
+        if bk:
+            back.appendleft(bk)
+        remaining -= fr | bk
+    return Layering(tuple(front) + tuple(back))
+
+
 def rr(g: Dag, select: RemovalSelector | None = None) -> Layering:
     """Layer a DAG by repeatedly removing chosen sources and sinks.
 
@@ -361,61 +388,39 @@ def rr(g: Dag, select: RemovalSelector | None = None) -> Layering:
     Any such sequence of choices yields a valid layering.
     """
     chooser = select if select is not None else select_all
-    remaining = set(g.nodes)
-    front: list[frozenset[int]] = []
-    back: deque[frozenset[int]] = deque()
-    while remaining:
+
+    def choose(remaining: frozenset[NodeId]) -> Groups:
         res = g.residual(remaining)
-        sr_raw, sn_raw = chooser(res.sources(), res.sinks())
+        sources, sinks = res.sources(), res.sinks()
+        sr_raw, sn_raw = chooser(sources, sinks)
         sr, sn = frozenset(sr_raw), frozenset(sn_raw)
-        if not sr <= res.sources():
+        if not sr <= sources:
             raise ValueError("selector returned nodes that are not current sources")
-        if not sn <= res.sinks():
+        if not sn <= sinks:
             raise ValueError("selector returned nodes that are not current sinks")
-        if not (sr or sn):
-            raise ValueError("selector returned two empty sets")
-        if sr & sn:
-            raise ValueError("selector returned overlapping source and sink sets")
-        if sr:
-            front.append(sr)
-        if sn:
-            back.appendleft(sn)
-        remaining -= sr | sn
-    return Layering(tuple(front) + tuple(back))
+        return sr, sn
+
+    return peel(g.nodes, choose)
 
 
-def sour_layering(g: Dag, select: SetSelector | None = None) -> Layering:
-    """Layering by repeated source removal (every layer is a source group)."""
-    remaining = set(g.nodes)
-    layers: list[frozenset[int]] = []
-    while remaining:
-        res = g.residual(remaining)
-        candidates = res.sources()
-        sr = frozenset(select(candidates)) if select is not None else candidates
-        if not sr:
-            raise ValueError("selector returned an empty source set")
-        if not sr <= candidates:
-            raise ValueError("selector returned nodes that are not current sources")
-        layers.append(sr)
-        remaining -= sr
-    return Layering(tuple(layers))
+def sources_only(select: SetSelector | None = None) -> RemovalSelector:
+    """Removal selector for source peeling: ``select`` picks among the sources
+    (all of them by default) and no sink is taken."""
+
+    def choose(sources: frozenset[NodeId], sinks: frozenset[NodeId]) -> Groups:
+        return (select(sources) if select is not None else sources), frozenset()
+
+    return choose
 
 
-def sir_layering(g: Dag, select: SetSelector | None = None) -> Layering:
-    """Layering by repeated sink removal (built back to front)."""
-    remaining = set(g.nodes)
-    layers: deque[frozenset[int]] = deque()
-    while remaining:
-        res = g.residual(remaining)
-        candidates = res.sinks()
-        sn = frozenset(select(candidates)) if select is not None else candidates
-        if not sn:
-            raise ValueError("selector returned an empty sink set")
-        if not sn <= candidates:
-            raise ValueError("selector returned nodes that are not current sinks")
-        layers.appendleft(sn)
-        remaining -= sn
-    return Layering(tuple(layers))
+def sinks_only(select: SetSelector | None = None) -> RemovalSelector:
+    """Removal selector for sink peeling: ``select`` picks among the sinks
+    (all of them by default) and no source is taken."""
+
+    def choose(sources: frozenset[NodeId], sinks: frozenset[NodeId]) -> Groups:
+        return frozenset(), (select(sinks) if select is not None else sinks)
+
+    return choose
 
 
 # --- text formats -----------------------------------------------------------

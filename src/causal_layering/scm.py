@@ -272,23 +272,26 @@ class AssumptionReport:
             raise ValueError("a failing assumption needs at least one witness")
 
 
+def _first_collision(pairs: Iterable[tuple[object, int]]) -> tuple[object, object, int] | None:
+    """The first (earlier key, key, output) in (key, output) pairs whose output
+    an earlier key already produced; None when every output is new."""
+    seen: dict[int, object] = {}
+    for key, out in pairs:
+        if out in seen:
+            return seen[out], key, out
+        seen[out] = key
+    return None
+
+
 def check_injective_noise(m: Scm) -> AssumptionReport:
     """For every fixed parent assignment, noise -> output must be one-to-one."""
     witnesses: list[tuple] = []
     for v in sorted(m.graph.nodes):
         table = m.functions[v]
-        sup = m.noise[v].support
-        found = False
         for combo in product(*(m.alphabets[p] for p in table.parent_order)):
-            seen: dict[int, int] = {}
-            for u in sup:
-                out = table.entries[(*combo, u)]
-                if out in seen:
-                    witnesses.append((m.label(v), combo, seen[out], u, out))
-                    found = True
-                    break
-                seen[out] = u
-            if found:
+            hit = _first_collision((u, table.entries[(*combo, u)]) for u in m.noise[v].support)
+            if hit is not None:
+                witnesses.append((m.label(v), combo, *hit))
                 break
     return AssumptionReport("injective_noise", not witnesses, tuple(witnesses))
 
@@ -303,27 +306,20 @@ def check_injective_noise_plus_one(m: Scm) -> AssumptionReport:
         table = m.functions[v]
         sup = m.noise[v].support
         pas = table.parent_order
+        hit = None
         for j, p in enumerate(pas):
             others = [m.alphabets[o] for k, o in enumerate(pas) if k != j]
-            found = False
             for other_combo in product(*others):
-                seen: dict[int, tuple[int, int]] = {}
-                for pv in m.alphabets[p]:
-                    combo = other_combo[:j] + (pv,) + other_combo[j:]
-                    for u in sup:
-                        out = table.entries[(*combo, u)]
-                        if out in seen:
-                            witnesses.append(
-                                (m.label(v), m.label(p), other_combo, seen[out], (pv, u), out)
-                            )
-                            found = True
-                            break
-                        seen[out] = (pv, u)
-                    if found:
-                        break
-                if found:
+                before, after = other_combo[:j], other_combo[j:]
+                hit = _first_collision(
+                    ((pv, u), table.entries[(*before, pv, *after, u)])
+                    for pv in m.alphabets[p]
+                    for u in sup
+                )
+                if hit is not None:
+                    witnesses.append((m.label(v), m.label(p), other_combo, *hit))
                     break
-            if found:
+            if hit is not None:
                 break
     return AssumptionReport("injective_noise_plus_one", not witnesses, tuple(witnesses))
 

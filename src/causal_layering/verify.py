@@ -8,7 +8,7 @@ whose extra premise fails its validator is skipped, never asserted.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
 
@@ -67,24 +67,26 @@ class BoundCheckCase:
     verdict: Verdict
 
 
-def _bound_pairs(g: Dag, cases: int, seed: int) -> list[tuple[int, frozenset[int]]]:
-    nodes = sorted(g.nodes)
+def _conditioning_cases(
+    nodes: Iterable[NodeId], pool: Callable[[NodeId], list[NodeId]], cases: int, seed: int
+) -> Iterator[tuple[NodeId, frozenset[NodeId]]]:
+    """(v, S) cases with S drawn from ``pool(v)``.
+
+    Up to 5 nodes: every v in order and every subset of its pool. Beyond:
+    ``cases`` draws from ``random.Random(seed)``, each a choice of v followed
+    by one coin per pool member, in pool order.
+    """
+    nodes = sorted(nodes)
     if len(nodes) <= 5:
-        pairs = []
         for v in nodes:
-            rest = [u for u in nodes if u != v]
-            for mask in range(1 << len(rest)):
-                pairs.append(
-                    (v, frozenset(u for k, u in enumerate(rest) if mask >> k & 1))
-                )
-        return pairs
+            members = pool(v)
+            for mask in range(1 << len(members)):
+                yield v, frozenset(u for k, u in enumerate(members) if mask >> k & 1)
+        return
     rng = random.Random(seed)
-    pairs = []
     for _ in range(cases):
         v = rng.choice(nodes)
-        rest = [u for u in nodes if u != v]
-        pairs.append((v, frozenset(u for u in rest if rng.random() < 0.5)))
-    return pairs
+        yield v, frozenset(u for u in pool(v) if rng.random() < 0.5)
 
 
 def check_entropy_bounds(
@@ -107,8 +109,13 @@ def check_entropy_bounds(
     audit = assumptions if assumptions is not None else Assumptions(m)
     assert_above = audit.holds("injective_noise_plus_one")
     assert_below = audit.holds("directed_faithfulness")
+    nodes = sorted(g.nodes)
     out: list[BoundCheckCase] = []
-    for v, cond in _bound_pairs(g, cases, seed):
+
+    def others(v: NodeId) -> list[NodeId]:
+        return [u for u in nodes if u != v]
+
+    for v, cond in _conditioning_cases(nodes, others, cases, seed):
         kinds = classify_bound_case(g, v, cond)
         measured = oracle.cond_entropy((v,), cond)
         reference = noise_entropy(m, v)
@@ -162,28 +169,19 @@ def check_noise_independence(
     nodes = sorted(g.nodes)
     out: list[IndependenceCase] = []
 
-    def run_case(v: int, ss: frozenset[int]) -> None:
+    def pool(v: NodeId) -> list[NodeId]:
+        return [u for u in nodes if u != v and u not in g.descendants(v)]
+
+    for v, ss in _conditioning_cases(nodes, pool, cases, seed):
         if not ss:
             out.append(IndependenceCase(v, ss, True, 0.0, Verdict.PASS))
-            return
+            continue
         separated = d_separated(noise_graph, {m.noise_node(v)}, ss)
         mi = oracle.mutual_information({m.noise_node(v)}, ss)
         ok = separated and mi <= tol
         out.append(
             IndependenceCase(v, ss, separated, mi, Verdict.PASS if ok else Verdict.FAIL)
         )
-
-    if len(nodes) <= 5:
-        for v in nodes:
-            allowed = [u for u in nodes if u != v and u not in g.descendants(v)]
-            for mask in range(1 << len(allowed)):
-                run_case(v, frozenset(u for k, u in enumerate(allowed) if mask >> k & 1))
-    else:
-        rng = random.Random(seed)
-        for _ in range(cases):
-            v = rng.choice(nodes)
-            allowed = [u for u in nodes if u != v and u not in g.descendants(v)]
-            run_case(v, frozenset(u for u in allowed if rng.random() < 0.5))
     return out
 
 
@@ -243,39 +241,41 @@ def known_mode_exact(mode) -> bool:
     return isinstance(mode, KnownNoiseEntropy)
 
 
-def render_bound_report(cases: Iterable[BoundCheckCase], labels: Mapping[NodeId, str]) -> str:
+def _render_cases(cases: Iterable, line: Callable) -> str:
+    """One ``line(case)`` per case, then a summary line tallying the verdicts."""
     lines = []
     tally = {Verdict.PASS: 0, Verdict.FAIL: 0, Verdict.SKIP: 0}
     for case in cases:
         tally[case.verdict] += 1
-        kind = case.kind.value if case.kind is not None else "none"
-        cond = ",".join(sorted(labels[v] for v in case.cond))
-        lines.append(
-            f"{kind} v={labels[case.node]} S={{{cond}}} "
-            f"H={case.measured:.9f} Hnoise={case.noise_entropy:.9f} {case.verdict.value}"
-        )
+        lines.append(line(case))
     lines.append(
         f"summary: {tally[Verdict.PASS]} pass, {tally[Verdict.FAIL]} fail, "
         f"{tally[Verdict.SKIP]} skip"
     )
     return "\n".join(lines) + "\n"
+
+
+def render_bound_report(cases: Iterable[BoundCheckCase], labels: Mapping[NodeId, str]) -> str:
+    def line(case: BoundCheckCase) -> str:
+        kind = case.kind.value if case.kind is not None else "none"
+        cond = ",".join(sorted(labels[v] for v in case.cond))
+        return (
+            f"{kind} v={labels[case.node]} S={{{cond}}} "
+            f"H={case.measured:.9f} Hnoise={case.noise_entropy:.9f} {case.verdict.value}"
+        )
+
+    return _render_cases(cases, line)
 
 
 def render_independence_report(
     cases: Iterable[IndependenceCase], labels: Mapping[NodeId, str]
 ) -> str:
-    lines = []
-    tally = {Verdict.PASS: 0, Verdict.FAIL: 0, Verdict.SKIP: 0}
-    for case in cases:
-        tally[case.verdict] += 1
+    def line(case: IndependenceCase) -> str:
         cond = ",".join(sorted(labels[v] for v in case.cond))
-        lines.append(
+        return (
             f"noise_independence v={labels[case.node]} S={{{cond}}} "
             f"dsep={str(case.separated).lower()} "
             f"mi={case.mutual_information:.3e} {case.verdict.value}"
         )
-    lines.append(
-        f"summary: {tally[Verdict.PASS]} pass, {tally[Verdict.FAIL]} fail, "
-        f"{tally[Verdict.SKIP]} skip"
-    )
-    return "\n".join(lines) + "\n"
+
+    return _render_cases(cases, line)

@@ -2,16 +2,20 @@
 
 Everything here is written the slow, obvious way on purpose: float
 probabilities accumulated in dicts, d-separation by enumerating every
-simple path. Agreement with the fast implementations is the test.
+simple path. Agreement with the fast implementations is the test. The
+peeling loops, injectivity scans and case lists at the end are the
+package's earlier separate implementations, kept as references for the
+shared code that replaced them.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from itertools import product
 
-from causal_layering.graph import Dag
+from causal_layering.graph import Dag, Layering
 from causal_layering.oracle import JointTable
 
 
@@ -158,3 +162,133 @@ def license_refuses(holds: dict[str, bool], algo: str, mode: str) -> bool:
         holds["strict_entropy_order"]
         or (holds["weak_entropy_order"] and holds["directed_faithfulness"])
     )
+
+
+def sour_layering(g: Dag, select=None) -> Layering:
+    """Reference source peeling: every layer is a source group of the residual."""
+    remaining = set(g.nodes)
+    layers: list[frozenset[int]] = []
+    while remaining:
+        res = g.residual(remaining)
+        candidates = res.sources()
+        sr = frozenset(select(candidates)) if select is not None else candidates
+        if not sr:
+            raise ValueError("selector returned an empty source set")
+        if not sr <= candidates:
+            raise ValueError("selector returned nodes that are not current sources")
+        layers.append(sr)
+        remaining -= sr
+    return Layering(tuple(layers))
+
+
+def sir_layering(g: Dag, select=None) -> Layering:
+    """Reference sink peeling, built back to front."""
+    remaining = set(g.nodes)
+    layers: deque[frozenset[int]] = deque()
+    while remaining:
+        res = g.residual(remaining)
+        candidates = res.sinks()
+        sn = frozenset(select(candidates)) if select is not None else candidates
+        if not sn:
+            raise ValueError("selector returned an empty sink set")
+        if not sn <= candidates:
+            raise ValueError("selector returned nodes that are not current sinks")
+        layers.appendleft(sn)
+        remaining -= sn
+    return Layering(tuple(layers))
+
+
+def injective_noise_witnesses(m) -> tuple:
+    """Reference ``check_injective_noise`` witnesses: per node, the first
+    parent assignment under which two noise values give one output."""
+    witnesses: list[tuple] = []
+    for v in sorted(m.graph.nodes):
+        table = m.functions[v]
+        sup = m.noise[v].support
+        found = False
+        for combo in product(*(m.alphabets[p] for p in table.parent_order)):
+            seen: dict[int, int] = {}
+            for u in sup:
+                out = table.entries[(*combo, u)]
+                if out in seen:
+                    witnesses.append((m.label(v), combo, seen[out], u, out))
+                    found = True
+                    break
+                seen[out] = u
+            if found:
+                break
+    return tuple(witnesses)
+
+
+def injective_noise_plus_one_witnesses(m) -> tuple:
+    """Reference ``check_injective_noise_plus_one`` witnesses: per node, the
+    first (parent, other parents' values) under which two (parent value,
+    noise value) pairs give one output."""
+    witnesses: list[tuple] = []
+    for v in sorted(m.graph.nodes):
+        table = m.functions[v]
+        sup = m.noise[v].support
+        pas = table.parent_order
+        for j, p in enumerate(pas):
+            others = [m.alphabets[o] for k, o in enumerate(pas) if k != j]
+            found = False
+            for other_combo in product(*others):
+                seen: dict[int, tuple[int, int]] = {}
+                for pv in m.alphabets[p]:
+                    combo = other_combo[:j] + (pv,) + other_combo[j:]
+                    for u in sup:
+                        out = table.entries[(*combo, u)]
+                        if out in seen:
+                            witnesses.append(
+                                (m.label(v), m.label(p), other_combo, seen[out], (pv, u), out)
+                            )
+                            found = True
+                            break
+                        seen[out] = (pv, u)
+                    if found:
+                        break
+                if found:
+                    break
+            if found:
+                break
+    return tuple(witnesses)
+
+
+def bound_cases(g: Dag, cases: int, seed: int) -> list[tuple[int, frozenset[int]]]:
+    """Reference (v, S) list of the entropy-bound suite."""
+    nodes = sorted(g.nodes)
+    if len(nodes) <= 5:
+        pairs = []
+        for v in nodes:
+            rest = [u for u in nodes if u != v]
+            for mask in range(1 << len(rest)):
+                pairs.append(
+                    (v, frozenset(u for k, u in enumerate(rest) if mask >> k & 1))
+                )
+        return pairs
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(cases):
+        v = rng.choice(nodes)
+        rest = [u for u in nodes if u != v]
+        pairs.append((v, frozenset(u for u in rest if rng.random() < 0.5)))
+    return pairs
+
+
+def independence_cases(g: Dag, cases: int, seed: int) -> list[tuple[int, frozenset[int]]]:
+    """Reference (v, S) list of the noise-independence suite: S avoids v and
+    its descendants."""
+    nodes = sorted(g.nodes)
+    pairs = []
+    if len(nodes) <= 5:
+        for v in nodes:
+            allowed = [u for u in nodes if u != v and u not in g.descendants(v)]
+            for mask in range(1 << len(allowed)):
+                pairs.append((v, frozenset(u for k, u in enumerate(allowed) if mask >> k & 1)))
+    else:
+        rng = random.Random(seed)
+        for _ in range(cases):
+            v = rng.choice(nodes)
+            allowed = [u for u in nodes if u != v and u not in g.descendants(v)]
+            pairs.append((v, frozenset(u for u in allowed if rng.random() < 0.5)))
+    return pairs

@@ -23,8 +23,8 @@ from causal_layering.discovery import (
 from causal_layering.graph import (
     d_separated,
     rr,
-    sir_layering,
-    sour_layering,
+    sinks_only,
+    sources_only,
     take_k_by_label,
 )
 from causal_layering.oracle import EntropyOracle, joint_distribution
@@ -120,8 +120,8 @@ def test_criterion_1_peeling_always_yields_layerings():
         g = random_dag(rng, rng.randint(1, 10), rng.choice(densities))
         for lay in (
             rr(g),
-            sour_layering(g, take_k_by_label(g, 1)),
-            sir_layering(g, take_k_by_label(g, 2)),
+            rr(g, sources_only(take_k_by_label(g, 1))),
+            rr(g, sinks_only(take_k_by_label(g, 2))),
         ):
             from causal_layering.graph import layering_violations
 

@@ -1,12 +1,20 @@
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from causal_layering import oracle, scm
 from causal_layering.cli import main
 from causal_layering.discovery import LICENSES
+from causal_layering.presets import affine_chain3
 from causal_layering.scm import scm_to_dict, scm_to_text
 
 
@@ -164,6 +172,22 @@ class TestDiscover:
         assert code == 0
 
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("extra", [
+        ["--mode", "known"],
+        ["--mode", "monotone"],
+        ["--mode", "monotone", "--one-at-a-time"],
+    ])
+    def test_tolerance_must_be_positive_and_finite(self, affine_file, tol, extra, capsys):
+        # nan once looped forever in monotone mode, and inf selected every node
+        code = main(["discover", "--scm", str(affine_file), "--algo", "sour",
+                     *extra, "--tol", tol])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: tolerance must be positive and finite")
+        assert len(err.splitlines()) == 1
+
+
 class TestBudget:
     def test_env_budget_too_small(self, affine_file, capsys, monkeypatch):
         monkeypatch.setenv("CAUSAL_LAYERING_BUDGET", "4")
@@ -266,6 +290,66 @@ class TestMalformedModel:
         assert err.startswith("error: ") and where in err
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 5) | st.floats()
+    | st.sampled_from(["", "A", "B", "x", "0", "1", "1/0", "1/2", "1/3", "2/3", "3/4"]),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.sampled_from(["label", "probs", "A", "x"]), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def mutated_affine_chain(draw):
+    """The affine chain's JSON with one to three random edits: a value
+    replaced (an integer mostly by a nearby integer, so that many edits still
+    load), a key or element deleted, or an element duplicated."""
+    data = scm_to_dict(affine_chain3())
+    for _ in range(draw(st.integers(1, 3))):
+        target = data
+        while True:
+            keys = list(target) if isinstance(target, dict) else list(range(len(target)))
+            key = draw(st.sampled_from(keys))
+            child = target[key]
+            if isinstance(child, (dict, list)) and child and draw(st.integers(0, 4)):
+                target = child
+                continue
+            break
+        action = draw(st.sampled_from(["replace", "delete", "duplicate"]))
+        if action == "replace" and type(target[key]) is int and draw(st.booleans()):
+            target[key] = draw(st.integers(-1, 3))
+        elif action == "replace":
+            target[key] = draw(JSON_VALUES)
+        elif action == "delete" and len(target) > 1:
+            del target[key]
+        elif isinstance(target, list):
+            target.insert(key, copy.deepcopy(target[key]))
+        else:
+            target[draw(st.sampled_from(keys))] = copy.deepcopy(target[key])
+    return json.dumps(data)
+
+
+class TestMutatedModel:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(mutated_affine_chain(), st.sampled_from(["sour", "sir"]),
+           st.sampled_from(["known", "monotone"]))
+    def test_every_exit_is_documented(self, text, algo, mode):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.json"
+            path.write_text(text)
+            for argv in (
+                ["check", "--scm", str(path), "--budget", "4096"],
+                ["discover", "--scm", str(path), "--algo", algo, "--mode", mode,
+                 "--unsafe", "--budget", "4096"],
+            ):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                assert code in (0, 1, 2, 3)
+                assert "Traceback" not in err.getvalue()
 
 
 @pytest.fixture()

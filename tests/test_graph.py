@@ -13,16 +13,19 @@ from causal_layering.graph import (
     layering_violations,
     parse_dag,
     parse_layering,
+    peel,
     render_dag,
     render_layering,
     rr,
     select_all,
-    sir_layering,
-    sour_layering,
+    sinks_only,
+    sources_only,
     take_k_by_label,
 )
 
 from bruteforce import d_separated_paths, random_dag
+from bruteforce import sir_layering as bf_sir_layering
+from bruteforce import sour_layering as bf_sour_layering
 
 
 def chain3() -> Dag:
@@ -211,16 +214,16 @@ class TestPeeling:
             rr(g, overlapping)
 
     def test_sour_default_is_level_order(self):
-        lay = sour_layering(diamond())
+        lay = rr(diamond(), sources_only())
         assert lay.layers == (frozenset({0}), frozenset({1, 2}), frozenset({3}))
 
     def test_sir_builds_from_back(self):
-        lay = sir_layering(diamond())
+        lay = rr(diamond(), sinks_only())
         assert lay.layers == (frozenset({0}), frozenset({1, 2}), frozenset({3}))
 
     def test_take_k_by_label_singletons(self):
         g = diamond()
-        lay = sour_layering(g, take_k_by_label(g, 1))
+        lay = rr(g, sources_only(take_k_by_label(g, 1)))
         assert lay.layers == tuple(frozenset({v}) for v in (0, 1, 2, 3))
 
     def test_take_k_rejects_nonpositive(self):
@@ -228,12 +231,22 @@ class TestPeeling:
             take_k_by_label(diamond(), 0)
 
     def test_sour_selector_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty source set"):
-            sour_layering(chain3(), lambda cands: frozenset())
+        with pytest.raises(ValueError, match="two empty sets"):
+            rr(chain3(), sources_only(lambda cands: frozenset()))
 
     def test_sir_selector_foreign_rejected(self):
         with pytest.raises(ValueError, match="not current sinks"):
-            sir_layering(chain3(), lambda cands: frozenset({0}))
+            rr(chain3(), sinks_only(lambda cands: frozenset({0})))
+
+    def test_peel_rejects_nodes_already_removed(self):
+        with pytest.raises(ValueError, match="not remaining"):
+            peel({0, 1}, lambda remaining: ({min(remaining), 2}, ()))
+
+    @given(dags(), st.integers(min_value=0, max_value=3))
+    def test_one_direction_selectors_match_the_reference_peeling(self, g: Dag, k: int):
+        sel = take_k_by_label(g, k) if k else None
+        assert rr(g, sources_only(sel)) == bf_sour_layering(g, sel)
+        assert rr(g, sinks_only(sel)) == bf_sir_layering(g, sel)
 
     @given(dags())
     def test_rr_default_always_valid(self, g: Dag):
@@ -242,8 +255,8 @@ class TestPeeling:
     @given(dags(), st.integers(min_value=1, max_value=3))
     def test_peeling_always_valid_under_any_selector(self, g: Dag, k: int):
         sel = take_k_by_label(g, k)
-        for lay in (sour_layering(g, sel), sir_layering(g, sel),
-                    sour_layering(g), sir_layering(g)):
+        for lay in (rr(g, sources_only(sel)), rr(g, sinks_only(sel)),
+                    rr(g, sources_only()), rr(g, sinks_only())):
             assert is_layering(g, lay)
 
     @given(dags(), st.integers(min_value=0, max_value=2**32 - 1))
@@ -361,6 +374,6 @@ class TestTextFormats:
     @given(dags())
     def test_round_trips_random(self, g: Dag):
         assert parse_dag(render_dag(g)) == Dag(g.labels, g.edges)
-        lay = sour_layering(g)
+        lay = rr(g, sources_only())
         if len(g) > 0:
             assert parse_layering(render_layering(lay, g), g) == lay

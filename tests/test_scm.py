@@ -37,6 +37,8 @@ from causal_layering.scm import (
     scm_to_text,
 )
 
+from bruteforce import injective_noise_plus_one_witnesses, injective_noise_witnesses
+
 H_EIGHTH = 0.5435644431995964
 H_QUARTER = 0.8112781244591328
 
@@ -154,6 +156,30 @@ def random_models(draw) -> Scm:
     return Scm(g, noise, functions)
 
 
+@st.composite
+def scrambled_models(draw) -> Scm:
+    """Models whose tables start one-to-one in (parents, noise), are folded
+    onto a few outputs, and then have some outputs copied onto other keys."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())]
+    g = Dag([f"V{i}" for i in range(n)], edges)
+    noise, functions, alphabets = {}, {}, {}
+    for v in range(n):  # 0..n-1 is a topological order
+        pas = tuple(sorted(g.parents(v)))
+        support = tuple(range(draw(st.integers(2, 3))))
+        noise[v] = Pmf.from_weights(support, [draw(st.integers(1, 4)) for _ in support])
+        keys = [(*combo, u) for combo in product(*(alphabets[p] for p in pas)) for u in support]
+        fold = draw(st.integers(2, 8))
+        outs = [k % fold for k in draw(st.permutations(range(len(keys))))]
+        for _ in range(draw(st.integers(0, 2))):
+            src, dst = draw(st.integers(0, len(keys) - 1)), draw(st.integers(0, len(keys) - 1))
+            outs[dst] = outs[src]
+        entries = dict(zip(keys, outs))
+        alphabets[v] = tuple(sorted(set(outs)))
+        functions[v] = StructuralTable(pas, entries)
+    return Scm(g, noise, functions)
+
+
 class TestScmValidation:
     def test_alphabets_derived_from_outputs(self):
         m = tiny_chain()
@@ -231,6 +257,16 @@ class TestAssumptionChecks:
     def test_injective_noise_holds_on_presets(self, affine_chain, xor_chain):
         assert check_injective_noise(affine_chain).holds
         assert check_injective_noise(xor_chain).holds
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(random_models(), scrambled_models()))
+    def test_injectivity_reports_match_the_reference_scans(self, m):
+        report = check_injective_noise(m)
+        assert report.witnesses == injective_noise_witnesses(m)
+        assert report.holds == (not report.witnesses)
+        report = check_injective_noise_plus_one(m)
+        assert report.witnesses == injective_noise_plus_one_witnesses(m)
+        assert report.holds == (not report.witnesses)
 
     def test_injective_noise_violation_witnessed(self):
         g = Dag.of("A")

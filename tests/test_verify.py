@@ -1,4 +1,9 @@
+import random
+from itertools import product
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causal_layering.discovery import (
     DiscoveryResult,
@@ -10,7 +15,16 @@ from causal_layering.discovery import (
 )
 from causal_layering.graph import Dag, Layering
 from causal_layering.oracle import EntropyOracle, joint_distribution
-from causal_layering.scm import Assumptions, GeneratorConfig, generate_scm, noise_entropy
+from causal_layering.scm import (
+    AssumptionReport,
+    Assumptions,
+    GeneratorConfig,
+    Pmf,
+    Scm,
+    StructuralTable,
+    generate_scm,
+    noise_entropy,
+)
 from causal_layering.verify import (
     BoundKind,
     Verdict,
@@ -23,6 +37,8 @@ from causal_layering.verify import (
     render_bound_report,
     render_independence_report,
 )
+
+from bruteforce import bound_cases, independence_cases, random_dag
 
 A, B, C = 0, 1, 2
 
@@ -138,6 +154,53 @@ class TestNoiseIndependence:
         # chain A->B->C: non-descendant pools have sizes 0, 1, 2 -> 1+2+4 sets
         cases = check_noise_independence(affine_chain, Assumptions(affine_chain).noise_oracle())
         assert len(cases) == 7
+
+
+class ZeroOracle:
+    """Answers every query with 0.0, so a suite's case list costs no enumeration."""
+
+    def cond_entropy(self, target, given):
+        return 0.0
+
+    def mutual_information(self, xs, ys, zs=()):
+        return 0.0
+
+
+class TestCaseLists:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.floats(min_value=0.0, max_value=0.9),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=0, max_value=60),
+    )
+    def test_suites_draw_the_reference_cases(self, n, p, seed, cases):
+        g = random_dag(random.Random(seed), n, p)
+        m = Scm(  # each node copies its noise, so every table is total over any parents
+            g,
+            {v: Pmf.of((0, 1), ("1/2", "1/2")) for v in g.nodes},
+            {
+                v: StructuralTable(
+                    tuple(sorted(g.parents(v))),
+                    {(*combo, u): u for combo in product(*((0, 1),) * len(g.parents(v)))
+                     for u in (0, 1)},
+                )
+                for v in g.nodes
+            },
+        )
+        audit = Assumptions(m, reports=[
+            AssumptionReport("injective_noise_plus_one", True),
+            AssumptionReport("directed_faithfulness", True),
+        ])
+        bounds = check_entropy_bounds(m, ZeroOracle(), cases, seed % 7, assumptions=audit)
+        expected = [
+            (v, s)
+            for v, s in bound_cases(g, cases, seed % 7)
+            for _ in range(max(1, len(classify_bound_case(g, v, s))))
+        ]
+        assert [(c.node, c.cond) for c in bounds] == expected
+        indep = check_noise_independence(m, ZeroOracle(), cases, seed % 7)
+        assert [(c.node, c.cond) for c in indep] == independence_cases(g, cases, seed % 7)
 
 
 class TestDiscoveryReplay:
