@@ -9,6 +9,7 @@ and marks the output as carrying no correctness guarantee.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -55,6 +56,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache  # parse_args leaves the parser as it found it
 def _build_parser() -> _Parser:
     parser = _Parser(prog="causal-layering", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -92,7 +94,7 @@ def _build_parser() -> _Parser:
     chk.add_argument("--scm", type=Path, required=True)
     chk.add_argument("--budget", type=int, default=None)
     chk.add_argument("--cases", type=int, default=200,
-                     help="sampled cases per suite on graphs above 5 nodes")
+                     help="sampled cases per suite on graphs above 5 nodes (at least 1)")
     chk.add_argument("--seed", type=int, default=0)
     chk.add_argument("--empirical", type=int, default=0, metavar="N",
                      help="also report (without asserting) bounds measured "
@@ -241,6 +243,8 @@ def _cmd_discover(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.cases < 1:
+        raise _UsageError(f"--cases must be at least 1, got {args.cases}")
     model = _load_scm(args.scm)
     budget = _enumeration_budget(args)
     audit = Assumptions(model, budget)
@@ -255,14 +259,14 @@ def _cmd_check(args) -> int:
     )
     out.append("== entropy bounds ==")
     out.append(_verify.render_bound_report(bound_cases, labels).rstrip("\n"))
-    failed |= any(c.verdict is _verify.Verdict.FAIL for c in bound_cases)
+    failed |= not bound_cases or any(c.verdict is _verify.Verdict.FAIL for c in bound_cases)
 
     indep_cases = _verify.check_noise_independence(
         model, audit.noise_oracle(), cases=args.cases, seed=args.seed
     )
     out.append("== noise independence ==")
     out.append(_verify.render_independence_report(indep_cases, labels).rstrip("\n"))
-    failed |= any(c.verdict is _verify.Verdict.FAIL for c in indep_cases)
+    failed |= not indep_cases or any(c.verdict is _verify.Verdict.FAIL for c in indep_cases)
 
     out.append("== discovery ==")
     pairs = licensed_pairs(audit.holds)

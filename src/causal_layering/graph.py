@@ -270,12 +270,8 @@ def d_separated(
     ys: Iterable[NodeId],
     zs: Iterable[NodeId] = (),
 ) -> bool:
-    """Whether ``xs`` and ``ys`` are d-separated given ``zs``.
-
-    Linear-time reachability sweep over (node, entry-direction) states.
-    A collider is open iff it or one of its descendants is conditioned on,
-    which the sweep encodes via the ancestor set of ``zs``.
-    """
+    """Whether ``xs`` and ``ys`` are d-separated given ``zs``: no node of
+    ``ys`` is in ``d_connected(g, xs, zs)``."""
     xs = frozenset(int(v) for v in xs)
     ys = frozenset(int(v) for v in ys)
     zs = frozenset(int(v) for v in zs)
@@ -286,41 +282,49 @@ def d_separated(
             g._require(v)
     if xs & ys or xs & zs or ys & zs:
         raise ValueError("endpoint and conditioning sets must be pairwise disjoint")
+    return not (d_connected(g, xs, zs) & ys)
 
-    # ancestors of zs, including zs
-    anc = set(zs)
-    stack = list(zs)
-    while stack:
-        v = stack.pop()
-        for p in g.parents(v):
-            if p not in anc:
-                anc.add(p)
-                stack.append(p)
 
+def d_connected(
+    g: Dag, xs: Iterable[NodeId], zs: Iterable[NodeId] = ()
+) -> frozenset[NodeId]:
+    """The nodes outside ``xs`` and ``zs`` that are d-connected to some node
+    of ``xs`` given ``zs``.
+
+    Linear-time reachability sweep over (node, entry-direction) states, by
+    the Bayes-ball rules (Shachter 1998): an unconditioned node passes a
+    ball from a child to its parents and children, and one from a parent to
+    its children; a conditioned node bounces a ball from a parent back to
+    its parents and blocks one from a child. A collider with a conditioned
+    descendant is open because the ball runs down to that descendant and
+    bounces back up.
+    """
+    xs = frozenset(int(v) for v in xs)
+    zs = frozenset(int(v) for v in zs)
+    if not xs:
+        raise ValueError("the endpoint set must be non-empty")
+    for v in xs | zs:
+        g._require(v)
+    if xs & zs:
+        raise ValueError("endpoint and conditioning sets must be disjoint")
+    parents, children = g._parents, g._children
     UP, DOWN = 0, 1  # UP: entered against an edge (from a child); DOWN: from a parent
-    frontier: deque[tuple[int, int]] = deque((x, UP) for x in xs)
+    stack = [(x, UP) for x in xs]
     visited: set[tuple[int, int]] = set()
-    while frontier:
-        v, direction = frontier.popleft()
-        if (v, direction) in visited:
+    while stack:
+        state = stack.pop()
+        if state in visited:
             continue
-        visited.add((v, direction))
-        if v in ys:
-            return False
-        if direction == UP:
-            if v not in zs:
-                for p in g.parents(v):
-                    frontier.append((p, UP))
-                for c in g.children(v):
-                    frontier.append((c, DOWN))
+        visited.add(state)
+        v, direction = state
+        if v in zs:
+            if direction == DOWN:
+                stack.extend((p, UP) for p in parents[v])
         else:
-            if v not in zs:
-                for c in g.children(v):
-                    frontier.append((c, DOWN))
-            if v in anc:  # collider (or observed chain head) opens toward parents
-                for p in g.parents(v):
-                    frontier.append((p, UP))
-    return True
+            if direction == UP:
+                stack.extend((p, UP) for p in parents[v])
+            stack.extend((c, DOWN) for c in children[v])
+    return frozenset(v for v, _ in visited) - xs - zs
 
 
 # --- removal-based layering ------------------------------------------------

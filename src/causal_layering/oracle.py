@@ -112,9 +112,10 @@ class JointTable:
         weights: dict[tuple[int, ...], int | float],
         denom: int | None,
     ) -> JointTable:
-        """A projection of a checked table. Its weights are sums of positive
-        weights, so they are positive and (when exact) still sum to ``denom``:
-        nothing needs checking again."""
+        """A table whose weights are positive and (when exact) sum to
+        ``denom`` by construction, so nothing needs checking again: a
+        projection of a checked table (sums of its positive weights), or an
+        exact enumeration (products of validated ``Pmf`` numerators)."""
         table = cls.__new__(cls)
         table._variables = variables
         table._labels = labels
@@ -223,7 +224,10 @@ def joint_distribution(
             key += tuple(noise_values[v] for v in nodes)
         prev = acc.get(key)
         acc[key] = w if prev is None else prev + w
-    return JointTable(variables, labels, acc, denom)
+    if denom is None:
+        return JointTable(variables, labels, acc, None)
+    # the products of each node's numerators sum to the product of its denominators
+    return JointTable._derived(tuple(variables), tuple(labels), acc, denom)
 
 
 def empirical_joint(dataset: "Dataset") -> JointTable:

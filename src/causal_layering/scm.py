@@ -10,6 +10,7 @@ construction, then re-checks rather than trusts the construction.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -19,7 +20,12 @@ from fractions import Fraction
 from itertools import product
 
 from . import oracle as _oracle
-from .graph import Dag, NodeId, d_separated
+from .graph import (
+    Dag,
+    NodeId,
+    d_connected,
+    d_separated,  # noqa: F401  perfbench/test_perfbench.py traces this binding
+)
 
 
 @dataclass(frozen=True)
@@ -371,27 +377,37 @@ def check_directed_faithfulness(m: Scm, oracle: _oracle.EntropyOracle) -> Assump
     return AssumptionReport("directed_faithfulness", not witnesses, tuple(witnesses))
 
 
-def _faithfulness_probes(nodes: list[int]):
-    """(X, Y, S) triples to probe: every disjoint triple up to six nodes,
-    singleton X and Y beyond."""
-    n = len(nodes)
+@functools.cache
+def _faithfulness_probes(n: int) -> tuple[tuple[int, int, int], ...]:
+    """(X, Y, S) bitmasks to probe over n sorted nodes, bit k for the k-th:
+    every disjoint triple up to six nodes, singleton X and Y beyond.
+
+    The order is the walk the reports were first defined by, so the first
+    witness stays the same: up to six nodes, base-4 digit tuples in
+    lexicographic order (digit 1 for X, 2 for Y, 3 for S; the first node's
+    digit most significant), keeping X and Y non-empty and the lowest node of
+    X below that of Y; beyond, pairs x < y in order, then S over the other
+    nodes by counting.
+    """
     if n <= 6:
-        for digits in product(range(4), repeat=n):
-            xs = frozenset(v for v, d in zip(nodes, digits) if d == 1)
-            ys = frozenset(v for v, d in zip(nodes, digits) if d == 2)
-            ss = frozenset(v for v, d in zip(nodes, digits) if d == 3)
-            if not xs or not ys:
-                continue
-            if min(xs) > min(ys):  # (X, Y) and (Y, X) are the same question
-                continue
-            yield xs, ys, ss
-        return
-    for i, x in enumerate(nodes):
-        for y in nodes[i + 1:]:
-            rest = [v for v in nodes if v != x and v != y]
+        walk = [(0, 0, 0)]
+        for k in range(n):  # node k's digit: none, X, Y or S
+            b = 1 << k
+            walk = [
+                t
+                for x, y, s in walk
+                for t in ((x, y, s), (x | b, y, s), (x, y | b, s), (x, y, s | b))
+            ]
+        # (X, Y) and (Y, X) are the same question: keep min(X) < min(Y)
+        return tuple(t for t in walk if t[0] and t[1] and t[0] & -t[0] < t[1] & -t[1])
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            rest = [k for k in range(n) if k != i and k != j]
             for mask in range(1 << len(rest)):
-                ss = frozenset(v for k, v in enumerate(rest) if mask >> k & 1)
-                yield frozenset({x}), frozenset({y}), ss
+                ss = sum(1 << k for pos, k in enumerate(rest) if mask >> pos & 1)
+                out.append((1 << i, 1 << j, ss))
+    return tuple(out)
 
 
 def check_faithfulness(
@@ -402,18 +418,56 @@ def check_faithfulness(
     ``oracle`` must cover the graph's nodes, as ``Assumptions.oracle()``
     does. Exhaustive over all disjoint X, Y, S triples up to six nodes;
     beyond that only singleton X, Y pairs are checked and the report says
-    so. An independence where the graph is d-connected is a violation; the
+    so. The ``detail`` strings ("exhaustive triples", "singleton pairs
+    only") stay byte for byte as they are: ``gen`` writes them into its
+    sidecar, whose recorded digests must not move for the same flags and
+    seed. An independence where the graph is d-connected is a violation; the
     converse would mean broken arithmetic and raises. With ``first_witness``
     the check stops at the first violation, which is the first witness of
     the full check; the probes after it are not run, so neither is the
     broken-arithmetic check on them.
+
+    Each probe costs a few integer operations: the check asks the oracle for
+    at most 2**n marginal entropies, one per node subset, and runs at most
+    n * 2**(n-1) d-connection sweeps, one per (x, S) with x outside S. The
+    mutual information I(X; Y | S) is H(X∪S) + H(Y∪S) - H(S) - H(X∪Y∪S),
+    summed in that order, so every value equals ``oracle.mutual_information``.
     """
     g = m.graph
     nodes = sorted(g.nodes)
+    bit = {v: 1 << k for k, v in enumerate(nodes)}
+
+    def members(mask: int) -> list[NodeId]:
+        return [v for k, v in enumerate(nodes) if mask >> k & 1]
+
+    entropies: dict[int, float] = {}
+
+    def h(mask: int) -> float:
+        value = entropies.get(mask)
+        if value is None:
+            value = entropies[mask] = oracle.marginal_entropy(members(mask))
+        return value
+
+    reach: dict[tuple[int, int], int] = {}  # (x bit, S) -> d-connected nodes
+
+    def connected(xs: int, ss: int) -> int:
+        out = 0
+        while xs:
+            x = xs & -xs
+            xs ^= x
+            found = reach.get((x, ss))
+            if found is None:
+                found = reach[(x, ss)] = sum(
+                    bit[v] for v in d_connected(g, members(x), members(ss))
+                )
+            out |= found
+        return out
+
     witnesses: list[tuple] = []
-    for xs, ys, ss in _faithfulness_probes(nodes):
-        mi = oracle.mutual_information(xs, ys, ss)
-        sep = d_separated(g, xs, ys, ss)
+    for xs, ys, ss in _faithfulness_probes(len(nodes)):
+        h_xys = h(xs | ys | ss)  # first, so the oracle projects the rest from it
+        mi = h(xs | ss) + h(ys | ss) - h(ss) - h_xys
+        sep = not (connected(xs, ss) & ys)
         if sep and mi > _MI_TOL:
             raise RuntimeError(
                 f"d-separated sets show mutual information {mi}; "
@@ -422,9 +476,9 @@ def check_faithfulness(
         if not sep and mi <= _MI_TOL:
             witnesses.append(
                 (
-                    tuple(m.label(v) for v in sorted(xs)),
-                    tuple(m.label(v) for v in sorted(ys)),
-                    tuple(m.label(v) for v in sorted(ss)),
+                    tuple(m.label(v) for v in members(xs)),
+                    tuple(m.label(v) for v in members(ys)),
+                    tuple(m.label(v) for v in members(ss)),
                     mi,
                 )
             )

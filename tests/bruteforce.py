@@ -3,9 +3,9 @@
 Everything here is written the slow, obvious way on purpose: float
 probabilities accumulated in dicts, d-separation by enumerating every
 simple path. Agreement with the fast implementations is the test. The
-peeling loops, injectivity scans and case lists at the end are the
-package's earlier separate implementations, kept as references for the
-shared code that replaced them.
+peeling loops, injectivity scans, case lists and faithfulness check at
+the end are the package's earlier separate implementations, kept as
+references for the shared or faster code that replaced them.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ import random
 from collections import deque
 from itertools import product
 
-from causal_layering.graph import Dag, Layering
+from causal_layering.graph import Dag, Layering, d_separated
 from causal_layering.oracle import JointTable
+from causal_layering.scm import AssumptionReport
 
 
 def joint_probs(scm) -> dict[tuple, float]:
@@ -292,3 +293,55 @@ def independence_cases(g: Dag, cases: int, seed: int) -> list[tuple[int, frozens
             allowed = [u for u in nodes if u != v and u not in g.descendants(v)]
             pairs.append((v, frozenset(u for u in allowed if rng.random() < 0.5)))
     return pairs
+
+
+def faithfulness_probes(nodes: list[int]):
+    """Reference (X, Y, S) walk of ``check_faithfulness``: every disjoint
+    triple up to six nodes, as base-4 digit tuples; singleton X and Y beyond."""
+    n = len(nodes)
+    if n <= 6:
+        for digits in product(range(4), repeat=n):
+            xs = frozenset(v for v, d in zip(nodes, digits) if d == 1)
+            ys = frozenset(v for v, d in zip(nodes, digits) if d == 2)
+            ss = frozenset(v for v, d in zip(nodes, digits) if d == 3)
+            if not xs or not ys:
+                continue
+            if min(xs) > min(ys):  # (X, Y) and (Y, X) are the same question
+                continue
+            yield xs, ys, ss
+        return
+    for i, x in enumerate(nodes):
+        for y in nodes[i + 1:]:
+            rest = [v for v in nodes if v != x and v != y]
+            for mask in range(1 << len(rest)):
+                ss = frozenset(v for k, v in enumerate(rest) if mask >> k & 1)
+                yield frozenset({x}), frozenset({y}), ss
+
+
+def check_faithfulness(m, oracle, first_witness: bool = False) -> AssumptionReport:
+    """Reference faithfulness check: one ``mutual_information`` query and one
+    ``d_separated`` sweep per probe."""
+    g = m.graph
+    nodes = sorted(g.nodes)
+    witnesses: list[tuple] = []
+    for xs, ys, ss in faithfulness_probes(nodes):
+        mi = oracle.mutual_information(xs, ys, ss)
+        sep = d_separated(g, xs, ys, ss)
+        if sep and mi > 1e-9:
+            raise RuntimeError(
+                f"d-separated sets show mutual information {mi}; "
+                "exact arithmetic is broken"
+            )
+        if not sep and mi <= 1e-9:
+            witnesses.append(
+                (
+                    tuple(m.label(v) for v in sorted(xs)),
+                    tuple(m.label(v) for v in sorted(ys)),
+                    tuple(m.label(v) for v in sorted(ss)),
+                    mi,
+                )
+            )
+            if first_witness:
+                break
+    detail = "exhaustive triples" if len(nodes) <= 6 else "singleton pairs only"
+    return AssumptionReport("faithfulness", not witnesses, tuple(witnesses), detail)

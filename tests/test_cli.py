@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from causal_layering import oracle, scm
+from causal_layering import cli, oracle, scm
 from causal_layering.cli import main
 from causal_layering.discovery import LICENSES
 from causal_layering.presets import affine_chain3
@@ -43,6 +43,30 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "generate" in capsys.readouterr().out
+
+    def test_each_call_parses_its_own_namespace(self, affine_file, tmp_path, monkeypatch):
+        # the parser is built once per process and reused by every main() call
+        seen = []
+        for name in ("_cmd_gen", "_cmd_discover", "_cmd_check"):
+            monkeypatch.setattr(cli, name, lambda args: seen.append(args) or 0)
+        scm_path = str(affine_file)
+        runs = [
+            ["check", "--scm", scm_path, "--cases", "7", "--machine"],
+            ["gen", "--nodes", "4", "--seed", "5", "--out", str(tmp_path / "a.json")],
+            ["discover", "--scm", scm_path, "--algo", "sir", "--mode", "known"],
+            ["check", "--scm", scm_path],
+            ["gen", "--nodes", "3", "--out", str(tmp_path / "b.json")],
+        ]
+        for argv in runs:
+            assert main(argv) == 0
+        assert cli._build_parser() is cli._build_parser()
+        check1, gen1, disc, check2, gen2 = seen
+        assert (check1.cases, check1.machine) == (7, True)
+        assert (check2.cases, check2.machine, check2.seed) == (200, False, 0)
+        assert (gen1.nodes, gen1.seed, gen1.profile) == (4, 5, "base")
+        assert (gen2.nodes, gen2.seed, gen2.report) == (3, 0, None)
+        assert (disc.algo, disc.tol, disc.one_at_a_time) == ("sir", 1e-9, False)
+        assert not hasattr(disc, "cases") and not hasattr(gen2, "scm")
 
     def test_missing_file(self, tmp_path, capsys):
         code = main(["discover", "--scm", str(tmp_path / "nope.json"),
@@ -238,6 +262,22 @@ class TestCheck:
         assert "discovery sir/monotone" in out
         assert "discovery sour/known" not in out
         assert "discovery sir/known" not in out
+
+    @pytest.mark.parametrize("cases", ["0", "-5"])
+    def test_cases_below_one_is_usage_error(self, cases, tmp_path, capsys):
+        # above five nodes the suites sample --cases cases instead of enumerating
+        path = tmp_path / "n6.json"
+        assert main(["gen", "--nodes", "6", "--seed", "10", "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["check", "--scm", str(path), "--cases", cases]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: --cases must be at least 1, got {cases}\n"
+
+    def test_suite_without_cases_fails(self, affine_file, capsys, monkeypatch):
+        monkeypatch.setattr(cli._verify, "check_noise_independence", lambda *a, **k: [])
+        assert main(["check", "--scm", str(affine_file)]) == 3
+        assert "overall: FAIL" in capsys.readouterr().out
 
     def test_machine_output(self, affine_file, capsys):
         assert main(["check", "--scm", str(affine_file), "--machine"]) == 0

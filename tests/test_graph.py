@@ -8,6 +8,7 @@ from causal_layering.graph import (
     CycleError,
     Dag,
     Layering,
+    d_connected,
     d_separated,
     is_layering,
     layering_violations,
@@ -337,6 +338,37 @@ class TestDSeparation:
         y = rng.choice([v for v in nodes if v != x])
         zs = frozenset(v for v in nodes if v not in (x, y) and rng.random() < 0.4)
         assert d_separated(g, {x}, {y}, zs) == d_separated(g, {y}, {x}, zs)
+
+    @given(dags(max_nodes=6), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=200)
+    def test_d_connected_agrees_with_path_enumeration(self, g: Dag, seed: int):
+        rng = random.Random(seed)
+        nodes = sorted(g.nodes)
+        x = rng.choice(nodes)
+        zs = frozenset(v for v in nodes if v != x and rng.random() < 0.5)
+        expected = {
+            y for y in nodes
+            if y != x and y not in zs
+            and not d_separated_paths(g, frozenset({x}), frozenset({y}), zs)
+        }
+        assert d_connected(g, {x}, zs) == expected
+
+    @given(dags(max_nodes=7), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_d_connected_set_is_the_union_of_its_members(self, g: Dag, seed: int):
+        rng = random.Random(seed)
+        nodes = sorted(g.nodes)
+        xs = frozenset(rng.sample(nodes, rng.randint(1, len(nodes))))
+        zs = frozenset(v for v in nodes if v not in xs and rng.random() < 0.4)
+        union = frozenset().union(*(d_connected(g, {x}, zs) for x in xs))
+        assert d_connected(g, xs, zs) == union - xs
+
+    def test_d_connected_validates_its_sets(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            d_connected(chain3(), set())
+        with pytest.raises(ValueError, match="disjoint"):
+            d_connected(chain3(), {0}, {0, 1})
+        with pytest.raises(ValueError, match="unknown node"):
+            d_connected(chain3(), {0}, {9})
 
 
 class TestTextFormats:

@@ -205,6 +205,20 @@ class TestJointDistribution:
         with pytest.raises(EnumerationBudgetError, match="exceeds enumeration budget 7"):
             joint_distribution(affine_chain, budget=7)
 
+    def test_exact_enumeration_equals_the_checked_construction(self, affine_chain, xor_chain):
+        models = [affine_chain, xor_chain] + [
+            generate_scm(GeneratorConfig(nodes=5, profile=profile), seed=seed)
+            for profile in ("base", "plus_one") for seed in range(3)
+        ]
+        for m in models:
+            for include_noise in (False, True):
+                t = joint_distribution(m, include_noise=include_noise)
+                checked = JointTable(t.variables, t.labels, t._weights, t._denom)
+                assert (t.variables, t.labels, t.items()) == (
+                    checked.variables, checked.labels, checked.items())
+                assert sum(t._weights.values()) == t._denom
+                assert all(w > 0 for w in t._weights.values())
+
     def test_agrees_with_forward_simulation(self):
         for seed in range(6):
             m = generate_scm(GeneratorConfig(nodes=4, profile="base"), seed=seed)

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from causal_layering import scm as scm_module
 from causal_layering.graph import Dag, d_separated
 from causal_layering.oracle import EntropyOracle, joint_distribution
 from causal_layering.presets import xor_model
 from causal_layering.scm import (
+    PROFILES,
     Assumptions,
     Dataset,
     GenerationError,
@@ -18,6 +20,7 @@ from causal_layering.scm import (
     Pmf,
     Scm,
     StructuralTable,
+    _faithfulness_probes,
     check_directed_faithfulness,
     check_faithfulness,
     check_injective_noise,
@@ -37,6 +40,8 @@ from causal_layering.scm import (
     scm_to_text,
 )
 
+from bruteforce import check_faithfulness as bf_check_faithfulness
+from bruteforce import faithfulness_probes as bf_faithfulness_probes
 from bruteforce import injective_noise_plus_one_witnesses, injective_noise_witnesses
 
 H_EIGHTH = 0.5435644431995964
@@ -361,6 +366,74 @@ class TestAssumptionChecks:
         assert first.holds == full.holds
         assert first.witnesses == full.witnesses[:1]
         assert first.detail == full.detail
+
+    def assert_faithfulness_matches_the_reference(self, m) -> bool:
+        """Same report as the reference under both ``first_witness`` values,
+        witness MI floats included bitwise; returns whether it holds."""
+        for first_witness in (False, True):
+            fast = check_faithfulness(m, Assumptions(m).oracle(), first_witness)
+            slow = bf_check_faithfulness(m, Assumptions(m).oracle(), first_witness)
+            assert fast == slow
+            assert repr(fast) == repr(slow)
+        return fast.holds
+
+    def test_faithfulness_probes_follow_the_reference_walk(self):
+        for n in range(1, 9):
+            nodes = list(range(n))
+            expected = tuple(
+                tuple(sum(1 << v for v in part) for part in probe)
+                for probe in bf_faithfulness_probes(nodes)
+            )
+            assert _faithfulness_probes(n) == expected
+
+    def test_faithfulness_matches_the_reference_on_the_chains(self, affine_chain, xor_chain):
+        assert not self.assert_faithfulness_matches_the_reference(affine_chain)
+        assert not self.assert_faithfulness_matches_the_reference(xor_chain)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_faithfulness_matches_the_reference_on_random_models(self, data):
+        m = data.draw(random_models())
+        if data.draw(st.booleans()):  # the same model with float noise
+            noise = {v: Pmf(p.support, tuple(float(q) for q in p.probs))
+                     for v, p in m.noise.items()}
+            m = Scm(m.graph, noise, m.functions)
+        self.assert_faithfulness_matches_the_reference(m)
+
+    def test_faithfulness_matches_the_reference_on_generator_candidates(self, monkeypatch):
+        # with the generator's faithfulness gate bypassed, unfaithful
+        # candidates come out as well
+        guaranteed = scm_module.guaranteed_assumptions
+        monkeypatch.setattr(
+            scm_module, "guaranteed_assumptions",
+            lambda profile, mode: tuple(
+                name for name in guaranteed(profile, mode) if name != "faithfulness"
+            ),
+        )
+        unfaithful = 0
+        for profile in PROFILES:
+            for n in range(1, 8):
+                for seed in range(3):
+                    m = generate_scm(GeneratorConfig(nodes=n, profile=profile), seed=seed)
+                    unfaithful += not self.assert_faithfulness_matches_the_reference(m)
+        assert unfaithful > 0
+
+    def test_mutual_information_where_d_separated_raises(self):
+        # A and B share no edge, so they are d-separated given nothing; an
+        # oracle whose entropies are not additive reports I(A; B) = 2 - sqrt(2)
+        g = Dag(["A", "B"], [])
+        coin = Pmf.bernoulli(Fraction(1, 2))
+        identity = StructuralTable((), {(0,): 0, (1,): 1})
+        m = Scm(g, {0: coin, 1: coin}, {0: identity, 1: identity})
+
+        class NonAdditive(EntropyOracle):
+            def marginal_entropy(self, variables=()):
+                return math.sqrt(len(frozenset(variables)))
+
+        for check in (check_faithfulness, bf_check_faithfulness):
+            for first_witness in (False, True):
+                with pytest.raises(RuntimeError, match="exact arithmetic is broken"):
+                    check(m, NonAdditive(joint_distribution(m)), first_witness)
 
     def test_observed_oracle_projects_the_one_enumeration(self):
         # support-4 noise into binary outputs: 16 noise tuples, 4 observed rows
