@@ -9,6 +9,7 @@ and marks the output as carrying no correctness guarantee.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import os
 import sys
@@ -154,6 +155,9 @@ def _cmd_gen(args) -> int:
         entropy_mode=args.entropy,
         max_retries=args.retries,
     )
+    budget = _enumeration_budget(args)  # gen has no --budget flag: the variable only
+    if budget is not None:
+        cfg = dataclasses.replace(cfg, enumeration_budget=budget)
     try:
         model = generate_scm(cfg, args.seed)
     except GenerationError as exc:

@@ -1,15 +1,13 @@
 """Exact joint distributions by noise enumeration, and entropy queries.
 
-Probability arithmetic stays exact as long as the model's noise is given
-as rationals: every table entry is an integer numerator over one shared
-denominator, and floats only appear at the final logarithm. Entropies are
-in bits throughout.
+Probability arithmetic is exact: every table entry is an integer
+numerator over one shared denominator, and floats only appear at the
+final logarithm. Entropies are in bits throughout.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from collections import Counter
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
@@ -33,8 +31,8 @@ class JointTable:
     """A finite joint distribution over integer-valued variables.
 
     Entries map full assignments (tuples aligned with ``variables``) to
-    positive probabilities; zero-mass assignments are omitted. Exact tables
-    store integer weights over a common denominator.
+    positive probabilities; zero-mass assignments are omitted. Each entry is
+    an integer weight over the one positive integer denominator.
     """
 
     __slots__ = ("_variables", "_labels", "_weights", "_denom")
@@ -43,8 +41,8 @@ class JointTable:
         self,
         variables: Iterable[NodeId],
         labels: Iterable[str],
-        weights: Mapping[tuple[int, ...], int | float],
-        denom: int | None,
+        weights: Mapping[tuple[int, ...], int],
+        denom: int,
     ):
         self._variables = tuple(int(v) for v in variables)
         self._labels = tuple(str(s) for s in labels)
@@ -52,10 +50,14 @@ class JointTable:
             raise ValueError("variables and labels must align")
         if len(set(self._variables)) != len(self._variables):
             raise ValueError("duplicate variables")
-        clean: dict[tuple[int, ...], int | float] = {}
+        if type(denom) is not int or denom <= 0:
+            raise ValueError(f"denominator must be a positive integer, got {denom!r}")
+        clean: dict[tuple[int, ...], int] = {}
         for key, w in weights.items():
             if len(key) != len(self._variables):
                 raise ValueError(f"assignment {key} does not match variable count")
+            if type(w) is not int:
+                raise ValueError(f"weight at {key} must be an integer, got {w!r}")
             if w < 0:
                 raise ValueError(f"negative probability mass at {key}")
             if w:
@@ -63,13 +65,8 @@ class JointTable:
         self._weights = clean
         self._denom = denom
         total = sum(clean.values())
-        if denom is not None:
-            if total != denom:
-                raise ValueError(f"probabilities sum to {total}/{denom}, not 1")
-        elif not math.isfinite(total):  # a NaN or infinite entry
-            raise ValueError("probabilities must be finite")
-        elif abs(total - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
+        if total != denom:
+            raise ValueError(f"probabilities sum to {total}/{denom}, not 1")
 
     @property
     def variables(self) -> tuple[NodeId, ...]:
@@ -79,29 +76,14 @@ class JointTable:
     def labels(self) -> tuple[str, ...]:
         return self._labels
 
-    @property
-    def is_exact(self) -> bool:
-        return self._denom is not None
-
     def __len__(self) -> int:
         return len(self._weights)
 
-    def label_of(self, v: NodeId) -> str:
-        return self._labels[self._variables.index(v)]
+    def prob(self, assignment: tuple[int, ...]) -> Fraction:
+        return Fraction(self._weights.get(tuple(assignment), 0), self._denom)
 
-    def prob(self, assignment: tuple[int, ...]) -> Fraction | float:
-        w = self._weights.get(tuple(assignment), 0)
-        if self._denom is None:
-            return w
-        return Fraction(w, self._denom)
-
-    def total(self) -> Fraction | float:
-        if self._denom is None:
-            return sum(self._weights.values())
-        return Fraction(sum(self._weights.values()), self._denom)
-
-    def items(self) -> list[tuple[tuple[int, ...], Fraction | float]]:
-        """Entries sorted by assignment, probabilities as Fraction or float."""
+    def items(self) -> list[tuple[tuple[int, ...], Fraction]]:
+        """Entries sorted by assignment, probabilities as Fractions."""
         return [(key, self.prob(key)) for key in sorted(self._weights)]
 
     @classmethod
@@ -109,11 +91,11 @@ class JointTable:
         cls,
         variables: tuple[NodeId, ...],
         labels: tuple[str, ...],
-        weights: dict[tuple[int, ...], int | float],
-        denom: int | None,
+        weights: dict[tuple[int, ...], int],
+        denom: int,
     ) -> JointTable:
-        """A table whose weights are positive and (when exact) sum to
-        ``denom`` by construction, so nothing needs checking again: a
+        """A table whose integer weights are positive and sum to ``denom``
+        by construction, so nothing needs checking again: a
         projection of a checked table (sums of its positive weights), or an
         exact enumeration (products of validated ``Pmf`` numerators)."""
         table = cls.__new__(cls)
@@ -154,11 +136,9 @@ class JointTable:
         The terms are summed with ``math.fsum``, so the result depends only on
         the multiset of weights, not on the order the table was built in.
         """
-        if self._denom is not None:
-            d = self._denom
-            acc = math.fsum(w * math.log2(w) for w in self._weights.values())
-            return math.log2(d) - acc / d
-        return -math.fsum(p * math.log2(p) for p in self._weights.values())
+        d = self._denom
+        acc = math.fsum(w * math.log2(w) for w in self._weights.values())
+        return math.log2(d) - acc / d
 
 
 def joint_distribution(
@@ -190,24 +170,17 @@ def joint_distribution(
 
     topo = scm.topological_order
     pmfs = [scm.noise[v] for v in topo]
-    exact = all(p.is_exact for p in pmfs)
-
     supports = [p.support for p in pmfs]
-    if exact:
-        denoms = [math.lcm(*(q.denominator for q in p.probs)) for p in pmfs]
-        weights_per_node = [
-            tuple(q.numerator * (d // q.denominator) for q in p.probs)
-            for p, d in zip(pmfs, denoms)
-        ]
-        denom: int | None = math.prod(denoms)
-    else:
-        weights_per_node = [tuple(float(q) for q in p.probs) for p in pmfs]
-        denom = None
+    denoms = [math.lcm(*(q.denominator for q in p.probs)) for p in pmfs]
+    weights_per_node = [
+        tuple(q.numerator * (d // q.denominator) for q in p.probs)
+        for p, d in zip(pmfs, denoms)
+    ]
 
     tables = [scm.functions[v] for v in topo]
-    acc: dict[tuple[int, ...], int | float] = {}
+    acc: dict[tuple[int, ...], int] = {}
     for picks in product(*(range(len(s)) for s in supports)):
-        w: int | float = 1
+        w = 1
         for node_w, i in zip(weights_per_node, picks):
             w *= node_w[i]
         if not w:
@@ -224,10 +197,8 @@ def joint_distribution(
             key += tuple(noise_values[v] for v in nodes)
         prev = acc.get(key)
         acc[key] = w if prev is None else prev + w
-    if denom is None:
-        return JointTable(variables, labels, acc, None)
     # the products of each node's numerators sum to the product of its denominators
-    return JointTable._derived(tuple(variables), tuple(labels), acc, denom)
+    return JointTable._derived(tuple(variables), tuple(labels), acc, math.prod(denoms))
 
 
 def empirical_joint(dataset: "Dataset") -> JointTable:
@@ -250,12 +221,12 @@ def render_joint_table(table: JointTable) -> str:
 class EntropyOracle:
     """Conditional-entropy and independence queries over one joint table.
 
-    Marginal entropies are memoized per variable set; the cache is guarded
-    by a lock so concurrent queries never change any answer. The oracle also
-    keeps one slot, the last marginal it projected from the full table: a
-    set inside the slot's variables is projected from the slot instead.
-    Queries that look up their largest set first (as ``cond_entropy`` and
-    ``mutual_information`` do) then scan the full table once each.
+    Marginal entropies are memoized per variable set. The oracle also keeps
+    one slot, the last marginal it projected from the full table: a set
+    inside the slot's variables is projected from the slot instead. Queries
+    that look up their largest set first (as ``cond_entropy`` and
+    ``mutual_information`` do) then scan the full table once each. The
+    oracle is single-threaded: cache and slot are plain attributes.
     """
 
     def __init__(self, table: JointTable):
@@ -263,7 +234,6 @@ class EntropyOracle:
         self._scope = frozenset(table.variables)
         self._cache: dict[frozenset[int], float] = {}
         self._slot: tuple[frozenset[int], JointTable] | None = None
-        self._lock = threading.Lock()
 
     @property
     def variables(self) -> tuple[NodeId, ...]:
@@ -277,16 +247,12 @@ class EntropyOracle:
         key = frozenset(int(v) for v in variables)
         if not key <= self._scope:
             raise ValueError(f"unknown variables {sorted(key - self._scope)}")
-        with self._lock:
-            hit = self._cache.get(key)
+        value = self._cache.get(key)
+        if value is None:
             slot = self._slot
-        if hit is not None:
-            return hit
-        source = slot[1] if slot is not None and key <= slot[0] else self._table
-        table = source.marginal(key)
-        value = table.entropy_bits()
-        with self._lock:
-            self._cache.setdefault(key, value)
+            source = slot[1] if slot is not None and key <= slot[0] else self._table
+            table = source.marginal(key)
+            value = self._cache[key] = table.entropy_bits()
             if source is self._table:
                 self._slot = (key, table)
         return value
@@ -324,13 +290,3 @@ class EntropyOracle:
             - self.marginal_entropy(ss)
             - h_xys
         )
-
-    def is_independent(
-        self,
-        xs: Iterable[NodeId],
-        ys: Iterable[NodeId],
-        given: Iterable[NodeId] = (),
-        tol: float = 1e-9,
-    ) -> bool:
-        """Conditional independence as mutual information at most ``tol`` bits."""
-        return self.mutual_information(xs, ys, given) <= tol

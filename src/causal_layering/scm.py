@@ -16,6 +16,7 @@ import math
 import random
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from itertools import product
 
@@ -28,16 +29,48 @@ from .graph import (
 )
 
 
+# A "p/q" literal longer than this, or a decimal whose numerator or denominator
+# would have more digits, is refused before it becomes a Fraction:
+# "1e-100000000" alone would otherwise build a hundred-million-digit integer.
+# Python's own int-string limit is no guard: 3.10.0-3.10.6 lack it.
+_MAX_LITERAL_DIGITS = 1000
+
+
+def _exact(p: Fraction | Decimal | int | str) -> Fraction:
+    """One probability as a Fraction: an int, a ``"p/q"`` or decimal string,
+    or a Decimal, each read exactly. Floats are refused, not rounded."""
+    if isinstance(p, float):
+        if not math.isfinite(p):
+            raise ValueError("probabilities must be finite")
+        raise ValueError(f"float probability {p!r} is inexact; give it as a string")
+    if isinstance(p, (Fraction, int)) and not isinstance(p, bool):
+        return Fraction(p)
+    if isinstance(p, str):
+        if "/" in p:  # Fraction's "p/q" form takes digits only, no exponent
+            if len(p) > _MAX_LITERAL_DIGITS:
+                raise ValueError(f"probability literal exceeds {_MAX_LITERAL_DIGITS} digits")
+            return Fraction(p)
+        try:
+            p = Decimal(p)
+        except InvalidOperation:
+            raise ValueError(f"invalid probability {p!r}") from None
+    if not isinstance(p, Decimal):
+        raise ValueError(f"invalid probability {p!r}")
+    if not p.is_finite():
+        raise ValueError("probabilities must be finite")
+    _, digits, exponent = p.as_tuple()
+    if len(digits) + abs(exponent) > _MAX_LITERAL_DIGITS:
+        raise ValueError(f"probability literal exceeds {_MAX_LITERAL_DIGITS} digits")
+    return Fraction(p)
+
+
 @dataclass(frozen=True)
 class Pmf:
-    """A probability mass function on distinct integer support points.
-
-    Probabilities are either all exact ``Fraction`` values (then they must
-    sum to exactly 1) or all floats (sum within 1e-12 of 1).
-    """
+    """A probability mass function on distinct integer support points;
+    the probabilities are Fractions summing to exactly 1."""
 
     support: tuple[int, ...]
-    probs: tuple[Fraction, ...] | tuple[float, ...]
+    probs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
         if len(self.support) != len(self.probs):
@@ -46,32 +79,18 @@ class Pmf:
             raise ValueError("support must be non-empty")
         if len(set(self.support)) != len(self.support):
             raise ValueError("support values must be distinct")
-        kinds = {type(p) for p in self.probs}
-        if kinds <= {Fraction}:
-            exact = True
-        elif kinds <= {float}:
-            exact = False
-        else:
-            raise TypeError("probs must be all Fraction or all float")
+        if not all(isinstance(p, Fraction) for p in self.probs):
+            raise TypeError("probs must be Fractions")
         if any(p < 0 for p in self.probs):
             raise ValueError("probabilities must be non-negative")
         total = sum(self.probs)
-        if exact:
-            if total != 1:
-                raise ValueError(f"probabilities sum to {total}, not 1")
-        elif not math.isfinite(total):  # a NaN or infinite entry
-            raise ValueError("probabilities must be finite")
-        elif abs(total - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
+        if total != 1:
+            raise ValueError(f"probabilities sum to {total}, not 1")
 
     @classmethod
-    def of(cls, support: Iterable[int], probs: Iterable[Fraction | float | int | str]) -> Pmf:
-        """Coerce ints/strings like ``"3/4"`` to Fractions; any float makes all float."""
-        sup = tuple(int(v) for v in support)
-        raw = list(probs)
-        if any(isinstance(p, float) for p in raw):
-            return cls(sup, tuple(float(p) for p in raw))
-        return cls(sup, tuple(Fraction(p) for p in raw))
+    def of(cls, support: Iterable[int], probs: Iterable[Fraction | Decimal | int | str]) -> Pmf:
+        """Read ints, strings like ``"3/4"`` or ``"0.75"`` and Decimals exactly."""
+        return cls(tuple(int(v) for v in support), tuple(_exact(p) for p in probs))
 
     @classmethod
     def from_weights(cls, support: Iterable[int], weights: Sequence[int]) -> Pmf:
@@ -81,24 +100,18 @@ class Pmf:
         return cls(tuple(int(v) for v in support), tuple(Fraction(w, total) for w in weights))
 
     @classmethod
-    def bernoulli(cls, p: Fraction | float) -> Pmf:
-        if isinstance(p, float):
-            return cls((0, 1), (1.0 - p, p))
-        p = Fraction(p)
+    def bernoulli(cls, p: Fraction | Decimal | int | str) -> Pmf:
+        p = _exact(p)
         return cls((0, 1), (1 - p, p))
-
-    @property
-    def is_exact(self) -> bool:
-        return all(isinstance(p, Fraction) for p in self.probs)
 
     def positive_support(self) -> tuple[int, ...]:
         return tuple(v for v, p in zip(self.support, self.probs) if p > 0)
 
-    def prob_of(self, value: int) -> Fraction | float:
+    def prob_of(self, value: int) -> Fraction:
         for v, p in zip(self.support, self.probs):
             if v == value:
                 return p
-        return Fraction(0) if self.is_exact else 0.0
+        return Fraction(0)
 
     def entropy_bits(self) -> float:
         acc = 0.0
@@ -857,22 +870,10 @@ def parse_dataset(text: str) -> Dataset:
 # --- file format --------------------------------------------------------------
 
 
-def _prob_to_json(p: Fraction | float):
-    if isinstance(p, Fraction):
-        return str(p) if p.denominator > 1 else str(p.numerator)
-    return p
+class _JsonDecimal(Decimal):
+    """A JSON number with a fraction or exponent, shown as it was written."""
 
-
-def _prob_from_json(raw) -> Fraction | float:
-    if isinstance(raw, bool):
-        raise ValueError(f"invalid probability {raw!r}")
-    if isinstance(raw, float):
-        return raw
-    if isinstance(raw, int):
-        return Fraction(raw)
-    if isinstance(raw, str):
-        return Fraction(raw)
-    raise ValueError(f"invalid probability {raw!r}")
+    __repr__ = Decimal.__str__
 
 
 def _json_int(raw) -> int:
@@ -897,7 +898,7 @@ def scm_to_dict(m: Scm) -> dict:
     noise = {
         m.label(v): {
             "support": list(m.noise[v].support),
-            "probs": [_prob_to_json(p) for p in m.noise[v].probs],
+            "probs": [str(p) for p in m.noise[v].probs],  # "p/q", or "n" when whole
         }
         for v in sorted(m.graph.nodes)
     }
@@ -953,7 +954,9 @@ def scm_from_dict(data: dict) -> Scm:
             where = f"noise.{lab}.support"
             support = _json_ints(support)
             where = f"noise.{lab}.probs"
-            noise[ids[lab]] = Pmf.of(support, [_prob_from_json(p) for p in probs])
+            if not isinstance(probs, list):
+                raise ValueError(f"expected a list of probabilities, got {probs!r}")
+            noise[ids[lab]] = Pmf.of(support, probs)
             where = "functions"
             if lab not in function_specs:
                 raise ValueError(f"node {lab!r} has no function entry")
@@ -993,8 +996,9 @@ def scm_from_dict(data: dict) -> Scm:
 
 
 def parse_scm(text: str) -> Scm:
+    """Read an SCM file; a JSON decimal such as ``0.1`` is read exactly (1/10)."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_float=_JsonDecimal)
     except json.JSONDecodeError as exc:
         raise ValueError(f"SCM file is not valid JSON: {exc}") from None
     if not isinstance(data, dict):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import oracle as _oracle
-from .discovery import DiscoveryResult, KnownNoiseEntropy
+from .discovery import DiscoveryResult
 from .graph import Dag, NodeId, d_separated, layering_violations
 from .scm import Assumptions, Scm, explicit_noise_graph, noise_entropy
 
@@ -235,10 +235,6 @@ def check_discovery_result(
 def check_call_bound(result: DiscoveryResult, n: int) -> bool:
     """Discovery may use at most n(n+1)/2 oracle calls."""
     return result.oracle_calls <= n * (n + 1) // 2
-
-
-def known_mode_exact(mode) -> bool:
-    return isinstance(mode, KnownNoiseEntropy)
 
 
 def _render_cases(cases: Iterable, line: Callable) -> str:

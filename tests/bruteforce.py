@@ -56,12 +56,12 @@ def marginal(table: JointTable, keep) -> JointTable:
     keep_set = {int(v) for v in keep}
     kept = tuple(v for v in table.variables if v in keep_set)
     idx = tuple(table.variables.index(v) for v in kept)
-    out: dict[tuple[int, ...], int | float] = {}
+    out: dict[tuple[int, ...], int] = {}
     for key, w in table._weights.items():
         sub = tuple(key[i] for i in idx)
         prev = out.get(sub)
         out[sub] = w if prev is None else prev + w
-    labels = tuple(table.label_of(v) for v in kept)
+    labels = tuple(table.labels[i] for i in idx)
     return JointTable(kept, labels, out, table._denom)
 
 

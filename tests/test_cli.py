@@ -2,9 +2,13 @@ import contextlib
 import copy
 import io
 import json
+import re
 import subprocess
 import sys
 import tempfile
+import time
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,7 +19,16 @@ from causal_layering import cli, oracle, scm
 from causal_layering.cli import main
 from causal_layering.discovery import LICENSES
 from causal_layering.presets import affine_chain3
-from causal_layering.scm import scm_to_dict, scm_to_text
+from causal_layering.scm import (
+    PROFILES,
+    GeneratorConfig,
+    Pmf,
+    Scm,
+    generate_scm,
+    parse_scm,
+    scm_to_dict,
+    scm_to_text,
+)
 
 
 @pytest.fixture()
@@ -235,6 +248,21 @@ class TestBudget:
         monkeypatch.setattr(oracle, "DEFAULT_ENUMERATION_BUDGET", 4)
         assert main([*argv, "--scm", str(affine_file), "--budget", "100"]) == 0
 
+    def test_env_budget_bounds_gen(self, tmp_path, capsys, monkeypatch):
+        # gen has no --budget flag; the variable bounds its enumerations all the same
+        out = tmp_path / "g.json"
+        monkeypatch.setenv("CAUSAL_LAYERING_BUDGET", "4")
+        assert main(["gen", "--nodes", "3", "--out", str(out)]) == 1
+        assert "exceeds enumeration budget 4" in capsys.readouterr().err
+        assert not out.exists()
+        # a budget the model fits leaves the model byte for byte as it was
+        monkeypatch.setenv("CAUSAL_LAYERING_BUDGET", "1000")
+        assert main(["gen", "--nodes", "3", "--out", str(out)]) == 0
+        bounded = out.read_text()
+        monkeypatch.delenv("CAUSAL_LAYERING_BUDGET")
+        assert main(["gen", "--nodes", "3", "--out", str(out)]) == 0
+        assert out.read_text() == bounded
+
     def test_bad_env_value(self, affine_file, capsys, monkeypatch):
         monkeypatch.setenv("CAUSAL_LAYERING_BUDGET", "lots")
         code = main(["discover", "--scm", str(affine_file),
@@ -311,6 +339,18 @@ class TestMalformedModel:
          "functions.B.table[0].noise: expected an integer, got True"),
         (("functions", "A", "table", 1, "out"), "1",
          "functions.A.table[1].out: expected an integer, got '1'"),
+        # decimals are read exactly, so they must sum to exactly 1
+        (("noise", "A", "probs"), [0.1, 0.8],
+         "noise.A.probs: probabilities sum to 9/10, not 1"),
+        (("noise", "A", "probs"), "01",
+         "noise.A.probs: expected a list of probabilities, got '01'"),
+        # each would build an integer of 10**8 or 5000 digits
+        (("noise", "A", "probs"), ["1e-100000000", "1"],
+         "noise.A.probs: probability literal exceeds 1000 digits"),
+        (("noise", "A", "probs"), ["1e+100000000", "1"],
+         "noise.A.probs: probability literal exceeds 1000 digits"),
+        (("noise", "A", "probs"), ["1/" + "9" * 5000, "1"],
+         "noise.A.probs: probability literal exceeds 1000 digits"),
     ])
     def test_named_error_without_traceback(self, tmp_path, affine_chain, path, value,
                                            where, capsys):
@@ -323,9 +363,20 @@ class TestMalformedModel:
             del target[last]
         else:
             target[last] = value
+        self.assert_named_error(tmp_path, json.dumps(data), where, capsys)
+
+    def test_bare_oversized_decimal(self, tmp_path, affine_chain, capsys):
+        text = scm_to_text(affine_chain).replace('"7/8"', "1e-100000000")
+        where = "noise.A.probs: probability literal exceeds 1000 digits"
+        self.assert_named_error(tmp_path, text, where, capsys)
+
+    @staticmethod
+    def assert_named_error(tmp_path, text, where, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(data))  # NaN is written as a bare NaN literal
+        bad.write_text(text)  # json.dumps writes NaN as a bare NaN literal
+        start = time.perf_counter()
         assert main(["check", "--scm", str(bad)]) == 1
+        assert time.perf_counter() - start < 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and where in err
         assert len(err.splitlines()) == 1
@@ -390,6 +441,61 @@ class TestMutatedModel:
                     code = main(argv)
                 assert code in (0, 1, 2, 3)
                 assert "Traceback" not in err.getvalue()
+
+
+@st.composite
+def decimal_noise_models(draw) -> Scm:
+    """A generated model whose noise is redrawn over denominators 2**a * 5**b,
+    so that every probability has a finite decimal form."""
+    cfg = GeneratorConfig(nodes=draw(st.integers(1, 4)), profile=draw(st.sampled_from(PROFILES)))
+    m = generate_scm(cfg, seed=draw(st.integers(0, 10_000)))
+    noise = {}
+    for v, pmf in m.noise.items():
+        d = 2 ** draw(st.integers(0, 4)) * 5 ** draw(st.integers(0, 3))
+        k = len(pmf.support)
+        cuts = sorted(draw(st.lists(st.integers(0, d), min_size=k - 1, max_size=k - 1)))
+        weights = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, d])]
+        noise[v] = Pmf(pmf.support, tuple(Fraction(w, d) for w in weights))
+    return Scm(m.graph, noise, m.functions)
+
+
+def with_decimal_probs(m: Scm) -> str:
+    """The model's file with every probability written as a bare JSON decimal."""
+    data = scm_to_dict(m)
+    for spec in data["noise"].values():
+        spec["probs"] = [
+            "@{}@".format(Decimal(q.numerator) / Decimal(q.denominator))
+            for q in map(Fraction, spec["probs"])
+        ]
+    return re.sub(r'"@([^@]*)@"', r"\1", json.dumps(data, indent=2))
+
+
+class TestDecimalModels:
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(decimal_noise_models())
+    def test_decimals_and_fractions_give_the_same_outputs(self, m):
+        decimal_text, fraction_text = with_decimal_probs(m), scm_to_text(m)
+        assert not re.search(r'"probs": \[[^]]*"', decimal_text)  # no quoted probability
+        for text in (decimal_text, fraction_text):
+            assert parse_scm(text).noise == m.noise
+        runs = []
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, text in (("decimal", decimal_text), ("fraction", fraction_text)):
+                path = Path(tmp) / f"{name}.json"
+                path.write_text(text)
+                outputs = []
+                for argv in [["check"]] + [
+                    ["discover", "--algo", algo, "--mode", mode, "--unsafe"]
+                    for algo in ("sour", "sir") for mode in ("known", "monotone")
+                ]:
+                    out = io.StringIO()
+                    with contextlib.redirect_stdout(out), \
+                            contextlib.redirect_stderr(io.StringIO()):
+                        code = main([*argv, "--scm", str(path)])
+                    outputs.append((code, out.getvalue()))
+                runs.append(outputs)
+        assert runs[0] == runs[1]
 
 
 @pytest.fixture()

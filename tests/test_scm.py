@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 
@@ -53,15 +54,31 @@ A, B, C = 0, 1, 2
 class TestPmf:
     def test_of_coerces_strings_and_ints(self):
         p = Pmf.of((0, 1, 2), ("1/2", "1/4", "1/4"))
-        assert p.is_exact
+        assert all(type(q) is Fraction for q in p.probs)
         assert p.prob_of(0) == Fraction(1, 2)
         q = Pmf.of((0,), (1,))
         assert q.prob_of(0) == 1
 
-    def test_of_any_float_makes_all_float(self):
-        p = Pmf.of((0, 1), (0.5, Fraction(1, 2)))
-        assert not p.is_exact
-        assert p.probs == (0.5, 0.5)
+    def test_of_reads_decimals_exactly_and_refuses_floats(self):
+        p = Pmf.of((0, 1, 2), (Decimal("0.1"), "0.2", "7/10"))
+        assert p.probs == (Fraction(1, 10), Fraction(1, 5), Fraction(7, 10))
+        with pytest.raises(ValueError, match="float probability 0.5 is inexact"):
+            Pmf.of((0, 1), (0.5, Fraction(1, 2)))
+        with pytest.raises(ValueError, match="float probability 0.25 is inexact"):
+            Pmf.bernoulli(0.25)
+
+    # the CLI tests cover "1e-100000000", "1e+100000000" and a long denominator
+    @pytest.mark.parametrize("literal", [
+        "9" * 5000 + "/1", Decimal("1e-100000000"), Decimal("1" * 1001),
+    ], ids=["long-numerator", "tiny-decimal", "long-decimal"])
+    def test_of_refuses_oversized_literals(self, literal):
+        with pytest.raises(ValueError, match="literal exceeds 1000 digits"):
+            Pmf.of((0, 1), (literal, "1"))
+
+    @pytest.mark.parametrize("literal", ["abc", "1/2/3", "NaN", "-Infinity", True, None])
+    def test_of_refuses_other_literals(self, literal):
+        with pytest.raises(ValueError, match="invalid probability|finite|Invalid literal"):
+            Pmf.of((0, 1), (literal, "1"))
 
     def test_from_weights(self):
         p = Pmf.from_weights((3, 5), (1, 3))
@@ -91,8 +108,10 @@ class TestPmf:
             Pmf.of((0, 1), probs)
 
     def test_rejects_mixed_types_in_raw_constructor(self):
-        with pytest.raises(TypeError, match="all Fraction or all float"):
+        with pytest.raises(TypeError, match="probs must be Fractions"):
             Pmf((0, 1), (Fraction(1, 2), 0.5))
+        with pytest.raises(TypeError, match="probs must be Fractions"):
+            Pmf((0, 1), (0.5, 0.5))
 
     def test_positive_support_drops_zero_mass(self):
         p = Pmf.of((0, 1, 2), ("1/2", "0", "1/2"))
@@ -394,10 +413,8 @@ class TestAssumptionChecks:
     @given(st.data())
     def test_faithfulness_matches_the_reference_on_random_models(self, data):
         m = data.draw(random_models())
-        if data.draw(st.booleans()):  # the same model with float noise
-            noise = {v: Pmf(p.support, tuple(float(q) for q in p.probs))
-                     for v, p in m.noise.items()}
-            m = Scm(m.graph, noise, m.functions)
+        if data.draw(st.booleans()):  # the same model read back from its file
+            m = parse_scm(scm_to_text(m))
         self.assert_faithfulness_matches_the_reference(m)
 
     def test_faithfulness_matches_the_reference_on_generator_candidates(self, monkeypatch):
@@ -602,13 +619,16 @@ class TestSerialization:
         with pytest.raises(ValueError, match="no noise entry"):
             scm_from_dict(data)
 
-    def test_float_probabilities_survive(self):
+    def test_decimal_probabilities_are_read_exactly(self):
         g = Dag.of("A")
-        m = Scm(g, {0: Pmf.of((0, 1), (0.25, 0.75))},
+        m = Scm(g, {0: Pmf.of((0, 1), ("1/10", "9/10"))},
                 {0: StructuralTable((), {(0,): 0, (1,): 1})})
-        back = parse_scm(scm_to_text(m))
-        assert back.noise[0].probs == (0.25, 0.75)
-        assert not back.noise[0].is_exact
+        text = scm_to_text(m)
+        back = parse_scm(text.replace('"1/10"', "0.1").replace('"9/10"', "0.90"))
+        assert back.noise[0].probs == (Fraction(1, 10), Fraction(9, 10))
+        assert scm_to_text(back) == text
+        with pytest.raises(ValueError, match="noise.A.probs: probabilities sum to 9/10, not 1"):
+            parse_scm(text.replace('"1/10"', "0.1").replace('"9/10"', "0.8"))
 
 
 class TestXorModel:

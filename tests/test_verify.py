@@ -9,7 +9,6 @@ from causal_layering.discovery import (
     DiscoveryResult,
     IterationTrace,
     KnownNoiseEntropy,
-    MonotoneEntropy,
     sir_discover,
     sour_discover,
 )
@@ -33,7 +32,6 @@ from causal_layering.verify import (
     check_entropy_bounds,
     check_noise_independence,
     classify_bound_case,
-    known_mode_exact,
     render_bound_report,
     render_independence_report,
 )
@@ -283,10 +281,6 @@ class TestCallBound:
         result = DiscoveryResult(Layering.of([[0]]), 6, ())
         assert check_call_bound(result, 3)
         assert not check_call_bound(DiscoveryResult(Layering.of([[0]]), 7, ()), 3)
-
-    def test_known_mode_exact_flag(self):
-        assert known_mode_exact(KnownNoiseEntropy({0: 1.0}))
-        assert not known_mode_exact(MonotoneEntropy())
 
 
 class TestRendering:
