@@ -8,11 +8,11 @@ final logarithm. Entropies are in bits throughout.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from itertools import product
-from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .graph import NodeId
@@ -27,15 +27,49 @@ class EnumerationBudgetError(RuntimeError):
     """The noise-tuple product is too large to enumerate."""
 
 
+# The float formula in ``JointTable.entropy_bits`` sums w * log2(w) <= d * log2(d);
+# below this many bits of d that sum stays far inside float range.
+_FLOAT_SAFE_BITS = 1000
+
+# One variable's bit field in a packed key: (shift, mask, sorted alphabet).
+_Field = tuple[int, int, tuple[int, ...]]
+
+
+def _layout(alphabets: Sequence[tuple[int, ...]]) -> tuple[_Field, ...]:
+    """Bit fields for assignments over sorted ``alphabets``, one per variable.
+
+    A value is stored as its index in its variable's alphabet, in a field of
+    ``max(1, (len(alphabet) - 1).bit_length())`` bits. The first variable
+    takes the highest field, so packed keys sort as their decoded tuples do.
+    """
+    fields: list[_Field] = []
+    shift = 0
+    for alphabet in reversed(alphabets):
+        width = max(1, (len(alphabet) - 1).bit_length())
+        fields.append((shift, (1 << width) - 1, alphabet))
+        shift += width
+    return tuple(reversed(fields))
+
+
+def _codes(field: _Field) -> dict[int, int]:
+    """Each value of a field's alphabet -> its index, shifted into place."""
+    shift, _, alphabet = field
+    return {x: i << shift for i, x in enumerate(alphabet)}
+
+
 class JointTable:
     """A finite joint distribution over integer-valued variables.
 
     Entries map full assignments (tuples aligned with ``variables``) to
     positive probabilities; zero-mass assignments are omitted. Each entry is
     an integer weight over the one positive integer denominator.
+
+    Internally each assignment is one packed ``int`` (see ``_layout``), so a
+    projection is a bit mask per row. A derived table keeps its parent's
+    fields, so nested projections mask the same keys.
     """
 
-    __slots__ = ("_variables", "_labels", "_weights", "_denom")
+    __slots__ = ("_variables", "_labels", "_weights", "_denom", "_fields")
 
     def __init__(
         self,
@@ -62,11 +96,20 @@ class JointTable:
                 raise ValueError(f"negative probability mass at {key}")
             if w:
                 clean[tuple(int(x) for x in key)] = w
-        self._weights = clean
-        self._denom = denom
         total = sum(clean.values())
         if total != denom:
             raise ValueError(f"probabilities sum to {total}/{denom}, not 1")
+        alphabets = [tuple(sorted(set(column))) for column in zip(*clean)]
+        self._fields = _layout(alphabets)
+        codes = [_codes(field) for field in self._fields]
+        packed: dict[int, int] = {}
+        for key, w in clean.items():
+            k = 0
+            for code, x in zip(codes, key):
+                k |= code[x]
+            packed[k] = w
+        self._weights = packed
+        self._denom = denom
 
     @property
     def variables(self) -> tuple[NodeId, ...]:
@@ -80,19 +123,34 @@ class JointTable:
         return len(self._weights)
 
     def prob(self, assignment: tuple[int, ...]) -> Fraction:
-        return Fraction(self._weights.get(tuple(assignment), 0), self._denom)
+        assignment = tuple(assignment)
+        if len(assignment) != len(self._fields):
+            return Fraction(0)
+        key = 0
+        for (shift, _, alphabet), x in zip(self._fields, assignment):
+            i = bisect_left(alphabet, x)
+            if i == len(alphabet) or alphabet[i] != x:
+                return Fraction(0)
+            key |= i << shift
+        return Fraction(self._weights.get(key, 0), self._denom)
 
     def items(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Entries sorted by assignment, probabilities as Fractions."""
-        return [(key, self.prob(key)) for key in sorted(self._weights)]
+        fields, d = self._fields, self._denom
+        return [
+            (tuple(alphabet[(key >> shift) & mask] for shift, mask, alphabet in fields),
+             Fraction(w, d))
+            for key, w in sorted(self._weights.items())
+        ]
 
     @classmethod
     def _derived(
         cls,
         variables: tuple[NodeId, ...],
         labels: tuple[str, ...],
-        weights: dict[tuple[int, ...], int],
+        weights: dict[int, int],
         denom: int,
+        fields: tuple[_Field, ...],
     ) -> JointTable:
         """A table whose integer weights are positive and sum to ``denom``
         by construction, so nothing needs checking again: a
@@ -103,6 +161,7 @@ class JointTable:
         table._labels = labels
         table._weights = weights
         table._denom = denom
+        table._fields = fields
         return table
 
     def marginal(self, keep: Iterable[NodeId]) -> JointTable:
@@ -113,32 +172,37 @@ class JointTable:
         idx = [i for i, v in enumerate(self._variables) if v in keep_set]
         if len(idx) == len(self._variables):
             return self
-        out: dict = {}
-        if idx:
-            project = itemgetter(*idx)
-            for key, w in self._weights.items():
-                sub = project(key)
-                out[sub] = out.get(sub, 0) + w
-            if len(idx) == 1:  # itemgetter of one index returns the bare value
-                out = {(k,): w for k, w in out.items()}
-        else:
-            out[()] = sum(self._weights.values())
+        fields = tuple(self._fields[i] for i in idx)
+        keep_mask = 0
+        for shift, mask, _ in fields:
+            keep_mask |= mask << shift
+        out: dict[int, int] = {}
+        get = out.get
+        for key, w in self._weights.items():
+            key &= keep_mask
+            out[key] = get(key, 0) + w
         return JointTable._derived(
             tuple(self._variables[i] for i in idx),
             tuple(self._labels[i] for i in idx),
             out,
             self._denom,
+            fields,
         )
 
     def entropy_bits(self) -> float:
         """Shannon entropy of the full table, in bits; 0 log 0 counts as 0.
 
         The terms are summed with ``math.fsum``, so the result depends only on
-        the multiset of weights, not on the order the table was built in.
+        the multiset of weights, not on the order the table was built in. A
+        denominator past float range takes each term from ``w / d`` and the
+        big-int ``math.log2`` instead of from w * log2(w).
         """
         d = self._denom
-        acc = math.fsum(w * math.log2(w) for w in self._weights.values())
-        return math.log2(d) - acc / d
+        if d.bit_length() <= _FLOAT_SAFE_BITS:
+            acc = math.fsum(w * math.log2(w) for w in self._weights.values())
+            return math.log2(d) - acc / d
+        log_d = math.log2(d)
+        return math.fsum(w / d * (log_d - math.log2(w)) for w in self._weights.values())
 
 
 def joint_distribution(
@@ -151,6 +215,11 @@ def joint_distribution(
     The enumeration size is the product of noise support sizes, capped by
     ``budget`` (default 2**24). With ``include_noise`` the table also covers
     the noise variables, under the ids given by ``scm.noise_node``.
+
+    Partial states are extended one node at a time in topological order:
+    each node's step maps its parents' packed field values to the bits and
+    weight of each positive-weight noise value, so no node is evaluated
+    twice for the same prefix. The last step sums straight into the table.
     """
     cap = DEFAULT_ENUMERATION_BUDGET if budget is None else budget
     nodes = sorted(scm.graph.nodes)
@@ -164,41 +233,56 @@ def joint_distribution(
 
     variables = list(nodes)
     labels = [scm.graph.label(v) for v in nodes]
+    alphabets = [scm.alphabets[v] for v in nodes]
     if include_noise:
         variables += [scm.noise_node(v) for v in nodes]
         labels += [scm.noise_label(v) for v in nodes]
+        alphabets += [tuple(sorted(scm.noise[v].support)) for v in nodes]
+    fields = dict(zip(variables, _layout(alphabets)))
 
-    topo = scm.topological_order
-    pmfs = [scm.noise[v] for v in topo]
-    supports = [p.support for p in pmfs]
-    denoms = [math.lcm(*(q.denominator for q in p.probs)) for p in pmfs]
-    weights_per_node = [
-        tuple(q.numerator * (d // q.denominator) for q in p.probs)
-        for p, d in zip(pmfs, denoms)
-    ]
+    steps: list[tuple[int, dict[int, tuple[tuple[int, int], ...]]]] = []
+    denoms = []
+    for v in scm.topological_order:
+        pmf, table = scm.noise[v], scm.functions[v]
+        d = math.lcm(*(q.denominator for q in pmf.probs))
+        denoms.append(d)
+        code = _codes(fields[v])
+        u_code = _codes(fields[scm.noise_node(v)]) if include_noise else {}
+        noise = []
+        for u, q in zip(pmf.support, pmf.probs):
+            w = q.numerator * (d // q.denominator)
+            if w:  # a zero weight drops the choice
+                noise.append((u, w, u_code.get(u, 0)))
+        parents = [fields[p] for p in table.parent_order]
+        parent_mask = 0
+        for p_shift, mask, _ in parents:
+            parent_mask |= mask << p_shift
+        choices = {}
+        for combo in product(*(_codes(field).items() for field in parents)):
+            parent_vals = tuple(x for x, _ in combo)
+            choices[sum(bits for _, bits in combo)] = tuple(
+                (code[table.entries[(*parent_vals, u)]] | u_bits, w) for u, w, u_bits in noise
+            )
+        steps.append((parent_mask, choices))
 
-    tables = [scm.functions[v] for v in topo]
-    acc: dict[tuple[int, ...], int] = {}
-    for picks in product(*(range(len(s)) for s in supports)):
-        w = 1
-        for node_w, i in zip(weights_per_node, picks):
-            w *= node_w[i]
-        if not w:
-            continue
-        values: dict[int, int] = {}
-        noise_values: dict[int, int] = {}
-        for v, table, sup, i in zip(topo, tables, supports, picks):
-            u = sup[i]
-            noise_values[v] = u
-            parent_vals = tuple(values[p] for p in table.parent_order)
-            values[v] = table.entries[(*parent_vals, u)]
-        key = tuple(values[v] for v in nodes)
-        if include_noise:
-            key += tuple(noise_values[v] for v in nodes)
-        prev = acc.get(key)
-        acc[key] = w if prev is None else prev + w
+    if not steps:  # a model without nodes has one empty assignment
+        return JointTable._derived((), (), {0: 1}, 1, ())
+    states = [(0, 1)]
+    for parent_mask, choices in steps[:-1]:
+        states = [
+            (key | bits, w * nw) for key, w in states for bits, nw in choices[key & parent_mask]
+        ]
+    acc: dict[int, int] = {}
+    get = acc.get
+    parent_mask, choices = steps[-1]
+    for key, w in states:
+        for bits, nw in choices[key & parent_mask]:
+            bits |= key
+            acc[bits] = get(bits, 0) + w * nw
     # the products of each node's numerators sum to the product of its denominators
-    return JointTable._derived(tuple(variables), tuple(labels), acc, math.prod(denoms))
+    return JointTable._derived(
+        tuple(variables), tuple(labels), acc, math.prod(denoms), tuple(fields.values())
+    )
 
 
 def empirical_joint(dataset: "Dataset") -> JointTable:

@@ -32,7 +32,8 @@ from .graph import (
 # A "p/q" literal longer than this, or a decimal whose numerator or denominator
 # would have more digits, is refused before it becomes a Fraction:
 # "1e-100000000" alone would otherwise build a hundred-million-digit integer.
-# Python's own int-string limit is no guard: 3.10.0-3.10.6 lack it.
+# A bare JSON integer with more digits is refused too. Python's own int-string
+# limit is no guard: 3.10.0-3.10.6 lack it, and its error names no JSON path.
 _MAX_LITERAL_DIGITS = 1000
 
 
@@ -876,7 +877,20 @@ class _JsonDecimal(Decimal):
     __repr__ = Decimal.__str__
 
 
+class _JsonBigInt(_JsonDecimal):
+    """A JSON integer over the literal bound, kept as written so that the
+    field that reads it can fail with its JSON path."""
+
+
+def _parse_json_int(literal: str) -> int | _JsonBigInt:
+    if len(literal.lstrip("-")) > _MAX_LITERAL_DIGITS:
+        return _JsonBigInt(literal)
+    return int(literal)
+
+
 def _json_int(raw) -> int:
+    if isinstance(raw, _JsonBigInt):
+        raise ValueError(f"integer literal exceeds {_MAX_LITERAL_DIGITS} digits")
     # a float, a string or a bool would otherwise coerce into a different model
     if type(raw) is not int:
         raise ValueError(f"expected an integer, got {raw!r}")
@@ -996,9 +1010,10 @@ def scm_from_dict(data: dict) -> Scm:
 
 
 def parse_scm(text: str) -> Scm:
-    """Read an SCM file; a JSON decimal such as ``0.1`` is read exactly (1/10)."""
+    """Read an SCM file; a JSON decimal such as ``0.1`` is read exactly (1/10).
+    A bare integer, like a probability literal, is bounded to 1000 digits."""
     try:
-        data = json.loads(text, parse_float=_JsonDecimal)
+        data = json.loads(text, parse_float=_JsonDecimal, parse_int=_parse_json_int)
     except json.JSONDecodeError as exc:
         raise ValueError(f"SCM file is not valid JSON: {exc}") from None
     if not isinstance(data, dict):

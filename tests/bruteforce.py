@@ -3,9 +3,10 @@
 Everything here is written the slow, obvious way on purpose: float
 probabilities accumulated in dicts, d-separation by enumerating every
 simple path. Agreement with the fast implementations is the test. The
-peeling loops, injectivity scans, case lists and faithfulness check at
-the end are the package's earlier separate implementations, kept as
-references for the shared or faster code that replaced them.
+exact projection and per-tuple enumeration, the peeling loops, injectivity
+scans, case lists and faithfulness check are the package's earlier separate
+implementations, kept as references for the shared or faster code that
+replaced them.
 """
 
 from __future__ import annotations
@@ -52,17 +53,61 @@ def entropy(joint: dict[tuple, float], keep: tuple[int, ...]) -> float:
 def marginal(table: JointTable, keep) -> JointTable:
     """Project a JointTable the first way the package did: a tuple built per
     key by a generator, summed into a dict, and the result passed back
-    through the validating public constructor."""
+    through the validating public constructor. It reads the table through
+    ``items()`` only, over the rows' least common denominator."""
     keep_set = {int(v) for v in keep}
     kept = tuple(v for v in table.variables if v in keep_set)
     idx = tuple(table.variables.index(v) for v in kept)
+    rows = table.items()
+    denom = math.lcm(*(p.denominator for _, p in rows))
     out: dict[tuple[int, ...], int] = {}
-    for key, w in table._weights.items():
+    for key, p in rows:
         sub = tuple(key[i] for i in idx)
+        w = p.numerator * (denom // p.denominator)
         prev = out.get(sub)
         out[sub] = w if prev is None else prev + w
     labels = tuple(table.labels[i] for i in idx)
-    return JointTable(kept, labels, out, table._denom)
+    return JointTable(kept, labels, out, denom)
+
+
+def joint_distribution(scm, include_noise: bool = False) -> JointTable:
+    """Exact joint table the way the package first enumerated it: every
+    noise tuple evaluated through every node, keys as value tuples, and the
+    result passed through the validating public constructor."""
+    nodes = sorted(scm.graph.nodes)
+    variables = list(nodes)
+    labels = [scm.graph.label(v) for v in nodes]
+    if include_noise:
+        variables += [scm.noise_node(v) for v in nodes]
+        labels += [scm.noise_label(v) for v in nodes]
+    topo = scm.topological_order
+    pmfs = [scm.noise[v] for v in topo]
+    supports = [p.support for p in pmfs]
+    denoms = [math.lcm(*(q.denominator for q in p.probs)) for p in pmfs]
+    weights_per_node = [
+        tuple(q.numerator * (d // q.denominator) for q in p.probs)
+        for p, d in zip(pmfs, denoms)
+    ]
+    tables = [scm.functions[v] for v in topo]
+    acc: dict[tuple[int, ...], int] = {}
+    for picks in product(*(range(len(s)) for s in supports)):
+        w = 1
+        for node_w, i in zip(weights_per_node, picks):
+            w *= node_w[i]
+        if not w:
+            continue
+        values: dict[int, int] = {}
+        noise_values: dict[int, int] = {}
+        for v, table, sup, i in zip(topo, tables, supports, picks):
+            u = sup[i]
+            noise_values[v] = u
+            parent_vals = tuple(values[p] for p in table.parent_order)
+            values[v] = table.entries[(*parent_vals, u)]
+        key = tuple(values[v] for v in nodes)
+        if include_noise:
+            key += tuple(noise_values[v] for v in nodes)
+        acc[key] = acc.get(key, 0) + w
+    return JointTable(variables, labels, acc, math.prod(denoms))
 
 
 def cond_entropy(joint: dict[tuple, float], target: tuple[int, ...],

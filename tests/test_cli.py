@@ -315,6 +315,25 @@ class TestCheck:
         assert main(["check", "--scm", str(affine_file), "--empirical", "500"]) == 0
         assert "sampled rows (diagnostic)" in capsys.readouterr().out
 
+    def test_denominator_past_float_range(self, tmp_path, capsys):
+        # B's noise has 400-digit literals, so the joint table's denominator
+        # passes 2**1024 and its weights no longer convert to floats
+        corpus = Path(__file__).resolve().parents[1] / "perfbench" / "corpus"
+        data = json.loads((corpus / "plus_one_weak_n6_s12.json").read_text())
+        data["noise"]["B"]["probs"] = [f"{10**400 - 1}/{10**400}", f"1/{10**400}"]
+        path = tmp_path / "tiny_noise.json"
+        path.write_text(json.dumps(data))
+        assert main(["check", "--scm", str(path)]) in (0, 3)
+        captured = capsys.readouterr()
+        assert "== entropy bounds ==" in captured.out
+        assert "== discovery ==" in captured.out
+        assert re.search(r"^overall: (PASS|FAIL)$", captured.out, re.M)
+        assert captured.err == ""
+
+
+class RawJson(str):
+    """A literal written into the model file as is, not as a JSON string."""
+
 
 class TestMalformedModel:
     @pytest.mark.parametrize("path, value, where", [
@@ -351,6 +370,12 @@ class TestMalformedModel:
          "noise.A.probs: probability literal exceeds 1000 digits"),
         (("noise", "A", "probs"), ["1/" + "9" * 5000, "1"],
          "noise.A.probs: probability literal exceeds 1000 digits"),
+        # bare JSON integers past 1000 digits, in a probability and in an
+        # integer field; Python's own int-string limit names no path
+        (("noise", "A", "probs", 0), RawJson("9" * 5001),
+         "noise.A.probs: probability literal exceeds 1000 digits"),
+        (("functions", "C", "table", 0, "out"), RawJson("-" + "9" * 1001),
+         "functions.C.table[0].out: integer literal exceeds 1000 digits"),
     ])
     def test_named_error_without_traceback(self, tmp_path, affine_chain, path, value,
                                            where, capsys):
@@ -363,7 +388,10 @@ class TestMalformedModel:
             del target[last]
         else:
             target[last] = value
-        self.assert_named_error(tmp_path, json.dumps(data), where, capsys)
+        text = json.dumps(data)
+        if isinstance(value, RawJson):
+            text = text.replace(json.dumps(value), value)
+        self.assert_named_error(tmp_path, text, where, capsys)
 
     def test_bare_oversized_decimal(self, tmp_path, affine_chain, capsys):
         text = scm_to_text(affine_chain).replace('"7/8"', "1e-100000000")

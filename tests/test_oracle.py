@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -13,10 +14,21 @@ from causal_layering.oracle import (
     joint_distribution,
     render_joint_table,
 )
-from causal_layering.scm import Dataset, GeneratorConfig, generate_scm, noise_entropy
+from causal_layering.graph import Dag
+from causal_layering.scm import (
+    PROFILES,
+    Dataset,
+    GeneratorConfig,
+    Pmf,
+    Scm,
+    StructuralTable,
+    generate_scm,
+    noise_entropy,
+)
 
 from bruteforce import cond_entropy as bf_cond_entropy
 from bruteforce import entropy as bf_entropy
+from bruteforce import joint_distribution as bf_joint_distribution
 from bruteforce import joint_probs
 from bruteforce import marginal as bf_marginal
 
@@ -114,6 +126,36 @@ class TestJointTable:
     def test_render_sorted_rows(self):
         text = render_joint_table(exact_pair())
         assert text == "X=0,Y=0 : 1/2\nX=0,Y=1 : 1/4\nX=1,Y=1 : 1/4\n"
+
+    def test_negative_and_huge_values_round_trip(self):
+        big = 10**30
+        weights = {(-5, big, 0): 3, (-5, -big, 1): 1, (7, big, 1): 2, (0, 0, -1): 2}
+        t = JointTable((4, 1, 9), ("X", "Y", "Z"), weights, 8)
+        assert t.items() == sorted((key, Fraction(w, 8)) for key, w in weights.items())
+        for key, w in weights.items():
+            assert t.prob(key) == Fraction(w, 8)
+        yz = t.marginal({1, 9})
+        assert yz.items() == [((-big, 1), Fraction(1, 8)), ((0, -1), Fraction(2, 8)),
+                              ((big, 0), Fraction(3, 8)), ((big, 1), Fraction(2, 8))]
+        y = yz.marginal({1})
+        assert y.items() == [((-big,), Fraction(1, 8)), ((0,), Fraction(2, 8)),
+                             ((big,), Fraction(5, 8))]
+        assert y.prob((big,)) == Fraction(5, 8) and y.prob((-big,)) == Fraction(1, 8)
+        assert y.entropy_bits() == t.marginal({1}).entropy_bits()
+
+    def test_prob_outside_the_alphabet_is_zero(self):
+        t = exact_pair()
+        for key in [(2, 0), (0, -1), (-1, 1), (10**30, 0), (0,), (0, 0, 0)]:
+            assert t.prob(key) == 0
+        assert t.marginal({1}).prob((5,)) == 0
+
+    def test_entropy_past_float_range(self):
+        d = 10**400  # w * log2(w) would overflow a float
+        t = JointTable((0,), ("X",), {(0,): d // 2, (1,): d // 4, (2,): d // 4}, d)
+        assert t.entropy_bits() == pytest.approx(1.5, abs=1e-12)
+        assert t.marginal(()).entropy_bits() == 0.0
+        skew = JointTable((0,), ("X",), {(0,): d - 1, (1,): 1}, d)
+        assert skew.entropy_bits() == pytest.approx(0.0, abs=1e-12)
 
 
 @st.composite
@@ -234,11 +276,53 @@ class TestJointDistribution:
         for m in models:
             for include_noise in (False, True):
                 t = joint_distribution(m, include_noise=include_noise)
-                checked = JointTable(t.variables, t.labels, t._weights, t._denom)
+                rows = t.items()
+                denom = math.lcm(*(p.denominator for _, p in rows))
+                weights = {key: p.numerator * (denom // p.denominator) for key, p in rows}
+                checked = JointTable(t.variables, t.labels, weights, denom)
                 assert (t.variables, t.labels, t.items()) == (
                     checked.variables, checked.labels, checked.items())
-                assert sum(t._weights.values()) == t._denom
-                assert all(w > 0 for w in t._weights.values())
+                assert sum(p for _, p in rows) == 1
+                assert all(p > 0 for _, p in rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(PROFILES), st.integers(1, 6), st.integers(0, 10_000),
+           st.booleans())
+    def test_matches_the_per_tuple_reference(self, profile, n, seed, include_noise):
+        m = generate_scm(GeneratorConfig(nodes=n, profile=profile), seed=seed)
+        t = joint_distribution(m, include_noise=include_noise)
+        ref = bf_joint_distribution(m, include_noise=include_noise)
+        assert (t.variables, t.labels, t.items()) == (ref.variables, ref.labels, ref.items())
+
+    @pytest.mark.parametrize("include_noise", [False, True])
+    def test_zero_mass_and_non_injective_noise_match_the_reference(self, include_noise):
+        big = 10**30
+        g = Dag.of("ABC", [("A", "B"), ("A", "C"), ("B", "C")])
+        noise = {
+            0: Pmf.of((0, 1, 2), ("1/2", "0", "1/2")),  # A=10**30 has zero mass
+            1: Pmf.of((0, 1, 2), ("1/3", "1/3", "1/3")),  # B folds u=0 and u=2
+            2: Pmf.of((-1, 1), ("1/4", "3/4")),  # C is constant whenever B=0
+        }
+        f_a = {(0,): -3, (1,): big, (2,): 5}
+        functions = {
+            0: StructuralTable((), f_a),
+            1: StructuralTable((0,), {(a, u): (a + u) % 2 for a in f_a.values() for u in range(3)}),
+            2: StructuralTable((0, 1), {(a, b, u): b * u for a in f_a.values() for b in (0, 1)
+                                        for u in (-1, 1)}),
+        }
+        m = Scm(g, noise, functions)
+        t = joint_distribution(m, include_noise=include_noise)
+        ref = bf_joint_distribution(m, include_noise=include_noise)
+        assert (t.variables, t.labels, t.items()) == (ref.variables, ref.labels, ref.items())
+        assert all(key[0] != big for key, _ in t.items())
+        assert t.entropy_bits() == ref.entropy_bits()
+
+    def test_render_affine_chain(self, affine_chain):
+        assert render_joint_table(joint_distribution(affine_chain)) == (
+            "A=0,B=0,C=0 : 21/64\nA=0,B=0,C=4 : 21/64\nA=0,B=2,C=2 : 7/64\n"
+            "A=0,B=2,C=6 : 7/64\nA=1,B=1,C=1 : 3/64\nA=1,B=1,C=5 : 3/64\n"
+            "A=1,B=3,C=3 : 1/64\nA=1,B=3,C=7 : 1/64\n"
+        )
 
     def test_agrees_with_forward_simulation(self):
         for seed in range(6):
