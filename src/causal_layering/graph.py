@@ -27,7 +27,7 @@ class Dag:
     ids (residual graphs keep the registry of the graph they came from).
     """
 
-    __slots__ = ("_labels", "_nodes", "_edges", "_parents", "_children", "_id_of")
+    __slots__ = ("_labels", "_nodes", "_edges", "_parents", "_children", "_id_of", "_bits")
 
     def __init__(
         self,
@@ -61,9 +61,13 @@ class Dag:
 
         parents: dict[int, set[int]] = {v: set() for v in self._nodes}
         children: dict[int, set[int]] = {v: set() for v in self._nodes}
+        pbits, cbits = [0] * len(self._labels), [0] * len(self._labels)
         for u, v in self._edges:
             children[u].add(v)
             parents[v].add(u)
+            cbits[u] |= 1 << v
+            pbits[v] |= 1 << u
+        self._bits = (tuple(pbits), tuple(cbits))  # by id: bit u per parent / child u
         self._parents = {v: frozenset(s) for v, s in parents.items()}
         self._children = {v: frozenset(s) for v, s in children.items()}
         self.topological_order()  # raises CycleError on a cycle
@@ -289,16 +293,7 @@ def d_connected(
     g: Dag, xs: Iterable[NodeId], zs: Iterable[NodeId] = ()
 ) -> frozenset[NodeId]:
     """The nodes outside ``xs`` and ``zs`` that are d-connected to some node
-    of ``xs`` given ``zs``.
-
-    Linear-time reachability sweep over (node, entry-direction) states, by
-    the Bayes-ball rules (Shachter 1998): an unconditioned node passes a
-    ball from a child to its parents and children, and one from a parent to
-    its children; a conditioned node bounces a ball from a parent back to
-    its parents and blocks one from a child. A collider with a conditioned
-    descendant is open because the ball runs down to that descendant and
-    bounces back up.
-    """
+    of ``xs`` given ``zs``; ``d_connected_bits`` on node sets."""
     xs = frozenset(int(v) for v in xs)
     zs = frozenset(int(v) for v in zs)
     if not xs:
@@ -307,24 +302,40 @@ def d_connected(
         g._require(v)
     if xs & zs:
         raise ValueError("endpoint and conditioning sets must be disjoint")
-    parents, children = g._parents, g._children
-    UP, DOWN = 0, 1  # UP: entered against an edge (from a child); DOWN: from a parent
-    stack = [(x, UP) for x in xs]
-    visited: set[tuple[int, int]] = set()
-    while stack:
-        state = stack.pop()
-        if state in visited:
-            continue
-        visited.add(state)
-        v, direction = state
-        if v in zs:
-            if direction == DOWN:
-                stack.extend((p, UP) for p in parents[v])
-        else:
-            if direction == UP:
-                stack.extend((p, UP) for p in parents[v])
-            stack.extend((c, DOWN) for c in children[v])
-    return frozenset(v for v, _ in visited) - xs - zs
+    found = d_connected_bits(g, sum(1 << v for v in xs), sum(1 << v for v in zs))
+    return frozenset(v for v in g.nodes if found >> v & 1)
+
+
+def d_connected_bits(g: Dag, xs: int, zs: int = 0) -> int:
+    """``d_connected`` on bit masks (bit v for node v), unchecked.
+
+    Linear-time reachability sweep by the Bayes-ball rules (Shachter 1998),
+    one frontier mask per entry direction: an unconditioned node passes a
+    ball from a child to its parents and children, and one from a parent to
+    its children; a conditioned node bounces a ball from a parent back to
+    its parents and blocks one from a child. A collider with a conditioned
+    descendant is open because the ball runs down to that descendant and
+    bounces back up.
+    """
+    parents, children = g._bits
+    up, down = new_up, new_down = xs, 0  # entered from a child / from a parent
+    while new_up or new_down:
+        passing = new_up & ~zs
+        to_parents, to_children = passing | new_down & zs, passing | new_down & ~zs
+        new_up = new_down = 0
+        while to_parents:
+            b = to_parents & -to_parents
+            to_parents ^= b
+            new_up |= parents[b.bit_length() - 1]
+        while to_children:
+            b = to_children & -to_children
+            to_children ^= b
+            new_down |= children[b.bit_length() - 1]
+        new_up &= ~up
+        new_down &= ~down
+        up |= new_up
+        down |= new_down
+    return (up | down) & ~(xs | zs)
 
 
 # --- removal-based layering ------------------------------------------------

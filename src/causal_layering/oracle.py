@@ -305,19 +305,21 @@ def render_joint_table(table: JointTable) -> str:
 class EntropyOracle:
     """Conditional-entropy and independence queries over one joint table.
 
-    Marginal entropies are memoized per variable set. The oracle also keeps
-    one slot, the last marginal it projected from the full table: a set
-    inside the slot's variables is projected from the slot instead. Queries
+    Marginal entropies are memoized per variable set. A miss is projected
+    from the top table of a chain that covers it, and replaces the tables
+    above it: each table's variables are a strict subset of those below it,
+    the full table at the bottom, so at most ``len(variables) + 1``. Queries
     that look up their largest set first (as ``cond_entropy`` and
-    ``mutual_information`` do) then scan the full table once each. The
-    oracle is single-threaded: cache and slot are plain attributes.
+    ``mutual_information`` do) scan the full table once each; looking up each
+    set before its subsets projects it from a table with one more variable.
+    The oracle is single-threaded.
     """
 
     def __init__(self, table: JointTable):
         self._table = table
         self._scope = frozenset(table.variables)
         self._cache: dict[frozenset[int], float] = {}
-        self._slot: tuple[frozenset[int], JointTable] | None = None
+        self._chain: list[tuple[frozenset[int], JointTable]] = [(self._scope, table)]
 
     @property
     def variables(self) -> tuple[NodeId, ...]:
@@ -333,12 +335,14 @@ class EntropyOracle:
             raise ValueError(f"unknown variables {sorted(key - self._scope)}")
         value = self._cache.get(key)
         if value is None:
-            slot = self._slot
-            source = slot[1] if slot is not None and key <= slot[0] else self._table
+            chain = self._chain
+            while not key <= chain[-1][0]:
+                chain.pop()
+            scope, source = chain[-1]
             table = source.marginal(key)
             value = self._cache[key] = table.entropy_bits()
-            if source is self._table:
-                self._slot = (key, table)
+            if key != scope:
+                chain.append((key, table))
         return value
 
     def cond_entropy(

@@ -24,7 +24,7 @@ from . import oracle as _oracle
 from .graph import (
     Dag,
     NodeId,
-    d_connected,
+    d_connected_bits,
     d_separated,  # noqa: F401  perfbench/test_perfbench.py traces this binding
 )
 
@@ -63,6 +63,15 @@ def _exact(p: Fraction | Decimal | int | str) -> Fraction:
     if len(digits) + abs(exponent) > _MAX_LITERAL_DIGITS:
         raise ValueError(f"probability literal exceeds {_MAX_LITERAL_DIGITS} digits")
     return Fraction(p)
+
+
+def _entropy_bits(probs: Iterable[float]) -> float:
+    """Entropy in bits of float probabilities, summed in order."""
+    acc = 0.0
+    for q in probs:
+        if q > 0.0:
+            acc -= q * math.log2(q)
+    return acc
 
 
 @dataclass(frozen=True)
@@ -115,12 +124,7 @@ class Pmf:
         return Fraction(0)
 
     def entropy_bits(self) -> float:
-        acc = 0.0
-        for p in self.probs:
-            q = float(p)
-            if q > 0.0:
-                acc -= q * math.log2(q)
-        return acc
+        return _entropy_bits(float(p) for p in self.probs)
 
     def sample(self, rng: random.Random) -> int:
         r = rng.random()
@@ -424,6 +428,17 @@ def _faithfulness_probes(n: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(out)
 
 
+def _subsets_top_down(n: int):
+    """Every subset mask of n nodes, depth first from the full set: each
+    comes after its parent, itself plus the highest node it lacks, and a set
+    without node k before one with it."""
+    stack = [((1 << n) - 1, 0)]
+    while stack:
+        mask, k = stack.pop()
+        yield mask
+        stack.extend((mask ^ 1 << j, j + 1) for j in range(n - 1, k - 1, -1) if mask >> j & 1)
+
+
 def check_faithfulness(
     m: Scm, oracle: _oracle.EntropyOracle, first_witness: bool = False
 ) -> AssumptionReport:
@@ -431,36 +446,33 @@ def check_faithfulness(
 
     ``oracle`` must cover the graph's nodes, as ``Assumptions.oracle()``
     does. Exhaustive over all disjoint X, Y, S triples up to six nodes;
-    beyond that only singleton X, Y pairs are checked and the report says
-    so. The ``detail`` strings ("exhaustive triples", "singleton pairs
-    only") stay byte for byte as they are: ``gen`` writes them into its
-    sidecar, whose recorded digests must not move for the same flags and
-    seed. An independence where the graph is d-connected is a violation; the
-    converse would mean broken arithmetic and raises. With ``first_witness``
-    the check stops at the first violation, which is the first witness of
-    the full check; the probes after it are not run, so neither is the
-    broken-arithmetic check on them.
+    beyond that singleton X, Y pairs only, and ``detail`` says which (``gen``
+    writes it into its sidecar, so it stays byte for byte). An independence
+    where the graph is d-connected is a violation; the converse means broken
+    arithmetic and raises. With ``first_witness`` the check stops at the
+    first violation, the full check's first witness, and runs no later probe.
 
-    Each probe costs a few integer operations: the check asks the oracle for
-    at most 2**n marginal entropies, one per node subset, and runs at most
-    n * 2**(n-1) d-connection sweeps, one per (x, S) with x outside S. The
-    mutual information I(X; Y | S) is H(X∪S) + H(Y∪S) - H(S) - H(X∪Y∪S),
-    summed in that order, so every value equals ``oracle.mutual_information``.
+    The subsets' entropies come from ``oracle.marginal_entropy`` in
+    ``_subsets_top_down`` order, as far as the probes need, so a fresh oracle
+    projects each proper subset once, from a table with one more node. At
+    most n * 2**(n-1) bit-mask d-connection sweeps run, one per (x, S).
+    I(X; Y | S) is H(X∪S) + H(Y∪S) - H(S) - H(X∪Y∪S), summed in that order,
+    so every value equals ``oracle.mutual_information``.
     """
     g = m.graph
-    nodes = sorted(g.nodes)
-    bit = {v: 1 << k for k, v in enumerate(nodes)}
+    n = len(g)  # node ids are 0..n-1, so bit k is node k
 
     def members(mask: int) -> list[NodeId]:
-        return [v for k, v in enumerate(nodes) if mask >> k & 1]
+        return [k for k in range(n) if mask >> k & 1]
 
-    entropies: dict[int, float] = {}
+    entropies: list[float | None] = [None] * (1 << n)
+    walk = _subsets_top_down(n)
 
     def h(mask: int) -> float:
-        value = entropies.get(mask)
-        if value is None:
-            value = entropies[mask] = oracle.marginal_entropy(members(mask))
-        return value
+        while entropies[mask] is None:
+            s = next(walk)
+            entropies[s] = oracle.marginal_entropy(members(s))
+        return entropies[mask]
 
     reach: dict[tuple[int, int], int] = {}  # (x bit, S) -> d-connected nodes
 
@@ -471,16 +483,13 @@ def check_faithfulness(
             xs ^= x
             found = reach.get((x, ss))
             if found is None:
-                found = reach[(x, ss)] = sum(
-                    bit[v] for v in d_connected(g, members(x), members(ss))
-                )
+                found = reach[(x, ss)] = d_connected_bits(g, x, ss)
             out |= found
         return out
 
     witnesses: list[tuple] = []
-    for xs, ys, ss in _faithfulness_probes(len(nodes)):
-        h_xys = h(xs | ys | ss)  # first, so the oracle projects the rest from it
-        mi = h(xs | ss) + h(ys | ss) - h(ss) - h_xys
+    for xs, ys, ss in _faithfulness_probes(n):
+        mi = h(xs | ss) + h(ys | ss) - h(ss) - h(xs | ys | ss)
         sep = not (connected(xs, ss) & ys)
         if sep and mi > _MI_TOL:
             raise RuntimeError(
@@ -498,7 +507,7 @@ def check_faithfulness(
             )
             if first_witness:
                 break
-    detail = "exhaustive triples" if len(nodes) <= 6 else "singleton pairs only"
+    detail = "exhaustive triples" if n <= 6 else "singleton pairs only"
     return AssumptionReport("faithfulness", not witnesses, tuple(witnesses), detail)
 
 
@@ -648,8 +657,8 @@ def _sample_pmfs(
         size = sizes[v]
         for _ in range(400):
             weights = rng.sample(range(1, 64), size) if size > 1 else [1]
-            pmf = Pmf.from_weights(range(size), weights)
-            h = pmf.entropy_bits()
+            total = sum(weights)  # w / total rounds as float(Fraction(w, total))
+            h = _entropy_bits(w / total for w in weights)
             if bound is None or cfg.entropy_mode == "known":
                 ok = True
             elif cfg.entropy_mode == "weak":
@@ -662,7 +671,7 @@ def _sample_pmfs(
             raise _Retry(
                 f"no noise pmf of support size {size} with entropy above {bound:.4f}"
             )
-        pmfs[v] = pmf
+        pmfs[v] = Pmf.from_weights(range(size), weights)
         ent[v] = h
     return pmfs
 

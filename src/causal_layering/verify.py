@@ -170,7 +170,8 @@ def check_noise_independence(
     out: list[IndependenceCase] = []
 
     def pool(v: NodeId) -> list[NodeId]:
-        return [u for u in nodes if u != v and u not in g.descendants(v)]
+        below = g.descendants(v)
+        return [u for u in nodes if u != v and u not in below]
 
     for v, ss in _conditioning_cases(nodes, pool, cases, seed):
         if not ss:

@@ -9,6 +9,7 @@ from causal_layering.graph import (
     Dag,
     Layering,
     d_connected,
+    d_connected_bits,
     d_separated,
     is_layering,
     layering_violations,
@@ -23,6 +24,7 @@ from causal_layering.graph import (
     sources_only,
     take_k_by_label,
 )
+from causal_layering.scm import GeneratorConfig, explicit_noise_graph, generate_scm
 
 from bruteforce import d_separated_paths, random_dag
 from bruteforce import sir_layering as bf_sir_layering
@@ -361,6 +363,50 @@ class TestDSeparation:
         zs = frozenset(v for v in nodes if v not in xs and rng.random() < 0.4)
         union = frozenset().union(*(d_connected(g, {x}, zs) for x in xs))
         assert d_connected(g, xs, zs) == union - xs
+
+    @staticmethod
+    def assert_d_connected_matches_path_enumeration(g: Dag, rng: random.Random) -> None:
+        nodes = sorted(g.nodes)
+        x = rng.choice(nodes)
+        zs = frozenset(v for v in nodes if v != x and rng.random() < 0.4)
+        expected = {
+            y for y in nodes
+            if y != x and y not in zs
+            and not d_separated_paths(g, frozenset({x}), frozenset({y}), zs)
+        }
+        assert d_connected(g, {x}, zs) == expected
+        assert d_connected_bits(g, 1 << x, sum(1 << v for v in zs)) == sum(1 << y for y in expected)
+
+    @given(dags(max_nodes=7), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=150)
+    def test_d_connected_on_residual_graphs_with_id_gaps(self, g: Dag, seed: int):
+        rng = random.Random(seed)
+        keep = [v for v in sorted(g.nodes) if rng.random() < 0.6] or [max(g.nodes)]
+        self.assert_d_connected_matches_path_enumeration(g.residual(keep), rng)
+
+    @pytest.mark.parametrize("profile", ["base", "sir_faithful"])
+    def test_d_connected_on_explicit_noise_graphs(self, profile: str):
+        # node ids run up to 2n - 1: every node has a noise parent n + v
+        for n in range(1, 6):
+            for seed in range(4):
+                m = generate_scm(GeneratorConfig(nodes=n, profile=profile, edge_prob=0.5), seed)
+                g = explicit_noise_graph(m)
+                rng = random.Random(seed)
+                for _ in range(6):
+                    self.assert_d_connected_matches_path_enumeration(g, rng)
+
+    @given(dags(max_nodes=7), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_bitmasks_equal_parents_and_children(self, g: Dag, seed: int):
+        rng = random.Random(seed)
+        r = g.residual(v for v in g.nodes if rng.random() < 0.6)
+        for d in (g, r):
+            parent_bits, child_bits = d._bits
+            assert len(parent_bits) == len(child_bits) == len(d.labels)
+            for v in range(len(d.labels)):
+                ps = d.parents(v) if v in d.nodes else ()
+                cs = d.children(v) if v in d.nodes else ()
+                assert parent_bits[v] == sum(1 << p for p in ps)
+                assert child_bits[v] == sum(1 << c for c in cs)
 
     def test_d_connected_validates_its_sets(self):
         with pytest.raises(ValueError, match="non-empty"):

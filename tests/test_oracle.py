@@ -245,6 +245,35 @@ class TestMarginalEngine:
                 continue
             assert shared.cond_entropy(xs, ss) == EntropyOracle(t).cond_entropy(xs, ss)
 
+    @settings(max_examples=100, deadline=None)
+    @given(weighted_tables(), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_each_miss_is_projected_from_the_smallest_retained_superset(self, case, seed):
+        variables, weights, _, _ = case
+        rng = random.Random(seed)
+        t = _exact(variables, weights)
+        orc = EntropyOracle(t)
+        sources: list[JointTable] = []
+        original = JointTable.marginal
+
+        def recording(self, keep):
+            sources.append(self)
+            return original(self, keep)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(JointTable, "marginal", recording)
+            for _ in range(30):
+                key = frozenset(v for v in variables if rng.random() < rng.random())
+                supersets = [table for scope, table in orc._chain if key <= scope]
+                missed = key not in orc._cache
+                fresh = EntropyOracle(t).marginal_entropy(key)
+                sources.clear()
+                assert orc.marginal_entropy(key) == fresh
+                assert sources == ([supersets[-1]] if missed else [])
+                scopes = [scope for scope, _ in orc._chain]
+                assert scopes[0] == frozenset(variables) and orc._chain[0][1] is t
+                assert all(above < below for below, above in zip(scopes, scopes[1:]))
+                assert len(scopes) <= len(variables) + 1
+
 
 class TestJointDistribution:
     def test_affine_chain_is_exact_over_64(self, affine_chain):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from causal_layering import scm as scm_module
 from causal_layering.graph import Dag, d_separated
-from causal_layering.oracle import EntropyOracle, joint_distribution
+from causal_layering.oracle import EntropyOracle, JointTable, joint_distribution
 from causal_layering.presets import xor_model
 from causal_layering.scm import (
     PROFILES,
@@ -83,6 +83,13 @@ class TestPmf:
     def test_from_weights(self):
         p = Pmf.from_weights((3, 5), (1, 3))
         assert p.prob_of(5) == Fraction(3, 4)
+
+    @given(st.lists(st.integers(0, 2**80), min_size=1, max_size=8).filter(any))
+    def test_weights_score_bitwise_as_their_pmf(self, weights):
+        # the generator scores each noise draw from its weights before building it
+        total = sum(weights)
+        expected = Pmf.from_weights(range(len(weights)), weights).entropy_bits()
+        assert scm_module._entropy_bits(w / total for w in weights) == expected
 
     def test_bernoulli(self):
         p = Pmf.bernoulli(Fraction(1, 4))
@@ -451,6 +458,61 @@ class TestAssumptionChecks:
             for first_witness in (False, True):
                 with pytest.raises(RuntimeError, match="exact arithmetic is broken"):
                     check(m, NonAdditive(joint_distribution(m)), first_witness)
+
+    @staticmethod
+    def projections(monkeypatch) -> list[tuple[int, int]]:
+        """(variables of the source, of the result) of each projection made."""
+        made: list[tuple[int, int]] = []
+        original = JointTable.marginal
+
+        def recording(self, keep):
+            out = original(self, keep)
+            if out is not self:
+                made.append((len(self.variables), len(out.variables)))
+            return out
+
+        monkeypatch.setattr(JointTable, "marginal", recording)
+        return made
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_faithfulness_projects_each_subset_once_from_one_more_node(self, monkeypatch, n):
+        models = [
+            generate_scm(GeneratorConfig(nodes=n, profile=profile), seed=seed)
+            for profile in PROFILES for seed in (3, 4)
+        ]
+        made = self.projections(monkeypatch)
+        for m in models:
+            oracle = EntropyOracle(joint_distribution(m))
+            made.clear()
+            assert check_faithfulness(m, oracle).holds
+            assert len(made) == 2**n - 1
+            assert all(source == result + 1 for source, result in made)
+
+    def test_first_witness_projects_no_more_than_the_full_check(self, monkeypatch):
+        guaranteed = scm_module.guaranteed_assumptions
+        monkeypatch.setattr(
+            scm_module, "guaranteed_assumptions",
+            lambda profile, mode: tuple(
+                name for name in guaranteed(profile, mode) if name != "faithfulness"
+            ),
+        )
+        candidates = [
+            generate_scm(GeneratorConfig(nodes=n, profile=profile), seed=seed)
+            for profile in PROFILES for n in (5, 6) for seed in range(4)
+        ]
+        made = self.projections(monkeypatch)
+        pairs = []
+        for m in candidates:
+            table = joint_distribution(m)
+            counts = []
+            for first_witness in (False, True):
+                made.clear()
+                check_faithfulness(m, EntropyOracle(table), first_witness)
+                counts.append(len(made))
+            pairs.append(counts)
+        assert all(first <= full for full, first in pairs)
+        # the entropy walk stops with the probes: some rejection projects less
+        assert any(first < full for full, first in pairs)
 
     def test_observed_oracle_projects_the_one_enumeration(self):
         # support-4 noise into binary outputs: 16 noise tuples, 4 observed rows
