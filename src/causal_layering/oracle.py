@@ -8,6 +8,7 @@ final logarithm. Entropies are in bits throughout.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
@@ -199,7 +200,8 @@ class JointTable:
         """
         d = self._denom
         if d.bit_length() <= _FLOAT_SAFE_BITS:
-            acc = math.fsum(w * math.log2(w) for w in self._weights.values())
+            ws = self._weights.values()
+            acc = math.fsum(map(operator.mul, ws, map(math.log2, ws)))
             return math.log2(d) - acc / d
         log_d = math.log2(d)
         return math.fsum(w / d * (log_d - math.log2(w)) for w in self._weights.values())
@@ -312,7 +314,9 @@ class EntropyOracle:
     that look up their largest set first (as ``cond_entropy`` and
     ``mutual_information`` do) scan the full table once each; looking up each
     set before its subsets projects it from a table with one more variable.
-    The oracle is single-threaded.
+    ``marginal_entropies`` fills the memo for many sets at once, top down.
+    An oracle from ``projected`` shares its parent's memo. The oracle is
+    single-threaded.
     """
 
     def __init__(self, table: JointTable):
@@ -344,6 +348,54 @@ class EntropyOracle:
             if key != scope:
                 chain.append((key, table))
         return value
+
+    def marginal_entropies(self, sets: Iterable[Iterable[NodeId]]) -> list[float]:
+        """H of each set in ``sets``, in input order, every one memoized.
+
+        The distinct misses are projected one set size at a time, largest
+        first: each from the smallest of the previous size's tables over its
+        one-larger supersets (the first in variable order on a tie), or from
+        the full table when there is none. A table is kept only while a miss
+        one size down may still be projected from it, so at most two sizes'
+        tables are alive at once, and only when it has fewer rows than the
+        full table, which scans as fast. The chain is left as it was.
+        """
+        # a frozenset is taken as it is: a batch can hold hundreds of sets
+        keys = [s if type(s) is frozenset else frozenset(int(v) for v in s) for s in sets]
+        cache, full = self._cache, self._table
+        levels: dict[int, dict[frozenset[int], None]] = {}
+        for key in keys:
+            if not key <= self._scope:
+                raise ValueError(f"unknown variables {sorted(key - self._scope)}")
+            if key not in cache:
+                levels.setdefault(len(key), {})[key] = None
+        above: dict[frozenset[int], JointTable] = {}
+        for size in sorted(levels, reverse=True):
+            plan = []  # (miss, the one-larger set whose table it is projected from)
+            for key in levels[size]:
+                supersets = [s for s in (key | {v} for v in full.variables) if s in above]
+                plan.append((key, min(supersets, key=lambda s: len(above[s]), default=None)))
+            users = Counter(source for _, source in plan)
+            above = {s: t for s, t in above.items() if s in users}
+            below = levels.get(size - 1, {})
+            here = {}
+            for key, source in plan:
+                table = (full if source is None else above[source]).marginal(key)
+                cache[key] = table.entropy_bits()
+                users[source] -= 1
+                if not users[source]:  # its last user is done
+                    above.pop(source, None)
+                if len(table) < len(full) and any(key - {v} in below for v in key):
+                    here[key] = table
+            above = here
+        return [cache[key] for key in keys]
+
+    def projected(self, variables: Iterable[NodeId]) -> EntropyOracle:
+        """An oracle over this table's marginal on ``variables``, sharing this
+        oracle's memo: a set's entropy is computed once, whichever asks."""
+        sub = EntropyOracle(self._table.marginal(variables))
+        sub._cache = self._cache
+        return sub
 
     def cond_entropy(
         self, target: Iterable[NodeId], given: Iterable[NodeId] = ()

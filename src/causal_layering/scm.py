@@ -535,9 +535,10 @@ class Assumptions:
     The noise-augmented joint table is enumerated once, within ``budget``, on
     the first oracle request. ``noise_oracle()`` answers over that table;
     ``oracle()`` answers over its observed marginal, projected once, which
-    can have far fewer rows when noise is not injective. The validators and
-    the rest of a command share both. Nothing keeps them after the command
-    drops this object.
+    can have far fewer rows when noise is not injective. The two share one
+    memo, so each observed set's entropy is computed once per command,
+    whichever oracle asks first. The validators and the rest of a command
+    share both. Nothing keeps them after the command drops this object.
     """
 
     def __init__(
@@ -561,8 +562,7 @@ class Assumptions:
     def oracle(self) -> _oracle.EntropyOracle:
         """Oracle over the observed variables only."""
         if self._oracle is None:
-            table = self.noise_oracle().table.marginal(self._model.graph.nodes)
-            self._oracle = _oracle.EntropyOracle(table)
+            self._oracle = self.noise_oracle().projected(self._model.graph.nodes)
         return self._oracle
 
     def report(self, name: str) -> AssumptionReport:

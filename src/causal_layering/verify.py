@@ -104,21 +104,32 @@ def check_entropy_bounds(
     directed faithfulness and ABOVE_NOISE needs single-parent injectivity;
     when the validator fails, those cases are reported as SKIP. The
     validators are read from ``assumptions`` (by default, run on ``m``).
+
+    The whole case list is drawn first and its entropies are asked for in
+    one ``oracle.marginal_entropies`` call, so each case's ``cond_entropy``
+    is a memo hit. Each distinct (v, S) is classified once, and each node's
+    noise entropy is computed once.
     """
     g = m.graph
     audit = assumptions if assumptions is not None else Assumptions(m)
     assert_above = audit.holds("injective_noise_plus_one")
     assert_below = audit.holds("directed_faithfulness")
     nodes = sorted(g.nodes)
-    out: list[BoundCheckCase] = []
+    noise = {v: noise_entropy(m, v) for v in nodes}
 
     def others(v: NodeId) -> list[NodeId]:
         return [u for u in nodes if u != v]
 
-    for v, cond in _conditioning_cases(nodes, others, cases, seed):
-        kinds = classify_bound_case(g, v, cond)
+    drawn = list(_conditioning_cases(nodes, others, cases, seed))
+    oracle.marginal_entropies(s for v, cond in drawn for s in (cond | {v}, cond))
+    kinds_of: dict[tuple[NodeId, frozenset[NodeId]], frozenset[BoundKind]] = {}
+    out: list[BoundCheckCase] = []
+    for v, cond in drawn:
+        kinds = kinds_of.get((v, cond))
+        if kinds is None:
+            kinds = kinds_of[(v, cond)] = classify_bound_case(g, v, cond)
         measured = oracle.cond_entropy((v,), cond)
-        reference = noise_entropy(m, v)
+        reference = noise[v]
         if not kinds:
             out.append(BoundCheckCase(v, cond, None, measured, reference, Verdict.SKIP))
             continue
@@ -163,21 +174,33 @@ def check_noise_independence(
     the measured mutual information must vanish. Exhaustive up to 5 nodes.
     ``oracle`` must cover the noise variables, as
     ``Assumptions.noise_oracle()`` does.
+
+    As in ``check_entropy_bounds``, the cases are drawn first, their
+    entropies come from one ``oracle.marginal_entropies`` call, and each
+    distinct (v, S) runs one d-separation sweep.
     """
     g = m.graph
     noise_graph = explicit_noise_graph(m)
     nodes = sorted(g.nodes)
-    out: list[IndependenceCase] = []
 
     def pool(v: NodeId) -> list[NodeId]:
         below = g.descendants(v)
         return [u for u in nodes if u != v and u not in below]
 
-    for v, ss in _conditioning_cases(nodes, pool, cases, seed):
+    drawn = list(_conditioning_cases(nodes, pool, cases, seed))
+    noise = {v: frozenset({m.noise_node(v)}) for v in nodes}
+    oracle.marginal_entropies(  # the sets mutual_information looks up
+        s for v, ss in drawn if ss for s in (noise[v] | ss, noise[v], ss, frozenset())
+    )
+    separated_of: dict[tuple[NodeId, frozenset[NodeId]], bool] = {}
+    out: list[IndependenceCase] = []
+    for v, ss in drawn:
         if not ss:
             out.append(IndependenceCase(v, ss, True, 0.0, Verdict.PASS))
             continue
-        separated = d_separated(noise_graph, {m.noise_node(v)}, ss)
+        separated = separated_of.get((v, ss))
+        if separated is None:
+            separated = separated_of[(v, ss)] = d_separated(noise_graph, {m.noise_node(v)}, ss)
         mi = oracle.mutual_information({m.noise_node(v)}, ss)
         ok = separated and mi <= tol
         out.append(

@@ -4,9 +4,9 @@ Everything here is written the slow, obvious way on purpose: float
 probabilities accumulated in dicts, d-separation by enumerating every
 simple path. Agreement with the fast implementations is the test. The
 exact projection and per-tuple enumeration, the peeling loops, injectivity
-scans, case lists and faithfulness check are the package's earlier separate
-implementations, kept as references for the shared or faster code that
-replaced them.
+scans, case lists, per-case verification suites and faithfulness check are
+the package's earlier separate implementations, kept as references for the
+shared or faster code that replaced them.
 """
 
 from __future__ import annotations
@@ -18,7 +18,14 @@ from itertools import product
 
 from causal_layering.graph import Dag, Layering, d_separated
 from causal_layering.oracle import JointTable
-from causal_layering.scm import AssumptionReport
+from causal_layering.scm import AssumptionReport, explicit_noise_graph, noise_entropy
+from causal_layering.verify import (
+    BoundCheckCase,
+    BoundKind,
+    IndependenceCase,
+    Verdict,
+    classify_bound_case,
+)
 
 
 def joint_probs(scm) -> dict[tuple, float]:
@@ -390,3 +397,50 @@ def check_faithfulness(m, oracle, first_witness: bool = False) -> AssumptionRepo
                 break
     detail = "exhaustive triples" if len(nodes) <= 6 else "singleton pairs only"
     return AssumptionReport("faithfulness", not witnesses, tuple(witnesses), detail)
+
+
+def check_entropy_bounds(m, oracle, cases, seed, tol, assert_above, assert_below):
+    """Reference entropy-bound suite: per case, in draw order, one
+    classification, one ``cond_entropy`` query and one noise entropy."""
+    g = m.graph
+    out = []
+    for v, cond in bound_cases(g, cases, seed):
+        kinds = classify_bound_case(g, v, cond)
+        measured = oracle.cond_entropy((v,), cond)
+        reference = noise_entropy(m, v)
+        if not kinds:
+            out.append(BoundCheckCase(v, cond, None, measured, reference, Verdict.SKIP))
+            continue
+        for kind in sorted(kinds, key=lambda k: k.value):
+            if kind is BoundKind.ABOVE_NOISE and not assert_above:
+                verdict = Verdict.SKIP
+            elif kind is BoundKind.BELOW_NOISE and not assert_below:
+                verdict = Verdict.SKIP
+            else:
+                if kind is BoundKind.AT_MOST_NOISE:
+                    ok = measured <= reference + tol
+                elif kind is BoundKind.EQUALS_NOISE:
+                    ok = abs(measured - reference) <= tol
+                elif kind is BoundKind.BELOW_NOISE:
+                    ok = measured < reference - tol
+                else:
+                    ok = measured > reference + tol
+                verdict = Verdict.PASS if ok else Verdict.FAIL
+            out.append(BoundCheckCase(v, cond, kind, measured, reference, verdict))
+    return out
+
+
+def check_noise_independence(m, oracle, cases, seed, tol):
+    """Reference noise-independence suite: per case, in draw order, one
+    ``d_separated`` sweep and one ``mutual_information`` query."""
+    noise_graph = explicit_noise_graph(m)
+    out = []
+    for v, ss in independence_cases(m.graph, cases, seed):
+        if not ss:
+            out.append(IndependenceCase(v, ss, True, 0.0, Verdict.PASS))
+            continue
+        separated = d_separated(noise_graph, {m.noise_node(v)}, ss)
+        mi = oracle.mutual_information({m.noise_node(v)}, ss)
+        ok = separated and mi <= tol
+        out.append(IndependenceCase(v, ss, separated, mi, Verdict.PASS if ok else Verdict.FAIL))
+    return out

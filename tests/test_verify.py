@@ -1,22 +1,27 @@
+import contextlib
 import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from causal_layering.discovery import (
+    AssumptionViolation,
     DiscoveryResult,
     IterationTrace,
     KnownNoiseEntropy,
+    MonotoneEntropy,
     sir_discover,
     sour_discover,
 )
 from causal_layering.graph import Dag, Layering
 from causal_layering.oracle import EntropyOracle, joint_distribution
 from causal_layering.scm import (
+    PROFILES,
     AssumptionReport,
     Assumptions,
+    GenerationError,
     GeneratorConfig,
     Pmf,
     Scm,
@@ -36,6 +41,7 @@ from causal_layering.verify import (
     render_independence_report,
 )
 
+import bruteforce
 from bruteforce import bound_cases, independence_cases, random_dag
 
 A, B, C = 0, 1, 2
@@ -163,6 +169,9 @@ class ZeroOracle:
     def mutual_information(self, xs, ys, zs=()):
         return 0.0
 
+    def marginal_entropies(self, sets):
+        return [0.0 for _ in sets]
+
 
 class TestCaseLists:
     @settings(max_examples=80, deadline=None)
@@ -199,6 +208,55 @@ class TestCaseLists:
         assert [(c.node, c.cond) for c in bounds] == expected
         indep = check_noise_independence(m, ZeroOracle(), cases, seed % 7)
         assert [(c.node, c.cond) for c in indep] == independence_cases(g, cases, seed % 7)
+
+
+def _bitwise(cases) -> list[tuple]:
+    """Each case's fields, floats by their exact bits."""
+    return [
+        tuple(x.hex() if isinstance(x, float) else x for x in vars(c).values()) for c in cases
+    ]
+
+
+class TestBatchedSuites:
+    """The suites against the per-case loops in ``bruteforce``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(PROFILES),
+        st.integers(min_value=2, max_value=7),
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=1, max_value=120),
+        st.integers(min_value=0, max_value=50),
+        st.booleans(),
+    )
+    @example("sir_faithful", 7, 0, 200, 3, True)  # sampled cases
+    @example("base", 5, 1, 200, 0, False)  # exhaustive cases
+    def test_suites_match_the_per_case_reference(self, profile, n, seed, cases, case_seed, warm):
+        try:
+            m = generate_scm(
+                GeneratorConfig(nodes=n, profile=profile, edge_prob=0.4, max_retries=3), seed
+            )
+        except GenerationError:  # the generator's documented refusal: no model to compare
+            reject()
+        audit = Assumptions(m, reports=m.meta.reports)
+        if warm:  # discovery queries first, as ``check`` makes them after the suites
+            for run in (sour_discover, sir_discover):
+                with contextlib.suppress(AssumptionViolation):
+                    run(m.graph.nodes, audit.oracle(), MonotoneEntropy())
+        above = audit.holds("injective_noise_plus_one")
+        below = audit.holds("directed_faithfulness")
+        bounds = check_entropy_bounds(m, audit.oracle(), cases, case_seed, assumptions=audit)
+        indep = check_noise_independence(m, audit.noise_oracle(), cases, case_seed)
+
+        reference = Assumptions(m)
+        expected_bounds = bruteforce.check_entropy_bounds(
+            m, reference.oracle(), cases, case_seed, 1e-9, above, below
+        )
+        expected_indep = bruteforce.check_noise_independence(
+            m, reference.noise_oracle(), cases, case_seed, 1e-9
+        )
+        assert _bitwise(bounds) == _bitwise(expected_bounds)
+        assert _bitwise(indep) == _bitwise(expected_indep)
 
 
 class TestDiscoveryReplay:
