@@ -153,10 +153,13 @@ def _peel(
     trace: list[IterationTrace] = []
 
     def choose(current: frozenset[NodeId]) -> Groups:
-        entropies: dict[int, float] = {}
-        for v in sorted(current):
-            given = (all_nodes - current) if removal == "sources" else (current - {v})
-            entropies[v] = oracle.cond_entropy((v,), given)
+        # the round's sets in one batch, so each cond_entropy is a memo hit
+        givens = {
+            v: (all_nodes - current) if removal == "sources" else (current - {v})
+            for v in sorted(current)
+        }
+        oracle.marginal_entropies(s for v, given in givens.items() for s in (given | {v}, given))
+        entropies = {v: oracle.cond_entropy((v,), given) for v, given in givens.items()}
 
         if isinstance(mode, KnownNoiseEntropy):
             qualifying = frozenset(

@@ -353,18 +353,6 @@ def select_all(
     return sources, sinks - sources
 
 
-def take_k_by_label(g: Dag, k: int = 1) -> SetSelector:
-    """Selector keeping the ``k`` candidates with lexicographically smallest labels."""
-    if k < 1:
-        raise ValueError("k must be positive")
-
-    def pick(candidates: frozenset[NodeId]) -> frozenset[NodeId]:
-        chosen = sorted(candidates, key=g.label)[:k]
-        return frozenset(chosen)
-
-    return pick
-
-
 def peel(nodes: Iterable[NodeId], choose: PeelChooser) -> Layering:
     """Layer ``nodes`` by repeatedly removing groups at the front or the back.
 

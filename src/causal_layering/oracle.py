@@ -307,23 +307,20 @@ def render_joint_table(table: JointTable) -> str:
 class EntropyOracle:
     """Conditional-entropy and independence queries over one joint table.
 
-    Marginal entropies are memoized per variable set. A miss is projected
-    from the top table of a chain that covers it, and replaces the tables
-    above it: each table's variables are a strict subset of those below it,
-    the full table at the bottom, so at most ``len(variables) + 1``. Queries
-    that look up their largest set first (as ``cond_entropy`` and
-    ``mutual_information`` do) scan the full table once each; looking up each
-    set before its subsets projects it from a table with one more variable.
-    ``marginal_entropies`` fills the memo for many sets at once, top down.
-    An oracle from ``projected`` shares its parent's memo. The oracle is
-    single-threaded.
+    Marginal entropies are memoized per variable set. ``marginal_entropies``
+    fills the memo for many sets at once, top down, and is the one place
+    that projects: a single ``marginal_entropy`` miss is a one-set batch,
+    projected from the full table. Callers that know their sets in advance
+    (a discovery round, a verification suite, the directed-faithfulness
+    audit) ask for them in one batch first, so their ``cond_entropy`` and
+    ``mutual_information`` queries are memo hits. An oracle from
+    ``projected`` shares its parent's memo. The oracle is single-threaded.
     """
 
     def __init__(self, table: JointTable):
         self._table = table
         self._scope = frozenset(table.variables)
         self._cache: dict[frozenset[int], float] = {}
-        self._chain: list[tuple[frozenset[int], JointTable]] = [(self._scope, table)]
 
     @property
     def variables(self) -> tuple[NodeId, ...]:
@@ -334,19 +331,13 @@ class EntropyOracle:
         return self._table
 
     def marginal_entropy(self, variables: Iterable[NodeId] = ()) -> float:
-        key = frozenset(int(v) for v in variables)
-        if not key <= self._scope:
-            raise ValueError(f"unknown variables {sorted(key - self._scope)}")
-        value = self._cache.get(key)
-        if value is None:
-            chain = self._chain
-            while not key <= chain[-1][0]:
-                chain.pop()
-            scope, source = chain[-1]
-            table = source.marginal(key)
-            value = self._cache[key] = table.entropy_bits()
-            if key != scope:
-                chain.append((key, table))
+        """H of one set: a memo lookup, and a one-set ``marginal_entropies``
+        batch on a miss. A frozenset is taken as it is, as most calls are
+        hits with a set their caller has just built."""
+        key = variables if type(variables) is frozenset else frozenset(int(v) for v in variables)
+        value = self._cache.get(key) if key <= self._scope else None
+        if value is None:  # a miss, or unknown variables, which the batch refuses
+            value = self.marginal_entropies((key,))[0]
         return value
 
     def marginal_entropies(self, sets: Iterable[Iterable[NodeId]]) -> list[float]:
@@ -358,7 +349,7 @@ class EntropyOracle:
         the full table when there is none. A table is kept only while a miss
         one size down may still be projected from it, so at most two sizes'
         tables are alive at once, and only when it has fewer rows than the
-        full table, which scans as fast. The chain is left as it was.
+        full table, which scans as fast.
         """
         # a frozenset is taken as it is: a batch can hold hundreds of sets
         keys = [s if type(s) is frozenset else frozenset(int(v) for v in s) for s in sets]
@@ -400,7 +391,7 @@ class EntropyOracle:
     def cond_entropy(
         self, target: Iterable[NodeId], given: Iterable[NodeId] = ()
     ) -> float:
-        """H(target | given) in bits, via H(T ∪ G) - H(G), in that order."""
+        """H(target | given) in bits, via H(T ∪ G) - H(G)."""
         xs = frozenset(int(v) for v in target)
         ss = frozenset(int(v) for v in given)
         if not xs:
@@ -423,10 +414,9 @@ class EntropyOracle:
             raise ValueError("both variable sets must be non-empty")
         if xs & ys or xs & ss or ys & ss:
             raise ValueError("variable sets must be pairwise disjoint")
-        h_xys = self.marginal_entropy(xs | ys | ss)  # first, so the rest reuse it
         return (
             self.marginal_entropy(xs | ss)
             + self.marginal_entropy(ys | ss)
             - self.marginal_entropy(ss)
-            - h_xys
+            - self.marginal_entropy(xs | ys | ss)
         )

@@ -384,14 +384,19 @@ def check_directed_faithfulness(m: Scm, oracle: _oracle.EntropyOracle) -> Assump
     """Each noise variable must be dependent on every descendant of its node.
 
     ``oracle`` must cover the noise variables, as ``Assumptions.noise_oracle()``
-    does.
+    does. The entropies of all (node, descendant) pairs come from one
+    ``oracle.marginal_entropies`` call, so each ``mutual_information`` is a
+    memo hit.
     """
+    nodes = sorted(m.graph.nodes)
+    pairs = [(v, d) for v in nodes for d in sorted(m.graph.descendants(v))]
+    noise = {v: frozenset({m.noise_node(v)}) for v in nodes}
+    oracle.marginal_entropies(s for v, d in pairs for s in (noise[v] | {d}, noise[v], {d}, ()))
     witnesses: list[tuple] = []
-    for v in sorted(m.graph.nodes):
-        for d in sorted(m.graph.descendants(v)):
-            mi = oracle.mutual_information({m.noise_node(v)}, {d})
-            if mi <= _MI_TOL:
-                witnesses.append((m.noise_label(v), m.label(d), mi))
+    for v, d in pairs:
+        mi = oracle.mutual_information(noise[v], {d})
+        if mi <= _MI_TOL:
+            witnesses.append((m.noise_label(v), m.label(d), mi))
     return AssumptionReport("directed_faithfulness", not witnesses, tuple(witnesses))
 
 
@@ -428,17 +433,6 @@ def _faithfulness_probes(n: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(out)
 
 
-def _subsets_top_down(n: int):
-    """Every subset mask of n nodes, depth first from the full set: each
-    comes after its parent, itself plus the highest node it lacks, and a set
-    without node k before one with it."""
-    stack = [((1 << n) - 1, 0)]
-    while stack:
-        mask, k = stack.pop()
-        yield mask
-        stack.extend((mask ^ 1 << j, j + 1) for j in range(n - 1, k - 1, -1) if mask >> j & 1)
-
-
 def check_faithfulness(
     m: Scm, oracle: _oracle.EntropyOracle, first_witness: bool = False
 ) -> AssumptionReport:
@@ -452,12 +446,14 @@ def check_faithfulness(
     arithmetic and raises. With ``first_witness`` the check stops at the
     first violation, the full check's first witness, and runs no later probe.
 
-    The subsets' entropies come from ``oracle.marginal_entropy`` in
-    ``_subsets_top_down`` order, as far as the probes need, so a fresh oracle
-    projects each proper subset once, from a table with one more node. At
-    most n * 2**(n-1) bit-mask d-connection sweeps run, one per (x, S).
-    I(X; Y | S) is H(X∪S) + H(Y∪S) - H(S) - H(X∪Y∪S), summed in that order,
-    so every value equals ``oracle.mutual_information``.
+    The subsets' entropies come from a lazy depth-first walk that starts at
+    the oracle's table over the nodes and runs only as far as the probes
+    need. The walk keeps its own tables and projects each proper subset
+    once, from its parent's table, which has one more node; the oracle's
+    memo is neither read nor filled. At most n * 2**(n-1) bit-mask
+    d-connection sweeps run, one per (x, S). I(X; Y | S) is
+    H(X∪S) + H(Y∪S) - H(S) - H(X∪Y∪S), summed in that order, so every value
+    equals ``oracle.mutual_information``.
     """
     g = m.graph
     n = len(g)  # node ids are 0..n-1, so bit k is node k
@@ -465,13 +461,29 @@ def check_faithfulness(
     def members(mask: int) -> list[NodeId]:
         return [k for k in range(n) if mask >> k & 1]
 
+    def subsets():
+        """(mask, H) of every node subset, depth first from the full set: each
+        comes after its parent, itself plus the highest node it lacks, and a
+        set without node k before one with it."""
+        full, root = (1 << n) - 1, oracle.table
+        if len(root.variables) != n:  # the oracle covers more than the nodes
+            root = root.marginal(range(n))
+        stack = [(full, 0, root)]
+        while stack:
+            mask, k, parent = stack.pop()
+            table = parent if mask == full else parent.marginal(members(mask))
+            yield mask, table.entropy_bits()
+            stack.extend(
+                (mask ^ 1 << j, j + 1, table) for j in range(n - 1, k - 1, -1) if mask >> j & 1
+            )
+
     entropies: list[float | None] = [None] * (1 << n)
-    walk = _subsets_top_down(n)
+    walk = subsets()
 
     def h(mask: int) -> float:
         while entropies[mask] is None:
-            s = next(walk)
-            entropies[s] = oracle.marginal_entropy(members(s))
+            s, value = next(walk)
+            entropies[s] = value
         return entropies[mask]
 
     reach: dict[tuple[int, int], int] = {}  # (x bit, S) -> d-connected nodes
@@ -537,8 +549,10 @@ class Assumptions:
     ``oracle()`` answers over its observed marginal, projected once, which
     can have far fewer rows when noise is not injective. The two share one
     memo, so each observed set's entropy is computed once per command,
-    whichever oracle asks first. The validators and the rest of a command
-    share both. Nothing keeps them after the command drops this object.
+    whichever oracle asks first. The faithfulness audit is the exception: its
+    subset walk projects its own tables from ``oracle()``'s table and keeps
+    them to itself. The validators and the rest of a command share both
+    oracles. Nothing keeps them after the command drops this object.
     """
 
     def __init__(
@@ -855,26 +869,6 @@ def sample(m: Scm, seed: int, n: int) -> Dataset:
         values = m.evaluate(noise_values)
         rows.append(tuple(values[v] for v in variables))
     return Dataset(variables, labels, tuple(rows))
-
-
-def render_dataset(d: Dataset) -> str:
-    lines = [",".join(d.labels)]
-    lines.extend(",".join(str(x) for x in row) for row in d.rows)
-    return "\n".join(lines) + "\n"
-
-
-def parse_dataset(text: str) -> Dataset:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("dataset text is empty")
-    labels = tuple(p.strip() for p in lines[0].split(","))
-    rows = []
-    for ln in lines[1:]:
-        cells = tuple(int(p) for p in ln.split(","))
-        if len(cells) != len(labels):
-            raise ValueError(f"row {ln!r} does not match the header width")
-        rows.append(cells)
-    return Dataset(tuple(range(len(labels))), labels, tuple(rows))
 
 
 # --- file format --------------------------------------------------------------

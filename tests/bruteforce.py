@@ -3,10 +3,11 @@
 Everything here is written the slow, obvious way on purpose: float
 probabilities accumulated in dicts, d-separation by enumerating every
 simple path. Agreement with the fast implementations is the test. The
-exact projection and per-tuple enumeration, the peeling loops, injectivity
-scans, case lists, per-case verification suites and faithfulness check are
-the package's earlier separate implementations, kept as references for the
-shared or faster code that replaced them.
+exact projection and per-tuple enumeration, the peeling loops, the
+per-candidate discovery rounds, injectivity scans, case lists, per-case
+verification suites and faithfulness check are the package's earlier
+separate implementations, kept as references for the shared or faster code
+that replaced them.
 """
 
 from __future__ import annotations
@@ -16,7 +17,13 @@ import random
 from collections import deque
 from itertools import product
 
-from causal_layering.graph import Dag, Layering, d_separated
+from causal_layering.discovery import (
+    AssumptionViolation,
+    DiscoveryResult,
+    IterationTrace,
+    KnownNoiseEntropy,
+)
+from causal_layering.graph import Dag, Layering, d_separated, peel
 from causal_layering.oracle import JointTable
 from causal_layering.scm import AssumptionReport, explicit_noise_graph, noise_entropy
 from causal_layering.verify import (
@@ -182,6 +189,17 @@ def random_dag(rng: random.Random, n: int, edge_prob: float = 0.4) -> Dag:
     return Dag(labels, edges)
 
 
+def take_k_by_label(g: Dag, k: int = 1):
+    """Selector keeping the ``k`` candidates with lexicographically smallest labels."""
+    if k < 1:
+        raise ValueError("k must be positive")
+
+    def pick(candidates: frozenset[int]) -> frozenset[int]:
+        return frozenset(sorted(candidates, key=g.label)[:k])
+
+    return pick
+
+
 def licensed_combos(holds: dict[str, bool]) -> list[tuple[str, str]]:
     """Reference licensing: the (algorithm, mode) pairs ``check`` runs."""
     combos = []
@@ -249,6 +267,41 @@ def sir_layering(g: Dag, select=None) -> Layering:
         layers.appendleft(sn)
         remaining -= sn
     return Layering(tuple(layers))
+
+
+def discover(nodes, oracle, mode, removal: str, one_at_a_time: bool = False) -> DiscoveryResult:
+    """Reference discovery rounds: one ``cond_entropy`` query per candidate,
+    in node order, each a miss or a hit as the oracle's history has it."""
+    all_nodes = frozenset(nodes)
+    trace: list[IterationTrace] = []
+
+    def choose(current: frozenset[int]):
+        entropies: dict[int, float] = {}
+        for v in sorted(current):
+            given = (all_nodes - current) if removal == "sources" else (current - {v})
+            entropies[v] = oracle.cond_entropy((v,), given)
+        if isinstance(mode, KnownNoiseEntropy):
+            qualifying = frozenset(
+                v for v in current if abs(entropies[v] - mode.entropies[v]) <= mode.tol
+            )
+            if not qualifying:
+                raise AssumptionViolation(
+                    "no remaining node attained its known noise entropy "
+                    f"(iteration {len(trace) + 1})",
+                    tuple(trace),
+                    len(trace) + 1,
+                )
+        else:
+            extreme = (
+                min(entropies.values()) if removal == "sources" else max(entropies.values())
+            )
+            qualifying = frozenset(v for v in current if abs(entropies[v] - extreme) <= mode.tol)
+        selected = frozenset({min(qualifying)}) if one_at_a_time else qualifying
+        trace.append(IterationTrace(current, entropies, qualifying, selected))
+        return (selected, frozenset()) if removal == "sources" else (frozenset(), selected)
+
+    layering = peel(all_nodes, choose)
+    return DiscoveryResult(layering, sum(len(step.entropies) for step in trace), tuple(trace))
 
 
 def injective_noise_witnesses(m) -> tuple:

@@ -25,7 +25,6 @@ from causal_layering.graph import (
     rr,
     sinks_only,
     sources_only,
-    take_k_by_label,
 )
 from causal_layering.oracle import EntropyOracle, joint_distribution
 from causal_layering.presets import xor_model
@@ -49,7 +48,7 @@ from causal_layering.verify import (
 )
 
 from bruteforce import cond_entropy as bf_cond_entropy
-from bruteforce import d_separated_paths, joint_probs, random_dag
+from bruteforce import d_separated_paths, joint_probs, random_dag, take_k_by_label
 from conftest import ACCEPTANCE_LINES
 
 TOL = 1e-9

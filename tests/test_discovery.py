@@ -1,7 +1,8 @@
+import functools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from causal_layering.discovery import (
@@ -16,10 +17,12 @@ from causal_layering.discovery import (
     sour_discover,
 )
 from causal_layering.graph import Dag, is_layering
-from causal_layering.oracle import EntropyOracle, joint_distribution
+from causal_layering.oracle import EntropyOracle, JointTable, joint_distribution
 from causal_layering.presets import xor_model
 from causal_layering.scm import (
+    PROFILES,
     VALIDATORS,
+    GenerationError,
     GeneratorConfig,
     Pmf,
     generate_scm,
@@ -192,6 +195,83 @@ class TestCallCounts:
         n = len(m.graph.nodes)
         assert result.oracle_calls <= n * (n + 1) // 2
         assert is_layering(m.graph, result.layering)
+
+
+@functools.cache
+def generated(n: int, profile: str, seed: int):
+    """A generated model and its joint table; ``None`` where generation fails."""
+    try:
+        m = generate_scm(GeneratorConfig(nodes=n, profile=profile), seed=seed)
+    except GenerationError:
+        return None
+    return m, joint_distribution(m)
+
+
+def replayable(run):
+    """A run's layering, call count and trace, or its violation's message,
+    iteration and trace; every float in a trace as its hex."""
+    try:
+        result = run()
+    except AssumptionViolation as exc:
+        outcome, trace = (str(exc), exc.iteration), exc.trace
+    else:
+        outcome, trace = (result.layering, result.oracle_calls), result.trace
+    return outcome, [
+        (step.remaining, [(v, h.hex()) for v, h in step.entropies.items()],
+         step.qualifying, step.selected)
+        for step in trace
+    ]
+
+
+class TestBatchedRounds:
+    """Each round asks for its sets in one ``marginal_entropies`` batch and
+    then reads every ``cond_entropy`` from the memo; the per-candidate
+    queries of ``bruteforce.discover`` are the reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=2, max_value=7), st.sampled_from(PROFILES),
+           st.integers(min_value=0, max_value=3), st.sampled_from(["sour", "sir"]),
+           st.sampled_from(["known", "monotone"]), st.booleans())
+    def test_rounds_match_the_per_candidate_reference(
+        self, n, profile, seed, algo, mode_name, one_at_a_time
+    ):
+        model = generated(n, profile, seed)
+        if model is None:
+            reject()
+        m, table = model
+        mode = known_for(m) if mode_name == "known" else MonotoneEntropy()
+        removal = "sources" if algo == "sour" else "sinks"
+        want = replayable(lambda: bruteforce.discover(
+            m.graph.nodes, EntropyOracle(table), mode, removal, one_at_a_time))
+
+        oracle = EntropyOracle(table)
+        batch, original = oracle.marginal_entropies, JointTable.marginal
+        batches, inside, outside = 0, False, []
+
+        def counted(sets):
+            nonlocal batches, inside
+            batches += 1
+            inside = True
+            try:
+                return batch(sets)
+            finally:
+                inside = False
+
+        def marginal(self, keep):
+            if not inside:
+                outside.append(frozenset(keep))
+            return original(self, keep)
+
+        oracle.marginal_entropies = counted
+        run = sour_discover if algo == "sour" else sir_discover
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(JointTable, "marginal", marginal)
+            got = replayable(lambda: run(m.graph.nodes, oracle, mode, one_at_a_time))
+        assert got == want
+        outcome, trace = got
+        violated = isinstance(outcome[0], str)  # the failing round asked too
+        assert batches == len(trace) + violated
+        assert outside == []
 
 
 class TestDiscoveryOnGeneratedModels:

@@ -22,11 +22,10 @@ from causal_layering.graph import (
     select_all,
     sinks_only,
     sources_only,
-    take_k_by_label,
 )
 from causal_layering.scm import GeneratorConfig, explicit_noise_graph, generate_scm
 
-from bruteforce import d_separated_paths, random_dag
+from bruteforce import d_separated_paths, random_dag, take_k_by_label
 from bruteforce import sir_layering as bf_sir_layering
 from bruteforce import sour_layering as bf_sour_layering
 

@@ -15,7 +15,6 @@ from causal_layering.presets import xor_model
 from causal_layering.scm import (
     PROFILES,
     Assumptions,
-    Dataset,
     GenerationError,
     GeneratorConfig,
     Pmf,
@@ -32,9 +31,7 @@ from causal_layering.scm import (
     generate_scm,
     guaranteed_assumptions,
     noise_entropy,
-    parse_dataset,
     parse_scm,
-    render_dataset,
     sample,
     scm_from_dict,
     scm_to_dict,
@@ -442,22 +439,20 @@ class TestAssumptionChecks:
                     unfaithful += not self.assert_faithfulness_matches_the_reference(m)
         assert unfaithful > 0
 
-    def test_mutual_information_where_d_separated_raises(self):
-        # A and B share no edge, so they are d-separated given nothing; an
-        # oracle whose entropies are not additive reports I(A; B) = 2 - sqrt(2)
+    def test_mutual_information_where_d_separated_raises(self, monkeypatch):
+        # A and B share no edge, so they are d-separated given nothing; with
+        # entropies that are not additive, I(A; B) reads 2 - sqrt(2)
         g = Dag(["A", "B"], [])
         coin = Pmf.bernoulli(Fraction(1, 2))
         identity = StructuralTable((), {(0,): 0, (1,): 1})
         m = Scm(g, {0: coin, 1: coin}, {0: identity, 1: identity})
-
-        class NonAdditive(EntropyOracle):
-            def marginal_entropy(self, variables=()):
-                return math.sqrt(len(frozenset(variables)))
+        table = joint_distribution(m)
+        monkeypatch.setattr(JointTable, "entropy_bits", lambda t: math.sqrt(len(t.variables)))
 
         for check in (check_faithfulness, bf_check_faithfulness):
             for first_witness in (False, True):
                 with pytest.raises(RuntimeError, match="exact arithmetic is broken"):
-                    check(m, NonAdditive(joint_distribution(m)), first_witness)
+                    check(m, EntropyOracle(table), first_witness)
 
     @staticmethod
     def projections(monkeypatch) -> list[tuple[int, int]]:
@@ -514,8 +509,10 @@ class TestAssumptionChecks:
         # the entropy walk stops with the probes: some rejection projects less
         assert any(first < full for full, first in pairs)
 
-    def test_observed_oracle_projects_the_one_enumeration(self):
-        # support-4 noise into binary outputs: 16 noise tuples, 4 observed rows
+    @staticmethod
+    def coarse_pair() -> Scm:
+        """A -> B with support-4 noise into binary outputs: 16 noise tuples,
+        4 observed rows."""
         g = Dag(["A", "B"], [(0, 1)])
         noise = {v: Pmf.from_weights(range(4), [1, 2, 3, 4]) for v in (0, 1)}
         functions = {
@@ -524,7 +521,17 @@ class TestAssumptionChecks:
                 (0,), {(a, u): (a + u // 2) % 2 for a in (0, 1) for u in range(4)}
             ),
         }
-        m = Scm(g, noise, functions)
+        return Scm(g, noise, functions)
+
+    def test_faithfulness_reads_the_nodes_of_an_oracle_over_the_noise_too(self):
+        m = self.coarse_pair()
+        audit = Assumptions(m)
+        report = check_faithfulness(m, audit.oracle())
+        assert repr(check_faithfulness(m, audit.noise_oracle())) == repr(report)
+        assert report == bf_check_faithfulness(m, audit.noise_oracle())
+
+    def test_observed_oracle_projects_the_one_enumeration(self):
+        m = self.coarse_pair()
         audit = Assumptions(m)
         observed = audit.oracle()
         assert len(audit.noise_oracle().table) == 16
@@ -621,18 +628,6 @@ class TestSampling:
     def test_sample_rejects_negative(self, affine_chain):
         with pytest.raises(ValueError, match="non-negative"):
             sample(affine_chain, seed=0, n=-1)
-
-    def test_dataset_round_trip(self, affine_chain):
-        d = sample(affine_chain, seed=3, n=10)
-        assert parse_dataset(render_dataset(d)) == d
-
-    def test_parse_dataset_rejects_ragged_rows(self):
-        with pytest.raises(ValueError, match="header width"):
-            parse_dataset("A,B\n0,1\n0\n")
-
-    def test_parse_dataset_rejects_empty(self):
-        with pytest.raises(ValueError, match="empty"):
-            parse_dataset("  \n ")
 
 
 class TestSerialization:
