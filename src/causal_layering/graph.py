@@ -27,7 +27,9 @@ class Dag:
     ids (residual graphs keep the registry of the graph they came from).
     """
 
-    __slots__ = ("_labels", "_nodes", "_edges", "_parents", "_children", "_id_of", "_bits")
+    __slots__ = (
+        "_labels", "_nodes", "_edges", "_parents", "_children", "_id_of", "_bits", "_memo"
+    )
 
     def __init__(
         self,
@@ -70,6 +72,7 @@ class Dag:
         self._bits = (tuple(pbits), tuple(cbits))  # by id: bit u per parent / child u
         self._parents = {v: frozenset(s) for v, s in parents.items()}
         self._children = {v: frozenset(s) for v, s in children.items()}
+        self._memo: dict[tuple[int, bool], frozenset[int]] = {}
         self.topological_order()  # raises CycleError on a cycle
 
     @classmethod
@@ -138,28 +141,28 @@ class Dag:
         return self._children[v]
 
     def descendants(self, v: NodeId) -> frozenset[NodeId]:
-        """All nodes reachable from ``v`` by directed edges, excluding ``v``."""
-        self._require(v)
-        seen: set[int] = set()
-        stack = list(self._children[v])
-        while stack:
-            u = stack.pop()
-            if u not in seen:
-                seen.add(u)
-                stack.extend(self._children[u])
-        return frozenset(seen)
+        """All nodes reachable from ``v`` by directed edges, excluding ``v``.
+        Found once per node, on first use, like ``ancestors``."""
+        return self._reach(v, self._children)
 
     def ancestors(self, v: NodeId) -> frozenset[NodeId]:
         """All nodes with a directed path to ``v``, excluding ``v``."""
+        return self._reach(v, self._parents)
+
+    def _reach(self, v: NodeId, step: dict[int, frozenset[int]]) -> frozenset[NodeId]:
         self._require(v)
-        seen: set[int] = set()
-        stack = list(self._parents[v])
-        while stack:
-            u = stack.pop()
-            if u not in seen:
-                seen.add(u)
-                stack.extend(self._parents[u])
-        return frozenset(seen)
+        key = (v, step is self._parents)
+        out = self._memo.get(key)
+        if out is None:
+            seen: set[int] = set()
+            stack = list(step[v])
+            while stack:
+                u = stack.pop()
+                if u not in seen:
+                    seen.add(u)
+                    stack.extend(step[u])
+            out = self._memo[key] = frozenset(seen)
+        return out
 
     def sources(self) -> frozenset[NodeId]:
         return frozenset(v for v in self._nodes if not self._parents[v])
@@ -276,14 +279,11 @@ def d_separated(
 ) -> bool:
     """Whether ``xs`` and ``ys`` are d-separated given ``zs``: no node of
     ``ys`` is in ``d_connected(g, xs, zs)``."""
-    xs = frozenset(int(v) for v in xs)
-    ys = frozenset(int(v) for v in ys)
-    zs = frozenset(int(v) for v in zs)
+    xs, ys, zs = (frozenset(int(v) for v in s) for s in (xs, ys, zs))
     if not xs or not ys:
         raise ValueError("both endpoint sets must be non-empty")
-    for s in (xs, ys, zs):
-        for v in s:
-            g._require(v)
+    for v in xs | ys | zs:
+        g._require(v)
     if xs & ys or xs & zs or ys & zs:
         raise ValueError("endpoint and conditioning sets must be pairwise disjoint")
     return not (d_connected(g, xs, zs) & ys)
@@ -294,8 +294,7 @@ def d_connected(
 ) -> frozenset[NodeId]:
     """The nodes outside ``xs`` and ``zs`` that are d-connected to some node
     of ``xs`` given ``zs``; ``d_connected_bits`` on node sets."""
-    xs = frozenset(int(v) for v in xs)
-    zs = frozenset(int(v) for v in zs)
+    xs, zs = frozenset(int(v) for v in xs), frozenset(int(v) for v in zs)
     if not xs:
         raise ValueError("the endpoint set must be non-empty")
     for v in xs | zs:

@@ -23,6 +23,8 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 
 DEFAULT_ENUMERATION_BUDGET = 1 << 24
 
+Vars = Iterable[NodeId] | int  # ids, or a bit mask with bit v for id v
+
 
 class EnumerationBudgetError(RuntimeError):
     """The noise-tuple product is too large to enumerate."""
@@ -304,23 +306,43 @@ def render_joint_table(table: JointTable) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _mask(variables: Vars) -> int:
+    """``variables`` as a mask; an ``int`` (not a ``bool``) is one already."""
+    if type(variables) is int:
+        return variables
+    mask = 0
+    for v in map(int, variables):
+        if v < 0:
+            raise ValueError(f"unknown variables [{v}]")
+        mask |= 1 << v
+    return mask
+
+
+def _ids(mask: int) -> list[NodeId]:
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
 class EntropyOracle:
     """Conditional-entropy and independence queries over one joint table.
 
-    Marginal entropies are memoized per variable set. ``marginal_entropies``
-    fills the memo for many sets at once, top down, and is the one place
-    that projects: a single ``marginal_entropy`` miss is a one-set batch,
-    projected from the full table. Callers that know their sets in advance
-    (a discovery round, a verification suite, the directed-faithfulness
-    audit) ask for them in one batch first, so their ``cond_entropy`` and
-    ``mutual_information`` queries are memo hits. An oracle from
-    ``projected`` shares its parent's memo. The oracle is single-threaded.
+    A variable set is an iterable of ids or a bit mask: an ``int`` means a
+    mask (bit v for id v), not a node. Entropies are memoized per mask.
+    ``marginal_entropies`` fills the memo for many sets at once and is the
+    one place that projects; a ``marginal_entropy`` miss is a one-set batch.
+    Callers that know their sets in advance (a discovery round, a
+    verification suite, the directed-faithfulness audit) batch them first,
+    so their later queries are memo hits. An oracle from ``projected``
+    shares its parent's memo but checks every key against its own
+    variables. The oracle is single-threaded.
     """
 
     def __init__(self, table: JointTable):
+        if any(v < 0 for v in table.variables):
+            raise ValueError(f"variable ids must be non-negative, got {min(table.variables)}")
         self._table = table
-        self._scope = frozenset(table.variables)
-        self._cache: dict[frozenset[int], float] = {}
+        self._bits = tuple(1 << v for v in table.variables)
+        self._outside = ~sum(self._bits)
+        self._cache: dict[int, float] = {}
 
     @property
     def variables(self) -> tuple[NodeId, ...]:
@@ -330,17 +352,16 @@ class EntropyOracle:
     def table(self) -> JointTable:
         return self._table
 
-    def marginal_entropy(self, variables: Iterable[NodeId] = ()) -> float:
+    def marginal_entropy(self, variables: Vars = ()) -> float:
         """H of one set: a memo lookup, and a one-set ``marginal_entropies``
-        batch on a miss. A frozenset is taken as it is, as most calls are
-        hits with a set their caller has just built."""
-        key = variables if type(variables) is frozenset else frozenset(int(v) for v in variables)
-        value = self._cache.get(key) if key <= self._scope else None
+        batch on a miss."""
+        key = _mask(variables)
+        value = None if key & self._outside else self._cache.get(key)
         if value is None:  # a miss, or unknown variables, which the batch refuses
             value = self.marginal_entropies((key,))[0]
         return value
 
-    def marginal_entropies(self, sets: Iterable[Iterable[NodeId]]) -> list[float]:
+    def marginal_entropies(self, sets: Iterable[Vars]) -> list[float]:
         """H of each set in ``sets``, in input order, every one memoized.
 
         The distinct misses are projected one set size at a time, largest
@@ -351,32 +372,31 @@ class EntropyOracle:
         tables are alive at once, and only when it has fewer rows than the
         full table, which scans as fast.
         """
-        # a frozenset is taken as it is: a batch can hold hundreds of sets
-        keys = [s if type(s) is frozenset else frozenset(int(v) for v in s) for s in sets]
-        cache, full = self._cache, self._table
-        levels: dict[int, dict[frozenset[int], None]] = {}
+        keys = [_mask(s) for s in sets]
+        cache, full, bits, outside = self._cache, self._table, self._bits, self._outside
+        levels: dict[int, dict[int, None]] = {}
         for key in keys:
-            if not key <= self._scope:
-                raise ValueError(f"unknown variables {sorted(key - self._scope)}")
+            if key & outside:
+                raise ValueError(f"unknown variables {_ids(key & outside) if key > 0 else key}")
             if key not in cache:
-                levels.setdefault(len(key), {})[key] = None
-        above: dict[frozenset[int], JointTable] = {}
+                levels.setdefault(key.bit_count(), {})[key] = None
+        above: dict[int, JointTable] = {}
         for size in sorted(levels, reverse=True):
             plan = []  # (miss, the one-larger set whose table it is projected from)
             for key in levels[size]:
-                supersets = [s for s in (key | {v} for v in full.variables) if s in above]
+                supersets = [s for s in (key | b for b in bits) if s in above]
                 plan.append((key, min(supersets, key=lambda s: len(above[s]), default=None)))
             users = Counter(source for _, source in plan)
             above = {s: t for s, t in above.items() if s in users}
             below = levels.get(size - 1, {})
             here = {}
             for key, source in plan:
-                table = (full if source is None else above[source]).marginal(key)
+                table = (full if source is None else above[source]).marginal(_ids(key))
                 cache[key] = table.entropy_bits()
                 users[source] -= 1
                 if not users[source]:  # its last user is done
                     above.pop(source, None)
-                if len(table) < len(full) and any(key - {v} in below for v in key):
+                if len(table) < len(full) and any(key ^ b in below for b in bits if key & b):
                     here[key] = table
             above = here
         return [cache[key] for key in keys]
@@ -388,28 +408,18 @@ class EntropyOracle:
         sub._cache = self._cache
         return sub
 
-    def cond_entropy(
-        self, target: Iterable[NodeId], given: Iterable[NodeId] = ()
-    ) -> float:
+    def cond_entropy(self, target: Vars, given: Vars = ()) -> float:
         """H(target | given) in bits, via H(T ∪ G) - H(G)."""
-        xs = frozenset(int(v) for v in target)
-        ss = frozenset(int(v) for v in given)
+        xs, ss = _mask(target), _mask(given)
         if not xs:
             raise ValueError("target set must be non-empty")
         if xs & ss:
             raise ValueError("target overlaps conditioning set")
         return self.marginal_entropy(xs | ss) - self.marginal_entropy(ss)
 
-    def mutual_information(
-        self,
-        xs: Iterable[NodeId],
-        ys: Iterable[NodeId],
-        given: Iterable[NodeId] = (),
-    ) -> float:
+    def mutual_information(self, xs: Vars, ys: Vars, given: Vars = ()) -> float:
         """I(X; Y | S) in bits. Tiny negatives are float roundoff."""
-        xs = frozenset(int(v) for v in xs)
-        ys = frozenset(int(v) for v in ys)
-        ss = frozenset(int(v) for v in given)
+        xs, ys, ss = _mask(xs), _mask(ys), _mask(given)
         if not xs or not ys:
             raise ValueError("both variable sets must be non-empty")
         if xs & ys or xs & ss or ys & ss:

@@ -7,6 +7,7 @@ whose extra premise fails its validator is skipped, never asserted.
 
 from __future__ import annotations
 
+import functools
 import random
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ from enum import Enum
 
 from . import oracle as _oracle
 from .discovery import DiscoveryResult
-from .graph import Dag, NodeId, d_separated, layering_violations
+from .graph import Dag, NodeId, d_connected_bits, layering_violations
 from .scm import Assumptions, Scm, explicit_noise_graph, noise_entropy
 
 
@@ -42,19 +43,12 @@ def classify_bound_case(g: Dag, v: NodeId, cond: Iterable[NodeId]) -> frozenset[
     for x in cond:
         g.label(x)  # membership check
     parents = g.parents(v)
-    kinds: set[BoundKind] = set()
     if parents <= cond:
-        kinds.add(BoundKind.AT_MOST_NOISE)
-        if g.descendants(v) & cond:
-            kinds.add(BoundKind.BELOW_NOISE)
-        else:
-            kinds.add(BoundKind.EQUALS_NOISE)
-    else:
-        for p in parents - cond:
-            if not (g.descendants(p) & (cond | parents)):
-                kinds.add(BoundKind.ABOVE_NOISE)
-                break
-    return frozenset(kinds)
+        strict = BoundKind.BELOW_NOISE if g.descendants(v) & cond else BoundKind.EQUALS_NOISE
+        return frozenset({BoundKind.AT_MOST_NOISE, strict})
+    if any(not g.descendants(p) & (cond | parents) for p in parents - cond):
+        return frozenset({BoundKind.ABOVE_NOISE})
+    return frozenset()
 
 
 @dataclass(frozen=True)
@@ -68,25 +62,27 @@ class BoundCheckCase:
 
 
 def _conditioning_cases(
-    nodes: Iterable[NodeId], pool: Callable[[NodeId], list[NodeId]], cases: int, seed: int
-) -> Iterator[tuple[NodeId, frozenset[NodeId]]]:
-    """(v, S) cases with S drawn from ``pool(v)``.
+    pools: Mapping[NodeId, list[NodeId]], cases: int, seed: int
+) -> Iterator[tuple[NodeId, frozenset[NodeId], int]]:
+    """(v, S, S as a bit mask) cases with S drawn from ``pools[v]``.
 
     Up to 5 nodes: every v in order and every subset of its pool. Beyond:
     ``cases`` draws from ``random.Random(seed)``, each a choice of v followed
     by one coin per pool member, in pool order.
     """
-    nodes = sorted(nodes)
+    nodes = sorted(pools)
     if len(nodes) <= 5:
         for v in nodes:
-            members = pool(v)
+            members = pools[v]
             for mask in range(1 << len(members)):
-                yield v, frozenset(u for k, u in enumerate(members) if mask >> k & 1)
+                picked = [u for k, u in enumerate(members) if mask >> k & 1]
+                yield v, frozenset(picked), sum(1 << u for u in picked)
         return
     rng = random.Random(seed)
     for _ in range(cases):
         v = rng.choice(nodes)
-        yield v, frozenset(u for u in pool(v) if rng.random() < 0.5)
+        picked = [u for u in pools[v] if rng.random() < 0.5]
+        yield v, frozenset(picked), sum(1 << u for u in picked)
 
 
 def check_entropy_bounds(
@@ -105,49 +101,44 @@ def check_entropy_bounds(
     when the validator fails, those cases are reported as SKIP. The
     validators are read from ``assumptions`` (by default, run on ``m``).
 
-    The whole case list is drawn first and its entropies are asked for in
-    one ``oracle.marginal_entropies`` call, so each case's ``cond_entropy``
-    is a memo hit. Each distinct (v, S) is classified once, and each node's
-    noise entropy is computed once.
+    Cases are drawn with their sets' bit masks, and their entropies come
+    from one ``oracle.marginal_entropies`` call, so each ``cond_entropy`` is
+    a memo hit. Each distinct (v, S) is classified once.
     """
     g = m.graph
     audit = assumptions if assumptions is not None else Assumptions(m)
-    assert_above = audit.holds("injective_noise_plus_one")
-    assert_below = audit.holds("directed_faithfulness")
+    skip = {
+        BoundKind.ABOVE_NOISE: not audit.holds("injective_noise_plus_one"),
+        BoundKind.BELOW_NOISE: not audit.holds("directed_faithfulness"),
+    }
     nodes = sorted(g.nodes)
     noise = {v: noise_entropy(m, v) for v in nodes}
-
-    def others(v: NodeId) -> list[NodeId]:
-        return [u for u in nodes if u != v]
-
-    drawn = list(_conditioning_cases(nodes, others, cases, seed))
-    oracle.marginal_entropies(s for v, cond in drawn for s in (cond | {v}, cond))
-    kinds_of: dict[tuple[NodeId, frozenset[NodeId]], frozenset[BoundKind]] = {}
+    others = {v: [u for u in nodes if u != v] for v in nodes}
+    drawn = list(_conditioning_cases(others, cases, seed))
+    oracle.marginal_entropies(s for v, _, mask in drawn for s in (mask | 1 << v, mask))
+    kinds_of: dict[tuple[NodeId, int], list[BoundKind]] = {}
     out: list[BoundCheckCase] = []
-    for v, cond in drawn:
-        kinds = kinds_of.get((v, cond))
+    for v, cond, mask in drawn:
+        kinds = kinds_of.get((v, mask))
         if kinds is None:
-            kinds = kinds_of[(v, cond)] = classify_bound_case(g, v, cond)
-        measured = oracle.cond_entropy((v,), cond)
+            kinds = kinds_of[(v, mask)] = sorted(
+                classify_bound_case(g, v, cond), key=lambda k: k.value
+            )
+        measured = oracle.cond_entropy(1 << v, mask)
         reference = noise[v]
         if not kinds:
             out.append(BoundCheckCase(v, cond, None, measured, reference, Verdict.SKIP))
             continue
-        for kind in sorted(kinds, key=lambda k: k.value):
-            if kind is BoundKind.ABOVE_NOISE and not assert_above:
-                verdict = Verdict.SKIP
-            elif kind is BoundKind.BELOW_NOISE and not assert_below:
-                verdict = Verdict.SKIP
+        for kind in kinds:
+            if kind is BoundKind.AT_MOST_NOISE:
+                ok = measured <= reference + tol
+            elif kind is BoundKind.EQUALS_NOISE:
+                ok = abs(measured - reference) <= tol
+            elif kind is BoundKind.BELOW_NOISE:
+                ok = measured < reference - tol
             else:
-                if kind is BoundKind.AT_MOST_NOISE:
-                    ok = measured <= reference + tol
-                elif kind is BoundKind.EQUALS_NOISE:
-                    ok = abs(measured - reference) <= tol
-                elif kind is BoundKind.BELOW_NOISE:
-                    ok = measured < reference - tol
-                else:
-                    ok = measured > reference + tol
-                verdict = Verdict.PASS if ok else Verdict.FAIL
+                ok = measured > reference + tol
+            verdict = Verdict.SKIP if skip.get(kind) else Verdict.PASS if ok else Verdict.FAIL
             out.append(BoundCheckCase(v, cond, kind, measured, reference, verdict))
     return out
 
@@ -173,38 +164,30 @@ def check_noise_independence(
     For every such set the explicit-noise graph must d-separate them and
     the measured mutual information must vanish. Exhaustive up to 5 nodes.
     ``oracle`` must cover the noise variables, as
-    ``Assumptions.noise_oracle()`` does.
-
-    As in ``check_entropy_bounds``, the cases are drawn first, their
-    entropies come from one ``oracle.marginal_entropies`` call, and each
-    distinct (v, S) runs one d-separation sweep.
+    ``Assumptions.noise_oracle()`` does. As in ``check_entropy_bounds``,
+    one batch fills the memo; one ``d_connected_bits`` sweep from each noise
+    variable, given nothing, answers all its cases.
     """
     g = m.graph
     noise_graph = explicit_noise_graph(m)
     nodes = sorted(g.nodes)
-
-    def pool(v: NodeId) -> list[NodeId]:
-        below = g.descendants(v)
-        return [u for u in nodes if u != v and u not in below]
-
-    drawn = list(_conditioning_cases(nodes, pool, cases, seed))
-    noise = {v: frozenset({m.noise_node(v)}) for v in nodes}
+    pools = {v: [u for u in nodes if u != v and u not in g.descendants(v)] for v in nodes}
+    drawn = list(_conditioning_cases(pools, cases, seed))
+    noise = {v: 1 << m.noise_node(v) for v in nodes}
     oracle.marginal_entropies(  # the sets mutual_information looks up
-        s for v, ss in drawn if ss for s in (noise[v] | ss, noise[v], ss, frozenset())
+        s for v, _, mask in drawn if mask for s in (noise[v] | mask, noise[v], mask, 0)
     )
-    separated_of: dict[tuple[NodeId, frozenset[NodeId]], bool] = {}
+    reach = {v: d_connected_bits(noise_graph, noise[v]) for v in nodes}
     out: list[IndependenceCase] = []
-    for v, ss in drawn:
-        if not ss:
-            out.append(IndependenceCase(v, ss, True, 0.0, Verdict.PASS))
+    for v, cond, mask in drawn:
+        if not mask:
+            out.append(IndependenceCase(v, cond, True, 0.0, Verdict.PASS))
             continue
-        separated = separated_of.get((v, ss))
-        if separated is None:
-            separated = separated_of[(v, ss)] = d_separated(noise_graph, {m.noise_node(v)}, ss)
-        mi = oracle.mutual_information({m.noise_node(v)}, ss)
+        separated = not (reach[v] & mask)
+        mi = oracle.mutual_information(noise[v], mask)
         ok = separated and mi <= tol
         out.append(
-            IndependenceCase(v, ss, separated, mi, Verdict.PASS if ok else Verdict.FAIL)
+            IndependenceCase(v, cond, separated, mi, Verdict.PASS if ok else Verdict.FAIL)
         )
     return out
 
@@ -261,13 +244,15 @@ def check_call_bound(result: DiscoveryResult, n: int) -> bool:
     return result.oracle_calls <= n * (n + 1) // 2
 
 
-def _render_cases(cases: Iterable, line: Callable) -> str:
-    """One ``line(case)`` per case, then a summary line tallying the verdicts."""
+def _render_cases(cases: Iterable, labels: Mapping[NodeId, str], line: Callable) -> str:
+    """One ``line(case, S)`` per case, S its set's labels (joined once per
+    set), then a line tallying the verdicts."""
     lines = []
+    text = functools.cache(lambda s: ",".join(sorted(labels[v] for v in s)))
     tally = {Verdict.PASS: 0, Verdict.FAIL: 0, Verdict.SKIP: 0}
     for case in cases:
         tally[case.verdict] += 1
-        lines.append(line(case))
+        lines.append(line(case, text(case.cond)))
     lines.append(
         f"summary: {tally[Verdict.PASS]} pass, {tally[Verdict.FAIL]} fail, "
         f"{tally[Verdict.SKIP]} skip"
@@ -276,26 +261,24 @@ def _render_cases(cases: Iterable, line: Callable) -> str:
 
 
 def render_bound_report(cases: Iterable[BoundCheckCase], labels: Mapping[NodeId, str]) -> str:
-    def line(case: BoundCheckCase) -> str:
+    def line(case: BoundCheckCase, cond: str) -> str:
         kind = case.kind.value if case.kind is not None else "none"
-        cond = ",".join(sorted(labels[v] for v in case.cond))
         return (
             f"{kind} v={labels[case.node]} S={{{cond}}} "
             f"H={case.measured:.9f} Hnoise={case.noise_entropy:.9f} {case.verdict.value}"
         )
 
-    return _render_cases(cases, line)
+    return _render_cases(cases, labels, line)
 
 
 def render_independence_report(
     cases: Iterable[IndependenceCase], labels: Mapping[NodeId, str]
 ) -> str:
-    def line(case: IndependenceCase) -> str:
-        cond = ",".join(sorted(labels[v] for v in case.cond))
+    def line(case: IndependenceCase, cond: str) -> str:
         return (
             f"noise_independence v={labels[case.node]} S={{{cond}}} "
             f"dsep={str(case.separated).lower()} "
             f"mi={case.mutual_information:.3e} {case.verdict.value}"
         )
 
-    return _render_cases(cases, line)
+    return _render_cases(cases, labels, line)

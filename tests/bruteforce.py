@@ -5,7 +5,8 @@ probabilities accumulated in dicts, d-separation by enumerating every
 simple path. Agreement with the fast implementations is the test. The
 exact projection and per-tuple enumeration, the peeling loops, the
 per-candidate discovery rounds, injectivity scans, case lists, per-case
-verification suites and faithfulness check are the package's earlier
+verification suites, frozenset-keyed batch planner, uncached descendant
+searches and faithfulness check are the package's earlier
 separate implementations, kept as references for the shared or faster code
 that replaced them.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 from itertools import product
 
 from causal_layering.discovery import (
@@ -82,6 +83,42 @@ def marginal(table: JointTable, keep) -> JointTable:
         out[sub] = w if prev is None else prev + w
     labels = tuple(table.labels[i] for i in idx)
     return JointTable(kept, labels, out, denom)
+
+
+def marginal_entropies(table: JointTable, cache: dict, sets) -> list[float]:
+    """``EntropyOracle.marginal_entropies`` as it was with frozenset memo keys:
+    the same plan, one set size at a time, largest first, each miss projected
+    from the smallest one-larger table (the first in variable order on a
+    tie) or from ``table``. ``cache`` maps frozensets to entropies and may be
+    shared between tables over nested variable sets."""
+    scope = frozenset(table.variables)
+    keys = [frozenset(int(v) for v in s) for s in sets]
+    levels: dict[int, dict[frozenset[int], None]] = {}
+    for key in keys:
+        if not key <= scope:
+            raise ValueError(f"unknown variables {sorted(key - scope)}")
+        if key not in cache:
+            levels.setdefault(len(key), {})[key] = None
+    above: dict[frozenset[int], JointTable] = {}
+    for size in sorted(levels, reverse=True):
+        plan = []
+        for key in levels[size]:
+            supersets = [s for s in (key | {v} for v in table.variables) if s in above]
+            plan.append((key, min(supersets, key=lambda s: len(above[s]), default=None)))
+        users = Counter(source for _, source in plan)
+        above = {s: t for s, t in above.items() if s in users}
+        below = levels.get(size - 1, {})
+        here = {}
+        for key, source in plan:
+            projected = (table if source is None else above[source]).marginal(key)
+            cache[key] = projected.entropy_bits()
+            users[source] -= 1
+            if not users[source]:
+                above.pop(source, None)
+            if len(projected) < len(table) and any(key - {v} in below for v in key):
+                here[key] = projected
+        above = here
+    return [cache[key] for key in keys]
 
 
 def joint_distribution(scm, include_noise: bool = False) -> JointTable:
@@ -187,6 +224,23 @@ def random_dag(rng: random.Random, n: int, edge_prob: float = 0.4) -> Dag:
             if rng.random() < edge_prob:
                 edges.append((perm[i], perm[j]))
     return Dag(labels, edges)
+
+
+def descendants(g: Dag, v: int) -> frozenset[int]:
+    """Nodes reachable from ``v`` by directed edges, by a fresh search."""
+    seen: set[int] = set()
+    frontier = deque(g.children(v))
+    while frontier:
+        u = frontier.popleft()
+        if u not in seen:
+            seen.add(u)
+            frontier.extend(g.children(u))
+    return frozenset(seen)
+
+
+def ancestors(g: Dag, v: int) -> frozenset[int]:
+    """Nodes with a directed path to ``v``: those that have ``v`` as a descendant."""
+    return frozenset(u for u in g.nodes if v in descendants(g, u))
 
 
 def take_k_by_label(g: Dag, k: int = 1):

@@ -25,7 +25,9 @@ from causal_layering.graph import (
 )
 from causal_layering.scm import GeneratorConfig, explicit_noise_graph, generate_scm
 
+from bruteforce import ancestors as bf_ancestors
 from bruteforce import d_separated_paths, random_dag, take_k_by_label
+from bruteforce import descendants as bf_descendants
 from bruteforce import sir_layering as bf_sir_layering
 from bruteforce import sour_layering as bf_sour_layering
 
@@ -111,6 +113,19 @@ class TestAccessors:
     def test_ancestors(self):
         g = diamond()
         assert g.ancestors(g.id_of("D")) == {0, 1, 2}
+
+    @settings(max_examples=100, deadline=None)
+    @given(dags(), st.data())
+    def test_cached_reach_matches_a_fresh_search(self, g: Dag, data):
+        keep = data.draw(st.sets(st.sampled_from(sorted(g.nodes))))
+        for h in (g, g.residual(keep), g):  # a residual graph keeps no cache of its parent's
+            for v in sorted(h.nodes):
+                below, above = h.descendants(v), h.ancestors(v)
+                assert below == bf_descendants(h, v)
+                assert above == bf_ancestors(h, v)
+                assert h.descendants(v) is below and h.ancestors(v) is above
+        with pytest.raises(ValueError, match="unknown node"):
+            g.descendants(len(g.labels))
 
     def test_unmediated_parents_drops_mediated(self):
         # A -> B -> C plus direct A -> C: among C's parents, A reaches B

@@ -28,6 +28,7 @@ from causal_layering.scm import (
     noise_entropy,
 )
 
+import bruteforce
 from bruteforce import cond_entropy as bf_cond_entropy
 from bruteforce import entropy as bf_entropy
 from bruteforce import joint_distribution as bf_joint_distribution
@@ -175,6 +176,11 @@ def weighted_tables(draw):
     return variables, weights, big, small
 
 
+def _mask(variables) -> int:
+    """An ``EntropyOracle`` memo key: bit v for id v."""
+    return sum(1 << v for v in variables)
+
+
 def _exact(variables, weights, order=None) -> JointTable:
     keys = list(weights) if order is None else order
     labels = [f"V{v}" for v in variables]
@@ -266,7 +272,7 @@ class TestMarginalEngine:
             for _ in range(30):
                 key = frozenset(v for v in variables if rng.random() < rng.random())
                 want = original(t, key).entropy_bits()
-                missed = key not in orc._cache
+                missed = _mask(key) not in orc._cache
                 sources.clear()
                 assert orc.marginal_entropy(key) == want
                 assert sources == ([t] if missed else [])
@@ -321,7 +327,7 @@ class TestBatchEntropies:
         sets = data.draw(query_sets(variables))
         got = orc.marginal_entropies(sets)
         assert [h.hex() for h in got] == [EntropyOracle(t).marginal_entropy(s).hex() for s in sets]
-        assert all(s in orc._cache for s in sets)
+        assert all(_mask(s) in orc._cache for s in sets)
         assert orc.marginal_entropies(sets) == got
 
     @settings(max_examples=100, deadline=None)
@@ -333,7 +339,7 @@ class TestBatchEntropies:
         for key in data.draw(query_sets(variables, 10)):
             orc.marginal_entropy(key)
         sets = data.draw(query_sets(variables))
-        misses = {s for s in sets if s not in orc._cache}
+        misses = {s for s in sets if _mask(s) not in orc._cache}
         calls: list[tuple[JointTable, frozenset[int], JointTable]] = []
         original = JointTable.marginal
 
@@ -403,6 +409,95 @@ class TestBatchEntropies:
                 assert calls == []
         with pytest.raises(ValueError, match="unknown variables"):
             observed.marginal_entropy({affine_chain.noise_node(A)})
+
+
+class TestMaskPlanner:
+    """The bit-mask planner against ``bruteforce.marginal_entropies``, the
+    frozenset-keyed planner it replaced."""
+
+    @staticmethod
+    def _run(fn):
+        """(result or error text, [(source variables, kept variables)] per projection)."""
+        calls: list[tuple[frozenset[int], frozenset[int]]] = []
+        original = JointTable.marginal
+
+        def recording(self, keep):
+            keep = list(keep)
+            calls.append((frozenset(self.variables), frozenset(keep)))
+            return original(self, keep)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(JointTable, "marginal", recording)
+            try:
+                out = fn()
+            except ValueError as exc:
+                out = f"ValueError: {exc}"
+        return out, calls
+
+    @settings(max_examples=150, deadline=None)
+    @given(weighted_tables(), st.data())
+    def test_matches_the_frozenset_planner(self, case, data):
+        variables, weights, observed_vars, _ = case
+        t = _exact(variables, weights)
+        noisy = EntropyOracle(t)
+        observed = noisy.projected(observed_vars)  # shares the memo, as Assumptions does
+        memo: dict[frozenset[int], float] = {}
+        ids = [*variables, max(variables) + 1]  # one id no table covers
+        asked: list[list[int]] = []
+        for _ in range(data.draw(st.integers(1, 5))):
+            orc = data.draw(st.sampled_from([noisy, observed]))
+            sets = data.draw(st.lists(st.lists(st.sampled_from(ids), unique=True), max_size=30))
+            forms = data.draw(st.lists(st.sampled_from([_mask, frozenset, list]),
+                                       min_size=len(sets), max_size=len(sets)))
+            batch = [form(s) for form, s in zip(forms, sets)]
+            asked += sets
+            want, want_calls = self._run(lambda: bruteforce.marginal_entropies(
+                orc.table, memo, [frozenset(s) for s in sets]))
+            got, got_calls = self._run(lambda: orc.marginal_entropies(batch))
+            if isinstance(want, list):
+                want, got = [h.hex() for h in want], [h.hex() for h in got]
+            assert got == want
+            assert got_calls == want_calls
+            keys = {frozenset(v for v in ids if k >> v & 1): h for k, h in orc._cache.items()}
+            assert keys == memo
+            one = data.draw(st.sampled_from(asked)) if asked else []
+            for lookup in (noisy, observed):  # one lookup: a memo hit, a miss, or out of scope
+                want, _ = self._run(lambda: bruteforce.marginal_entropies(
+                    lookup.table, memo, [frozenset(one)])[0])
+                got, _ = self._run(lambda: lookup.marginal_entropy(_mask(one)))
+                assert got == want
+
+    def test_every_key_is_scope_checked_memo_hits_too(self, affine_chain):
+        audit = Assumptions(affine_chain)
+        noisy, observed = audit.noise_oracle(), audit.oracle()
+        n_a = affine_chain.noise_node(A)
+        noisy.marginal_entropies([{n_a}, {n_a, A}, {A}])
+        assert _mask({n_a}) in observed._cache
+        for query in ({n_a}, _mask({n_a}), frozenset({n_a})):
+            with pytest.raises(ValueError, match="unknown variables"):
+                observed.marginal_entropy(query)
+        with pytest.raises(ValueError, match="unknown variables"):
+            observed.mutual_information({n_a}, {A})
+        with pytest.raises(ValueError, match="unknown variables"):
+            observed.cond_entropy(_mask({A}), _mask({n_a}))
+
+    def test_an_int_is_a_mask_and_a_bool_is_refused(self, affine_chain):
+        orc = EntropyOracle(joint_distribution(affine_chain))
+        assert orc.marginal_entropy(0b101).hex() == orc.marginal_entropy([A, C]).hex()
+        assert orc.marginal_entropy(0) == 0.0
+        assert orc.cond_entropy(1 << C, 0b11) == orc.cond_entropy({C}, (A, B))
+        assert orc.mutual_information(1 << A, [C]) == orc.mutual_information({A}, {C})
+        assert orc.marginal_entropies([1 << B, {B}, [B]]) == [orc.marginal_entropy({B})] * 3
+        with pytest.raises(TypeError):
+            orc.marginal_entropy(True)
+        for bad in (-1, 1 << 9, [-1]):
+            with pytest.raises(ValueError, match="unknown variables"):
+                orc.marginal_entropy(bad)
+
+    def test_negative_variable_ids_are_refused(self):
+        t = JointTable((0, -2), ("X", "Y"), {(0, 0): 1}, 1)
+        with pytest.raises(ValueError, match="variable ids must be non-negative, got -2"):
+            EntropyOracle(t)
 
 
 class TestJointDistribution:
