@@ -252,7 +252,8 @@ def _cmd_check(args) -> int:
     model = _load_scm(args.scm)
     budget = _enumeration_budget(args)
     audit = Assumptions(model, budget)
-    orc = audit.oracle()  # projected from the command's one enumeration, shared below
+    noisy = audit.noise_oracle()  # the command's one enumeration, with noise columns
+    orc = audit.oracle()  # its observed marginal, shared below
     labels = {v: model.label(v) for v in model.graph.nodes}
     n = len(model.graph.nodes)
     failed = False
@@ -266,7 +267,7 @@ def _cmd_check(args) -> int:
     failed |= not bound_cases or any(c.verdict is _verify.Verdict.FAIL for c in bound_cases)
 
     indep_cases = _verify.check_noise_independence(
-        model, audit.noise_oracle(), cases=args.cases, seed=args.seed
+        model, noisy, cases=args.cases, seed=args.seed
     )
     out.append("== noise independence ==")
     out.append(_verify.render_independence_report(indep_cases, labels).rstrip("\n"))

@@ -69,10 +69,14 @@ class JointTable:
 
     Internally each assignment is one packed ``int`` (see ``_layout``), so a
     projection is a bit mask per row. A derived table keeps its parent's
-    fields, so nested projections mask the same keys.
+    columns, so nested projections mask the same keys. A table computes its
+    entropy once and keeps it.
     """
 
-    __slots__ = ("_variables", "_labels", "_weights", "_denom", "_fields")
+    # _cols: one (bit of the id, id, label, field, field mask in a key) per
+    # variable, in variable order; a negative id has bit 0 and cannot be kept.
+    # _own: the bits of the table's ids.
+    __slots__ = ("_cols", "_own", "_weights", "_denom", "_entropy")
 
     def __init__(
         self,
@@ -81,17 +85,17 @@ class JointTable:
         weights: Mapping[tuple[int, ...], int],
         denom: int,
     ):
-        self._variables = tuple(int(v) for v in variables)
-        self._labels = tuple(str(s) for s in labels)
-        if len(self._variables) != len(self._labels):
+        variables = tuple(int(v) for v in variables)
+        labels = tuple(str(s) for s in labels)
+        if len(variables) != len(labels):
             raise ValueError("variables and labels must align")
-        if len(set(self._variables)) != len(self._variables):
+        if len(set(variables)) != len(variables):
             raise ValueError("duplicate variables")
         if type(denom) is not int or denom <= 0:
             raise ValueError(f"denominator must be a positive integer, got {denom!r}")
         clean: dict[tuple[int, ...], int] = {}
         for key, w in weights.items():
-            if len(key) != len(self._variables):
+            if len(key) != len(variables):
                 raise ValueError(f"assignment {key} does not match variable count")
             if type(w) is not int:
                 raise ValueError(f"weight at {key} must be an integer, got {w!r}")
@@ -102,35 +106,55 @@ class JointTable:
         total = sum(clean.values())
         if total != denom:
             raise ValueError(f"probabilities sum to {total}/{denom}, not 1")
-        alphabets = [tuple(sorted(set(column))) for column in zip(*clean)]
-        self._fields = _layout(alphabets)
-        codes = [_codes(field) for field in self._fields]
+        fields = _layout([tuple(sorted(set(column))) for column in zip(*clean)])
+        codes = [_codes(field) for field in fields]
         packed: dict[int, int] = {}
         for key, w in clean.items():
             k = 0
             for code, x in zip(codes, key):
                 k |= code[x]
             packed[k] = w
+        self._cols = _columns(variables, labels, fields)
+        self._own = sum(c[0] for c in self._cols)
         self._weights = packed
         self._denom = denom
+        self._entropy: float | None = None
+
+    @classmethod
+    def _derived(
+        cls, cols: tuple, own: int, weights: dict[int, int], denom: int, entropy=None
+    ) -> JointTable:
+        """A table whose integer weights are positive and sum to ``denom``
+        by construction, so nothing needs checking again: a
+        projection of a checked table (sums of its positive weights), or an
+        exact enumeration (products of validated ``Pmf`` numerators).
+        ``own`` is the bits of the ids in ``cols``."""
+        table = cls.__new__(cls)
+        table._cols = cols
+        table._own = own
+        table._weights = weights
+        table._denom = denom
+        table._entropy = entropy
+        return table
 
     @property
     def variables(self) -> tuple[NodeId, ...]:
-        return self._variables
+        return tuple(c[1] for c in self._cols)
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return self._labels
+        return tuple(c[2] for c in self._cols)
 
     def __len__(self) -> int:
         return len(self._weights)
 
     def prob(self, assignment: tuple[int, ...]) -> Fraction:
         assignment = tuple(assignment)
-        if len(assignment) != len(self._fields):
+        if len(assignment) != len(self._cols):
             return Fraction(0)
         key = 0
-        for (shift, _, alphabet), x in zip(self._fields, assignment):
+        for c, x in zip(self._cols, assignment):
+            shift, _, alphabet = c[3]
             i = bisect_left(alphabet, x)
             if i == len(alphabet) or alphabet[i] != x:
                 return Fraction(0)
@@ -139,58 +163,33 @@ class JointTable:
 
     def items(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Entries sorted by assignment, probabilities as Fractions."""
-        fields, d = self._fields, self._denom
+        fields, d = [c[3] for c in self._cols], self._denom
         return [
             (tuple(alphabet[(key >> shift) & mask] for shift, mask, alphabet in fields),
              Fraction(w, d))
             for key, w in sorted(self._weights.items())
         ]
 
-    @classmethod
-    def _derived(
-        cls,
-        variables: tuple[NodeId, ...],
-        labels: tuple[str, ...],
-        weights: dict[int, int],
-        denom: int,
-        fields: tuple[_Field, ...],
-    ) -> JointTable:
-        """A table whose integer weights are positive and sum to ``denom``
-        by construction, so nothing needs checking again: a
-        projection of a checked table (sums of its positive weights), or an
-        exact enumeration (products of validated ``Pmf`` numerators)."""
-        table = cls.__new__(cls)
-        table._variables = variables
-        table._labels = labels
-        table._weights = weights
-        table._denom = denom
-        table._fields = fields
-        return table
+    def marginal(self, keep: Vars) -> JointTable:
+        """The marginal on ``keep``: ids, or a bit mask with bit v for id v.
 
-    def marginal(self, keep: Iterable[NodeId]) -> JointTable:
-        keep_set = {int(v) for v in keep}
-        unknown = keep_set - set(self._variables)
-        if unknown:
-            raise ValueError(f"unknown variables {sorted(unknown)}")
-        idx = [i for i, v in enumerate(self._variables) if v in keep_set]
-        if len(idx) == len(self._variables):
+        A projection that merges no rows keeps the multiset of weights, so
+        it takes this table's entropy, when known, as its own.
+        """
+        keep = _mask(keep)
+        if keep & ~self._own:
+            raise _unknown(keep, self._own)
+        cols = tuple([c for c in self._cols if keep & c[0]])
+        if len(cols) == len(self._cols):
             return self
-        fields = tuple(self._fields[i] for i in idx)
-        keep_mask = 0
-        for shift, mask, _ in fields:
-            keep_mask |= mask << shift
+        keep_mask = sum([c[4] for c in cols])
         out: dict[int, int] = {}
         get = out.get
         for key, w in self._weights.items():
             key &= keep_mask
             out[key] = get(key, 0) + w
-        return JointTable._derived(
-            tuple(self._variables[i] for i in idx),
-            tuple(self._labels[i] for i in idx),
-            out,
-            self._denom,
-            fields,
-        )
+        carried = self._entropy if len(out) == len(self._weights) else None
+        return JointTable._derived(cols, keep, out, self._denom, carried)
 
     def entropy_bits(self) -> float:
         """Shannon entropy of the full table, in bits; 0 log 0 counts as 0.
@@ -200,13 +199,23 @@ class JointTable:
         denominator past float range takes each term from ``w / d`` and the
         big-int ``math.log2`` instead of from w * log2(w).
         """
-        d = self._denom
-        if d.bit_length() <= _FLOAT_SAFE_BITS:
-            ws = self._weights.values()
-            acc = math.fsum(map(operator.mul, ws, map(math.log2, ws)))
-            return math.log2(d) - acc / d
-        log_d = math.log2(d)
-        return math.fsum(w / d * (log_d - math.log2(w)) for w in self._weights.values())
+        if self._entropy is None:
+            d, ws = self._denom, self._weights.values()
+            if d.bit_length() <= _FLOAT_SAFE_BITS:
+                acc = math.fsum(map(operator.mul, ws, map(math.log2, ws)))
+                self._entropy = math.log2(d) - acc / d
+            else:
+                log_d = math.log2(d)
+                self._entropy = math.fsum(w / d * (log_d - math.log2(w)) for w in ws)
+        return self._entropy
+
+
+def _columns(variables, labels, fields) -> tuple:
+    """``JointTable._cols`` for aligned ids, labels and fields."""
+    return tuple(
+        (1 << v if v >= 0 else 0, v, label, field, field[1] << field[0])
+        for v, label, field in zip(variables, labels, fields)
+    )
 
 
 def joint_distribution(
@@ -270,7 +279,7 @@ def joint_distribution(
         steps.append((parent_mask, choices))
 
     if not steps:  # a model without nodes has one empty assignment
-        return JointTable._derived((), (), {0: 1}, 1, ())
+        return JointTable._derived((), 0, {0: 1}, 1)
     states = [(0, 1)]
     for parent_mask, choices in steps[:-1]:
         states = [
@@ -284,9 +293,8 @@ def joint_distribution(
             bits |= key
             acc[bits] = get(bits, 0) + w * nw
     # the products of each node's numerators sum to the product of its denominators
-    return JointTable._derived(
-        tuple(variables), tuple(labels), acc, math.prod(denoms), tuple(fields.values())
-    )
+    cols = _columns(variables, labels, fields.values())
+    return JointTable._derived(cols, sum(c[0] for c in cols), acc, math.prod(denoms))
 
 
 def empirical_joint(dataset: "Dataset") -> JointTable:
@@ -318,8 +326,11 @@ def _mask(variables: Vars) -> int:
     return mask
 
 
-def _ids(mask: int) -> list[NodeId]:
-    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+def _unknown(key: int, own: int) -> ValueError:
+    """The error for a mask ``key`` with bits outside ``own``."""
+    extra = key & ~own
+    ids = [v for v in range(extra.bit_length()) if extra >> v & 1] if extra > 0 else key
+    return ValueError(f"unknown variables {ids}")
 
 
 class EntropyOracle:
@@ -331,18 +342,19 @@ class EntropyOracle:
     one place that projects; a ``marginal_entropy`` miss is a one-set batch.
     Callers that know their sets in advance (a discovery round, a
     verification suite, the directed-faithfulness audit) batch them first,
-    so their later queries are memo hits. An oracle from ``projected``
-    shares its parent's memo but checks every key against its own
-    variables. The oracle is single-threaded.
+    so their later queries are memo hits. An oracle given another's
+    ``memo`` (as ``projected`` does) shares it, and still checks every key
+    against its own variables. The oracle is single-threaded.
     """
 
-    def __init__(self, table: JointTable):
+    def __init__(self, table: JointTable, memo: dict[int, float] | None = None):
         if any(v < 0 for v in table.variables):
             raise ValueError(f"variable ids must be non-negative, got {min(table.variables)}")
         self._table = table
-        self._bits = tuple(1 << v for v in table.variables)
-        self._outside = ~sum(self._bits)
-        self._cache: dict[int, float] = {}
+        # each variable's bit -> its position in the table's variable order
+        self._rank = {1 << v: i for i, v in enumerate(table.variables)}
+        self._outside = ~table._own
+        self._cache: dict[int, float] = {} if memo is None else memo
 
     @property
     def variables(self) -> tuple[NodeId, ...]:
@@ -367,46 +379,44 @@ class EntropyOracle:
         The distinct misses are projected one set size at a time, largest
         first: each from the smallest of the previous size's tables over its
         one-larger supersets (the first in variable order on a tie), or from
-        the full table when there is none. A table is kept only while a miss
-        one size down may still be projected from it, so at most two sizes'
-        tables are alive at once, and only when it has fewer rows than the
-        full table, which scans as fast.
+        the full table when there is none. Each table, once projected, is
+        offered to the misses one size down that it covers; one that has
+        as many rows as the full table, which scans as fast, is not. Only
+        the tables some miss takes outlive their size, so at most two
+        sizes' tables are alive at once.
         """
         keys = [_mask(s) for s in sets]
-        cache, full, bits, outside = self._cache, self._table, self._bits, self._outside
+        cache, full, rank = self._cache, self._table, self._rank
         levels: dict[int, dict[int, None]] = {}
         for key in keys:
-            if key & outside:
-                raise ValueError(f"unknown variables {_ids(key & outside) if key > 0 else key}")
+            if key & self._outside:
+                raise _unknown(key, full._own)
             if key not in cache:
                 levels.setdefault(key.bit_count(), {})[key] = None
-        above: dict[int, JointTable] = {}
+        sources: dict[int, JointTable] = {}  # miss -> the table it is projected from
         for size in sorted(levels, reverse=True):
-            plan = []  # (miss, the one-larger set whose table it is projected from)
-            for key in levels[size]:
-                supersets = [s for s in (key | b for b in bits) if s in above]
-                plan.append((key, min(supersets, key=lambda s: len(above[s]), default=None)))
-            users = Counter(source for _, source in plan)
-            above = {s: t for s, t in above.items() if s in users}
             below = levels.get(size - 1, {})
-            here = {}
-            for key, source in plan:
-                table = (full if source is None else above[source]).marginal(_ids(key))
+            offers: dict[int, tuple[int, int, JointTable]] = {}  # miss -> (rows, rank, table)
+            for key in levels[size]:
+                table = sources.get(key, full).marginal(key)
                 cache[key] = table.entropy_bits()
-                users[source] -= 1
-                if not users[source]:  # its last user is done
-                    above.pop(source, None)
-                if len(table) < len(full) and any(key ^ b in below for b in bits if key & b):
-                    here[key] = table
-            above = here
+                rows = len(table)
+                if not below or rows >= len(full):
+                    continue
+                for c in table._cols:  # the misses this table covers
+                    miss = key ^ c[0]
+                    if miss in below:
+                        # two offers to one miss differ in rank, so the table is never compared
+                        offer = (rows, rank[c[0]], table)
+                        if miss not in offers or offer < offers[miss]:
+                            offers[miss] = offer
+            sources = {miss: offer[2] for miss, offer in offers.items()}
         return [cache[key] for key in keys]
 
-    def projected(self, variables: Iterable[NodeId]) -> EntropyOracle:
+    def projected(self, variables: Vars) -> EntropyOracle:
         """An oracle over this table's marginal on ``variables``, sharing this
         oracle's memo: a set's entropy is computed once, whichever asks."""
-        sub = EntropyOracle(self._table.marginal(variables))
-        sub._cache = self._cache
-        return sub
+        return EntropyOracle(self._table.marginal(variables), self._cache)
 
     def cond_entropy(self, target: Vars, given: Vars = ()) -> float:
         """H(target | given) in bits, via H(T ∪ G) - H(G)."""

@@ -467,11 +467,11 @@ def check_faithfulness(
         set without node k before one with it."""
         full, root = (1 << n) - 1, oracle.table
         if len(root.variables) != n:  # the oracle covers more than the nodes
-            root = root.marginal(range(n))
+            root = root.marginal(full)
         stack = [(full, 0, root)]
         while stack:
             mask, k, parent = stack.pop()
-            table = parent if mask == full else parent.marginal(members(mask))
+            table = parent if mask == full else parent.marginal(mask)
             yield mask, table.entropy_bits()
             stack.extend(
                 (mask ^ 1 << j, j + 1, table) for j in range(n - 1, k - 1, -1) if mask >> j & 1
@@ -544,15 +544,18 @@ class Assumptions:
     """One model's assumption reports, each validator run at most once;
     ``reports`` holds any already computed on this model (as in ``meta``).
 
-    The noise-augmented joint table is enumerated once, within ``budget``, on
-    the first oracle request. ``noise_oracle()`` answers over that table;
-    ``oracle()`` answers over its observed marginal, projected once, which
-    can have far fewer rows when noise is not injective. The two share one
-    memo, so each observed set's entropy is computed once per command,
-    whichever oracle asks first. The faithfulness audit is the exception: its
-    subset walk projects its own tables from ``oracle()``'s table and keeps
-    them to itself. The validators and the rest of a command share both
-    oracles. Nothing keeps them after the command drops this object.
+    The model is enumerated at most once, within ``budget``, on the first
+    oracle request. ``noise_oracle()`` enumerates with the noise columns and
+    answers over that table. ``oracle()`` answers over the observed
+    variables: it projects them from the noise table when that exists, and
+    otherwise enumerates without noise columns. So a caller that will need
+    both asks for ``noise_oracle()`` first. An oracle built second shares the
+    first one's memo, so each observed set's entropy is computed once per
+    command, whichever oracle asks first. The faithfulness audit is the
+    exception: its subset walk projects its own tables from ``oracle()``'s
+    table and keeps them to itself. The validators and the rest of a command
+    share both oracles. Nothing keeps them after the command drops this
+    object.
     """
 
     def __init__(
@@ -570,13 +573,18 @@ class Assumptions:
             table = _oracle.joint_distribution(
                 self._model, include_noise=True, budget=self._budget
             )
-            self._noise_oracle = _oracle.EntropyOracle(table)
+            memo = None if self._oracle is None else self._oracle._cache
+            self._noise_oracle = _oracle.EntropyOracle(table, memo)
         return self._noise_oracle
 
     def oracle(self) -> _oracle.EntropyOracle:
         """Oracle over the observed variables only."""
         if self._oracle is None:
-            self._oracle = self.noise_oracle().projected(self._model.graph.nodes)
+            if self._noise_oracle is not None:
+                self._oracle = self._noise_oracle.projected(self._model.graph.nodes)
+            else:
+                table = _oracle.joint_distribution(self._model, budget=self._budget)
+                self._oracle = _oracle.EntropyOracle(table)
         return self._oracle
 
     def report(self, name: str) -> AssumptionReport:
@@ -831,8 +839,11 @@ def _generate_once(
     # construction is re-verified, never trusted
     audit = Assumptions(m, cfg.enumeration_budget)
     reports = []
-    for name in guaranteed_assumptions(cfg.profile, cfg.entropy_mode):
+    names = guaranteed_assumptions(cfg.profile, cfg.entropy_mode)
+    for name in names:
         if name == "faithfulness":
+            if "directed_faithfulness" in names:  # one enumeration serves both audits
+                audit.noise_oracle()
             # a rejected candidate needs one witness; an accepted one runs every probe
             report = check_faithfulness(m, audit.oracle(), first_witness=True)
         else:
@@ -906,35 +917,71 @@ def _json_ints(raw) -> tuple[int, ...]:
     return tuple(_json_int(x) for x in raw)
 
 
-def scm_to_dict(m: Scm) -> dict:
-    nodes = [
-        {"label": m.label(v), "alphabet": list(m.alphabets[v])}
-        for v in sorted(m.graph.nodes)
-    ]
-    edges = sorted([m.label(u), m.label(v)] for u, v in m.graph.edges)
-    noise = {
-        m.label(v): {
-            "support": list(m.noise[v].support),
-            "probs": [str(p) for p in m.noise[v].probs],  # "p/q", or "n" when whole
-        }
-        for v in sorted(m.graph.nodes)
-    }
-    functions = {}
-    for v in sorted(m.graph.nodes):
-        table = m.functions[v]
-        rows = [
-            {"parents": list(key[:-1]), "noise": key[-1], "out": out}
-            for key, out in sorted(table.entries.items())
-        ]
-        functions[m.label(v)] = {
-            "parent_order": [m.label(p) for p in table.parent_order],
-            "table": rows,
-        }
-    return {"nodes": nodes, "edges": edges, "noise": noise, "functions": functions}
+def _json_block(items: Iterable[str], pad: str, brackets: str) -> str:
+    """Rendered ``items`` in ``brackets``, one per line at ``pad`` plus two
+    spaces, the closing bracket at ``pad``: how ``json.dumps(indent=2)``
+    lays out a list or an object. Empty, it is just the brackets."""
+    inner = "\n  " + pad
+    body = ("," + inner).join(items)
+    return brackets[0] + inner + body + "\n" + pad + brackets[1] if body else brackets
 
 
 def scm_to_text(m: Scm) -> str:
-    return json.dumps(scm_to_dict(m), indent=2, sort_keys=True) + "\n"
+    """The model file: byte for byte ``json.dumps(d, indent=2,
+    sort_keys=True)`` and a newline, for the model as the dict d of node
+    list, edge list, and noise and function objects keyed by label, written
+    without the pure-Python encoder that ``indent`` selects. Strings go
+    through ``encode_basestring_ascii``, the escaper ``json.dumps`` uses."""
+    quote = json.encoder.encode_basestring_ascii
+    nodes = sorted(m.graph.nodes)
+    label = {v: quote(m.label(v)) for v in nodes}
+    by_label = sorted(nodes, key=m.label)  # sort_keys orders objects keyed by label
+
+    def ints(values: Iterable[int], pad: str) -> str:
+        return _json_block(map(str, values), pad, "[]")
+
+    def node(v: NodeId) -> str:
+        return _json_block(
+            (f'"alphabet": {ints(m.alphabets[v], " " * 6)}', f'"label": {label[v]}'),
+            " " * 4, "{}",
+        )
+
+    def noise(v: NodeId) -> str:
+        pmf = m.noise[v]
+        probs = _json_block([quote(str(p)) for p in pmf.probs], " " * 6, "[]")
+        body = _json_block(
+            (f'"probs": {probs}', f'"support": {ints(pmf.support, " " * 6)}'), " " * 4, "{}"
+        )
+        return f"{label[v]}: {body}"
+
+    def function(v: NodeId) -> str:
+        table = m.functions[v]
+        rows = _json_block(
+            [
+                _json_block(
+                    (f'"noise": {key[-1]}', f'"out": {out}',
+                     f'"parents": {ints(key[:-1], " " * 10)}'),
+                    " " * 8, "{}",
+                )
+                for key, out in sorted(table.entries.items())
+            ],
+            " " * 6, "[]",
+        )
+        parents = _json_block([label[p] for p in table.parent_order], " " * 6, "[]")
+        body = _json_block((f'"parent_order": {parents}', f'"table": {rows}'), " " * 4, "{}")
+        return f"{label[v]}: {body}"
+
+    edges = [
+        _json_block(map(quote, pair), " " * 4, "[]")
+        for pair in sorted([m.label(u), m.label(v)] for u, v in m.graph.edges)
+    ]
+    top = (
+        f'"edges": {_json_block(edges, "  ", "[]")}',
+        f'"functions": {_json_block(map(function, by_label), "  ", "{}")}',
+        f'"nodes": {_json_block(map(node, nodes), "  ", "[]")}',
+        f'"noise": {_json_block(map(noise, by_label), "  ", "{}")}',
+    )
+    return _json_block(top, "", "{}") + "\n"
 
 
 def scm_from_dict(data: dict) -> Scm:

@@ -42,13 +42,19 @@ def classify_bound_case(g: Dag, v: NodeId, cond: Iterable[NodeId]) -> frozenset[
         raise ValueError("conditioning set must not contain the target node")
     for x in cond:
         g.label(x)  # membership check
+    return frozenset(_bound_kinds(g, v, cond))
+
+
+def _bound_kinds(g: Dag, v: NodeId, cond: frozenset[NodeId]) -> tuple[BoundKind, ...]:
+    """``classify_bound_case`` for a valid case, in the order of the kinds'
+    values, built without hashing a member."""
     parents = g.parents(v)
     if parents <= cond:
         strict = BoundKind.BELOW_NOISE if g.descendants(v) & cond else BoundKind.EQUALS_NOISE
-        return frozenset({BoundKind.AT_MOST_NOISE, strict})
+        return BoundKind.AT_MOST_NOISE, strict
     if any(not g.descendants(p) & (cond | parents) for p in parents - cond):
-        return frozenset({BoundKind.ABOVE_NOISE})
-    return frozenset()
+        return (BoundKind.ABOVE_NOISE,)
+    return ()
 
 
 @dataclass(frozen=True)
@@ -107,38 +113,35 @@ def check_entropy_bounds(
     """
     g = m.graph
     audit = assumptions if assumptions is not None else Assumptions(m)
-    skip = {
-        BoundKind.ABOVE_NOISE: not audit.holds("injective_noise_plus_one"),
-        BoundKind.BELOW_NOISE: not audit.holds("directed_faithfulness"),
-    }
+    skip_above = not audit.holds("injective_noise_plus_one")
+    skip_below = not audit.holds("directed_faithfulness")
     nodes = sorted(g.nodes)
     noise = {v: noise_entropy(m, v) for v in nodes}
     others = {v: [u for u in nodes if u != v] for v in nodes}
     drawn = list(_conditioning_cases(others, cases, seed))
     oracle.marginal_entropies(s for v, _, mask in drawn for s in (mask | 1 << v, mask))
-    kinds_of: dict[tuple[NodeId, int], list[BoundKind]] = {}
+    kinds_of: dict[tuple[NodeId, int], tuple[BoundKind, ...]] = {}
     out: list[BoundCheckCase] = []
     for v, cond, mask in drawn:
         kinds = kinds_of.get((v, mask))
         if kinds is None:
-            kinds = kinds_of[(v, mask)] = sorted(
-                classify_bound_case(g, v, cond), key=lambda k: k.value
-            )
+            kinds = kinds_of[(v, mask)] = _bound_kinds(g, v, cond)
         measured = oracle.cond_entropy(1 << v, mask)
         reference = noise[v]
         if not kinds:
             out.append(BoundCheckCase(v, cond, None, measured, reference, Verdict.SKIP))
             continue
         for kind in kinds:
+            skip = False
             if kind is BoundKind.AT_MOST_NOISE:
                 ok = measured <= reference + tol
             elif kind is BoundKind.EQUALS_NOISE:
                 ok = abs(measured - reference) <= tol
             elif kind is BoundKind.BELOW_NOISE:
-                ok = measured < reference - tol
+                ok, skip = measured < reference - tol, skip_below
             else:
-                ok = measured > reference + tol
-            verdict = Verdict.SKIP if skip.get(kind) else Verdict.PASS if ok else Verdict.FAIL
+                ok, skip = measured > reference + tol, skip_above
+            verdict = Verdict.SKIP if skip else Verdict.PASS if ok else Verdict.FAIL
             out.append(BoundCheckCase(v, cond, kind, measured, reference, verdict))
     return out
 
@@ -249,23 +252,23 @@ def _render_cases(cases: Iterable, labels: Mapping[NodeId, str], line: Callable)
     set), then a line tallying the verdicts."""
     lines = []
     text = functools.cache(lambda s: ",".join(sorted(labels[v] for v in s)))
-    tally = {Verdict.PASS: 0, Verdict.FAIL: 0, Verdict.SKIP: 0}
+    verdicts = []  # counted by identity: an enum member's hash runs in Python
     for case in cases:
-        tally[case.verdict] += 1
+        verdicts.append(case.verdict)
         lines.append(line(case, text(case.cond)))
     lines.append(
-        f"summary: {tally[Verdict.PASS]} pass, {tally[Verdict.FAIL]} fail, "
-        f"{tally[Verdict.SKIP]} skip"
+        f"summary: {verdicts.count(Verdict.PASS)} pass, {verdicts.count(Verdict.FAIL)} fail, "
+        f"{verdicts.count(Verdict.SKIP)} skip"
     )
     return "\n".join(lines) + "\n"
 
 
 def render_bound_report(cases: Iterable[BoundCheckCase], labels: Mapping[NodeId, str]) -> str:
     def line(case: BoundCheckCase, cond: str) -> str:
-        kind = case.kind.value if case.kind is not None else "none"
+        kind = case.kind._value_ if case.kind is not None else "none"
         return (
             f"{kind} v={labels[case.node]} S={{{cond}}} "
-            f"H={case.measured:.9f} Hnoise={case.noise_entropy:.9f} {case.verdict.value}"
+            f"H={case.measured:.9f} Hnoise={case.noise_entropy:.9f} {case.verdict._value_}"
         )
 
     return _render_cases(cases, labels, line)
@@ -278,7 +281,7 @@ def render_independence_report(
         return (
             f"noise_independence v={labels[case.node]} S={{{cond}}} "
             f"dsep={str(case.separated).lower()} "
-            f"mi={case.mutual_information:.3e} {case.verdict.value}"
+            f"mi={case.mutual_information:.3e} {case.verdict._value_}"
         )
 
     return _render_cases(cases, labels, line)

@@ -6,13 +6,14 @@ simple path. Agreement with the fast implementations is the test. The
 exact projection and per-tuple enumeration, the peeling loops, the
 per-candidate discovery rounds, injectivity scans, case lists, per-case
 verification suites, frozenset-keyed batch planner, uncached descendant
-searches and faithfulness check are the package's earlier
-separate implementations, kept as references for the shared or faster code
-that replaced them.
+searches, faithfulness check and model-file writer (``json.dumps`` of the
+model's dict) are the package's earlier separate implementations, kept as
+references for the shared or faster code that replaced them.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from collections import Counter, deque
@@ -63,6 +64,13 @@ def entropy(joint: dict[tuple, float], keep: tuple[int, ...]) -> float:
         sub = tuple(key[i] for i in keep)
         marg[sub] = marg.get(sub, 0.0) + w
     return -sum(p * math.log2(p) for p in marg.values() if p > 0.0)
+
+
+def as_ids(keep) -> frozenset[int]:
+    """The ids of a ``JointTable.marginal`` argument: ids, or a bit mask."""
+    if type(keep) is int:
+        return frozenset(v for v in range(keep.bit_length()) if keep >> v & 1)
+    return frozenset(keep)
 
 
 def marginal(table: JointTable, keep) -> JointTable:
@@ -551,3 +559,36 @@ def check_noise_independence(m, oracle, cases, seed, tol):
         ok = separated and mi <= tol
         out.append(IndependenceCase(v, ss, separated, mi, Verdict.PASS if ok else Verdict.FAIL))
     return out
+
+
+def scm_to_dict(m) -> dict:
+    """The model as the JSON object of its model file."""
+    nodes = [
+        {"label": m.label(v), "alphabet": list(m.alphabets[v])}
+        for v in sorted(m.graph.nodes)
+    ]
+    edges = sorted([m.label(u), m.label(v)] for u, v in m.graph.edges)
+    noise = {
+        m.label(v): {
+            "support": list(m.noise[v].support),
+            "probs": [str(p) for p in m.noise[v].probs],  # "p/q", or "n" when whole
+        }
+        for v in sorted(m.graph.nodes)
+    }
+    functions = {}
+    for v in sorted(m.graph.nodes):
+        table = m.functions[v]
+        rows = [
+            {"parents": list(key[:-1]), "noise": key[-1], "out": out}
+            for key, out in sorted(table.entries.items())
+        ]
+        functions[m.label(v)] = {
+            "parent_order": [m.label(p) for p in table.parent_order],
+            "table": rows,
+        }
+    return {"nodes": nodes, "edges": edges, "noise": noise, "functions": functions}
+
+
+def scm_to_text(m) -> str:
+    """The model file as the package first wrote it, through ``json.dumps``."""
+    return json.dumps(scm_to_dict(m), indent=2, sort_keys=True) + "\n"

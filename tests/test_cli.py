@@ -26,9 +26,10 @@ from causal_layering.scm import (
     Scm,
     generate_scm,
     parse_scm,
-    scm_to_dict,
     scm_to_text,
 )
+
+from bruteforce import scm_to_dict
 
 
 @pytest.fixture()
@@ -614,7 +615,9 @@ class TestOneEnumeration:
     ])
     def test_command_enumerates_once(self, affine_file, argv, enumerations, capsys):
         assert main([*argv, "--scm", str(affine_file)]) == 0
-        assert enumerations == [True]
+        # ``include_noise`` of each enumeration: noise columns only where a noise
+        # query runs (noise independence, directed faithfulness); sour/known has none
+        assert enumerations == ["sour" not in argv]
 
 
 class TestEntryPoint:

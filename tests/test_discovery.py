@@ -259,7 +259,7 @@ class TestBatchedRounds:
 
         def marginal(self, keep):
             if not inside:
-                outside.append(frozenset(keep))
+                outside.append(bruteforce.as_ids(keep))
             return original(self, keep)
 
         oracle.marginal_entropies = counted

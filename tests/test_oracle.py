@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import product
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,7 @@ from bruteforce import entropy as bf_entropy
 from bruteforce import joint_distribution as bf_joint_distribution
 from bruteforce import joint_probs
 from bruteforce import marginal as bf_marginal
+from bruteforce import as_ids
 
 # Entropy of a coin with bias p, computed independently and frozen.
 H_EIGHTH = 0.5435644431995964   # p = 1/8
@@ -221,6 +223,46 @@ class TestMarginalEngine:
         orc.marginal_entropy(big)
         assert orc.marginal_entropy(small) == h
 
+    @settings(max_examples=150, deadline=None)
+    @given(weighted_tables(), st.data())
+    def test_every_projected_entropy_is_a_fresh_tables(self, case, data):
+        """Chains of projections by mask or by ids, from sources whose
+        entropy is known or not: each entropy, carried or summed, equals that
+        of a new table built from the projection's rows, bit for bit."""
+        variables, weights, _, _ = case
+        t = _exact(variables, weights)
+        tables = [t]
+        for _ in range(data.draw(st.integers(1, 8))):
+            source = data.draw(st.sampled_from(tables))
+            if data.draw(st.booleans()):
+                source.entropy_bits()
+            known = source._entropy is not None
+            keep = frozenset(v for v in source.variables if data.draw(st.booleans()))
+            out = source.marginal(data.draw(st.sampled_from([_mask(keep), keep, sorted(keep)])))
+            assert out.variables == tuple(v for v in source.variables if v in keep)
+            merged = len(out) < len(source)
+            assert (out._entropy is not None) == (known and (not merged or out is source))
+            rows = {key: p.numerator * (t._denom // p.denominator) for key, p in out.items()}
+            fresh = JointTable(out.variables, out.labels, rows, t._denom)
+            assert out.entropy_bits().hex() == fresh.entropy_bits().hex()
+            tables.append(out)
+
+    @settings(max_examples=100, deadline=None)
+    @given(weighted_tables(), st.data())
+    def test_unknown_and_negative_ids_are_refused_as_ids_and_in_masks(self, case, data):
+        variables, weights, _, _ = case
+        t = _exact(variables, weights)
+        orc = EntropyOracle(t)
+        bad = data.draw(st.integers(-3, 9).filter(lambda v: v not in variables))
+        known = data.draw(st.lists(st.sampled_from(variables), unique=True))
+        forms = [[*known, bad]]
+        if bad >= 0:
+            forms.append(_mask(known) | 1 << bad)
+        for keep in forms:
+            for ask in (t.marginal, orc.marginal_entropy, lambda k: orc.marginal_entropies([k])):
+                with pytest.raises(ValueError, match=rf"^unknown variables \[{bad}\]$"):
+                    ask(keep)
+
     @settings(max_examples=100, deadline=None)
     @given(weighted_tables())
     def test_float_tables_stay_near_reference(self, case):
@@ -345,7 +387,7 @@ class TestBatchEntropies:
 
         def recording(self, keep):
             out = original(self, keep)
-            calls.append((self, frozenset(keep), out))
+            calls.append((self, as_ids(keep), out))
             return out
 
         with pytest.MonkeyPatch.context() as mp:
@@ -373,7 +415,7 @@ class TestBatchEntropies:
 
         def recording(self, keep):
             out = original(self, keep)
-            sources.append((len(self), sorted(keep), len(out)))
+            sources.append((len(self), sorted(as_ids(keep)), len(out)))
             return out
 
         with pytest.MonkeyPatch.context() as mp:
@@ -381,12 +423,33 @@ class TestBatchEntropies:
             EntropyOracle(t).marginal_entropies([{0, 2}, {0}, {0, 1}])
         assert sources == [(8, [0, 2], 6), (8, [0, 1], 4), (4, [0], 2)]
 
+    @pytest.mark.parametrize("variables", [(2, 0, 1), (1, 0, 2)])
+    def test_a_tie_goes_to_the_first_extra_variable_in_variable_order(self, variables):
+        # every pair of the three binary variables has 4 of the table's 8 rows, so {0}
+        # has two equal sources, {0} plus whichever of 1 and 2 the table lists first
+        t = JointTable(variables, "XYZ", {k: 1 for k in product((0, 1), repeat=3)}, 8)
+        first = next(v for v in variables if v != 0)
+        for batch in ([{0, 2}, {0, 1}, {0}], [{0, 1}, {0, 2}, {0}]):
+            sources = []
+            original = JointTable.marginal
+
+            def recording(self, keep):
+                out = original(self, keep)
+                sources.append((self.variables, as_ids(keep)))
+                return out
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(JointTable, "marginal", recording)
+                EntropyOracle(t).marginal_entropies(batch)
+            source, kept = sources[-1]
+            assert kept == {0} and set(source) == {0, first}
+
     def test_observed_oracle_shares_the_noise_oracles_memo(self, affine_chain):
         calls = []
         original = JointTable.marginal
 
         def recording(self, keep):
-            calls.append(frozenset(keep))
+            calls.append(as_ids(keep))
             return original(self, keep)
 
         for observed_first in (True, False):
@@ -422,8 +485,7 @@ class TestMaskPlanner:
         original = JointTable.marginal
 
         def recording(self, keep):
-            keep = list(keep)
-            calls.append((frozenset(self.variables), frozenset(keep)))
+            calls.append((frozenset(self.variables), as_ids(keep)))
             return original(self, keep)
 
         with pytest.MonkeyPatch.context() as mp:

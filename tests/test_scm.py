@@ -34,13 +34,14 @@ from causal_layering.scm import (
     parse_scm,
     sample,
     scm_from_dict,
-    scm_to_dict,
     scm_to_text,
 )
 
 from bruteforce import check_faithfulness as bf_check_faithfulness
 from bruteforce import faithfulness_probes as bf_faithfulness_probes
 from bruteforce import injective_noise_plus_one_witnesses, injective_noise_witnesses
+from bruteforce import scm_to_dict
+from bruteforce import scm_to_text as bf_scm_to_text
 
 H_EIGHTH = 0.5435644431995964
 H_QUARTER = 0.8112781244591328
@@ -596,6 +597,23 @@ class TestGenerator:
             if profile == "sir_faithful":
                 assert check_directed_faithfulness(m, Assumptions(m).noise_oracle()).holds
 
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_each_candidate_enumerates_at_most_once(self, monkeypatch, profile):
+        # noise columns only for the profile whose audits query noise
+        flags: list[bool] = []
+        original = scm_module._oracle.joint_distribution
+
+        def counted(m, include_noise=False, budget=None):
+            flags.append(include_noise)
+            return original(m, include_noise=include_noise, budget=budget)
+
+        monkeypatch.setattr(scm_module._oracle, "joint_distribution", counted)
+        for seed in range(4):
+            flags.clear()
+            m = generate_scm(GeneratorConfig(nodes=5, profile=profile), seed=seed)
+            assert 1 <= len(flags) <= m.meta.attempts
+            assert set(flags) == {profile == "sir_faithful"}
+
     @pytest.mark.parametrize("mode", ["weak", "strict"])
     def test_entropy_modes_deliver_order(self, mode):
         for seed in range(4):
@@ -646,6 +664,35 @@ class TestSerialization:
     def test_round_trip_generated(self, seed, profile):
         m = generate_scm(GeneratorConfig(nodes=4, profile=profile), seed=seed)
         assert scm_to_text(parse_scm(scm_to_text(m))) == scm_to_text(m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_models(), st.data())
+    def test_writer_matches_json_dumps(self, m, data):
+        """``scm_to_text`` against ``json.dumps`` of the model's dict, with
+        labels that need escaping: quotes, backslashes, control characters
+        and non-ASCII text, and labels whose order is not the node order."""
+        tricky = st.sampled_from(
+            ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "☃", "𝄞"])
+        label = st.text(st.one_of(tricky, st.characters()), max_size=6)
+        n = len(m.graph.labels)
+        labels = data.draw(st.lists(label, min_size=n, max_size=n, unique=True))
+        relabeled = Scm(Dag(labels, m.graph.edges), m.noise, m.functions)
+        assert scm_to_text(relabeled) == bf_scm_to_text(relabeled)
+
+    def test_writer_matches_json_dumps_without_edges(self):
+        whole = Pmf.of((-3,), (1,))  # one support point: probability "1"
+        coin = Pmf.of((0, 1), ("1/3", "2/3"))
+        one_node = Scm(Dag.of("A"), {0: whole}, {0: StructuralTable((), {(-3,): 10**30})})
+        edgeless = Scm(
+            Dag(["b", "A", "\u00e9"], []),
+            {0: coin, 1: whole, 2: coin},
+            {0: StructuralTable((), {(0,): 1, (1,): 0}),
+             1: StructuralTable((), {(-3,): -7}),
+             2: StructuralTable((), {(0,): 0, (1,): 0})},
+        )
+        for m in (one_node, edgeless):
+            assert scm_to_text(m) == bf_scm_to_text(m)
+            assert scm_to_text(parse_scm(scm_to_text(m))) == scm_to_text(m)
 
     def test_rejects_bad_json(self):
         with pytest.raises(ValueError, match="not valid JSON"):
