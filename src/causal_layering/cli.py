@@ -94,9 +94,7 @@ def _build_parser() -> _Parser:
     chk = sub.add_parser("check", help="verify oracle bounds and discovery on an SCM file")
     chk.add_argument("--scm", type=Path, required=True)
     chk.add_argument("--budget", type=int, default=None)
-    chk.add_argument("--cases", type=int, default=200,
-                     help="sampled cases per suite on graphs above 5 nodes (at least 1)")
-    chk.add_argument("--seed", type=int, default=0)
+    chk.add_argument("--seed", type=int, default=0, help="seed for --empirical sampling")
     chk.add_argument("--empirical", type=int, default=0, metavar="N",
                      help="also report (without asserting) bounds measured "
                           "on a plug-in oracle from N sampled rows")
@@ -247,8 +245,6 @@ def _cmd_discover(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if args.cases < 1:
-        raise _UsageError(f"--cases must be at least 1, got {args.cases}")
     model = _load_scm(args.scm)
     budget = _enumeration_budget(args)
     audit = Assumptions(model, budget)
@@ -259,16 +255,12 @@ def _cmd_check(args) -> int:
     failed = False
     out: list[str] = []
 
-    bound_cases = _verify.check_entropy_bounds(
-        model, orc, cases=args.cases, seed=args.seed, assumptions=audit
-    )
+    bound_cases = _verify.check_entropy_bounds(model, orc, assumptions=audit)
     out.append("== entropy bounds ==")
     out.append(_verify.render_bound_report(bound_cases, labels).rstrip("\n"))
     failed |= not bound_cases or any(c.verdict is _verify.Verdict.FAIL for c in bound_cases)
 
-    indep_cases = _verify.check_noise_independence(
-        model, noisy, cases=args.cases, seed=args.seed
-    )
+    indep_cases = _verify.check_noise_independence(model, noisy)
     out.append("== noise independence ==")
     out.append(_verify.render_independence_report(indep_cases, labels).rstrip("\n"))
     failed |= not indep_cases or any(c.verdict is _verify.Verdict.FAIL for c in indep_cases)
@@ -307,9 +299,7 @@ def _cmd_check(args) -> int:
 
         dataset = sample(model, args.seed, args.empirical)
         emp = EntropyOracle(empirical_joint(dataset))
-        emp_cases = _verify.check_entropy_bounds(
-            model, emp, cases=args.cases, seed=args.seed, assumptions=audit
-        )
+        emp_cases = _verify.check_entropy_bounds(model, emp, assumptions=audit)
         out.append(f"== entropy bounds on {args.empirical} sampled rows (diagnostic) ==")
         out.append(_verify.render_bound_report(emp_cases, labels).rstrip("\n"))
 

@@ -434,39 +434,3 @@ def render_dag(g: Dag) -> str:
     for u, v in sorted(g.edges):
         lines.append(f"edge: {g.label(u)} -> {g.label(v)}")
     return "\n".join(lines) + "\n"
-
-
-def parse_dag(text: str) -> Dag:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("nodes:"):
-        raise ValueError("graph text must start with a 'nodes:' line")
-    labels = [p.strip() for p in lines[0][len("nodes:"):].split(",") if p.strip()]
-    edges: list[tuple[str, str]] = []
-    for ln in lines[1:]:
-        if not ln.startswith("edge:"):
-            raise ValueError(f"unrecognized line in graph text: {ln!r}")
-        body = ln[len("edge:"):]
-        if "->" not in body:
-            raise ValueError(f"malformed edge line: {ln!r}")
-        a, b = (p.strip() for p in body.split("->", 1))
-        edges.append((a, b))
-    return Dag.of(labels, edges)
-
-
-def render_layering(layering: Layering, g: Dag) -> str:
-    """``layer <i>: <labels>`` lines, one per layer, in order."""
-    lines = []
-    for i, layer in enumerate(layering, start=1):
-        lines.append(f"layer {i}: " + ", ".join(sorted(g.label(v) for v in layer)))
-    return "\n".join(lines) + "\n"
-
-
-def parse_layering(text: str, g: Dag) -> Layering:
-    layers: list[frozenset[int]] = []
-    for n, ln in enumerate((ln.strip() for ln in text.splitlines() if ln.strip()), start=1):
-        head, _, body = ln.partition(":")
-        if head.strip() != f"layer {n}":
-            raise ValueError(f"expected 'layer {n}:' line, got {ln!r}")
-        labels = [p.strip() for p in body.split(",") if p.strip()]
-        layers.append(frozenset(g.id_of(lab) for lab in labels))
-    return Layering(tuple(layers))

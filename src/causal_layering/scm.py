@@ -261,20 +261,6 @@ class Scm:
         return values
 
 
-def explicit_noise_graph(m: Scm) -> Dag:
-    """The graph extended with one exogenous noise parent per node."""
-    base = m.graph
-    n = len(base.labels)
-    noise_labels = tuple(m.noise_label(v) for v in range(n))
-    clash = set(base.labels) & set(noise_labels)
-    if clash:
-        raise ValueError(f"noise labels collide with node labels: {sorted(clash)}")
-    labels = base.labels + noise_labels
-    nodes = set(base.nodes) | {n + v for v in base.nodes}
-    edges = set(base.edges) | {(n + v, v) for v in base.nodes}
-    return Dag(labels, edges, nodes)
-
-
 def noise_entropy(m: Scm, v: NodeId) -> float:
     """Entropy of the node's noise distribution, in bits."""
     return m.noise[v].entropy_bits()

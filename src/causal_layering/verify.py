@@ -3,20 +3,33 @@
 The entropy-bound checks compare H(v | S) against the noise entropy of v
 in the four situations where a definite relation is guaranteed. A clause
 whose extra premise fails its validator is skipped, never asserted.
+
+Conditioning never raises entropy: H(v | S') <= H(v | S) whenever S ⊆ S'.
+So each relation is decided on a few extreme sets per node v. Write pa for
+v's parents, de for its proper descendants and nd = V ∖ de ∖ {v}:
+
+- at_most_noise (pa ⊆ S): S = pa. Every such S lies above it.
+- equals_noise (pa ⊆ S ⊆ nd): S = pa and S = nd. Every such S lies between.
+- below_noise (pa ⊆ S, S meets de): S = pa ∪ {d} for each d in de. Every
+  such S contains one of them.
+- above_noise (a parent p outside S with no descendant in S ∪ pa): for each
+  parent p with no descendant in pa, S = V ∖ ({p, v} ∪ desc(p)). Every S
+  that p witnesses lies inside it.
+- noise independence (S ⊆ nd): S = nd, as I(N_v; S) <= I(N_v; nd).
+
+A PASS on those sets is therefore a PASS on every conditioning set.
 """
 
 from __future__ import annotations
 
-import functools
-import random
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
 
 from . import oracle as _oracle
 from .discovery import DiscoveryResult
-from .graph import Dag, NodeId, d_connected_bits, layering_violations
-from .scm import Assumptions, Scm, explicit_noise_graph, noise_entropy
+from .graph import Dag, NodeId, layering_violations
+from .scm import Assumptions, Scm, noise_entropy
 
 
 class BoundKind(Enum):
@@ -35,114 +48,66 @@ class Verdict(Enum):
     SKIP = "SKIP"
 
 
-def classify_bound_case(g: Dag, v: NodeId, cond: Iterable[NodeId]) -> frozenset[BoundKind]:
-    """Which guaranteed relations apply to H(v | cond); empty when none do."""
-    cond = frozenset(int(x) for x in cond)
-    if v in cond:
-        raise ValueError("conditioning set must not contain the target node")
-    for x in cond:
-        g.label(x)  # membership check
-    return frozenset(_bound_kinds(g, v, cond))
-
-
-def _bound_kinds(g: Dag, v: NodeId, cond: frozenset[NodeId]) -> tuple[BoundKind, ...]:
-    """``classify_bound_case`` for a valid case, in the order of the kinds'
-    values, built without hashing a member."""
-    parents = g.parents(v)
-    if parents <= cond:
-        strict = BoundKind.BELOW_NOISE if g.descendants(v) & cond else BoundKind.EQUALS_NOISE
-        return BoundKind.AT_MOST_NOISE, strict
-    if any(not g.descendants(p) & (cond | parents) for p in parents - cond):
-        return (BoundKind.ABOVE_NOISE,)
-    return ()
-
-
 @dataclass(frozen=True)
 class BoundCheckCase:
     node: NodeId
     cond: frozenset[NodeId]
-    kind: BoundKind | None
+    kind: BoundKind
     measured: float
     noise_entropy: float
     verdict: Verdict
 
 
-def _conditioning_cases(
-    pools: Mapping[NodeId, list[NodeId]], cases: int, seed: int
-) -> Iterator[tuple[NodeId, frozenset[NodeId], int]]:
-    """(v, S, S as a bit mask) cases with S drawn from ``pools[v]``.
-
-    Up to 5 nodes: every v in order and every subset of its pool. Beyond:
-    ``cases`` draws from ``random.Random(seed)``, each a choice of v followed
-    by one coin per pool member, in pool order.
-    """
-    nodes = sorted(pools)
-    if len(nodes) <= 5:
-        for v in nodes:
-            members = pools[v]
-            for mask in range(1 << len(members)):
-                picked = [u for k, u in enumerate(members) if mask >> k & 1]
-                yield v, frozenset(picked), sum(1 << u for u in picked)
-        return
-    rng = random.Random(seed)
-    for _ in range(cases):
-        v = rng.choice(nodes)
-        picked = [u for u in pools[v] if rng.random() < 0.5]
-        yield v, frozenset(picked), sum(1 << u for u in picked)
+def _extreme_sets(g: Dag, v: NodeId) -> Iterator[tuple[BoundKind, frozenset[NodeId]]]:
+    """(kind, S) for each set that decides one of v's bound kinds: at most,
+    equals, below, then above, each kind's sets in node order."""
+    parents, below = g.parents(v), g.descendants(v)
+    rest = g.nodes - below - {v}
+    yield BoundKind.AT_MOST_NOISE, parents
+    yield BoundKind.EQUALS_NOISE, parents
+    if rest != parents:
+        yield BoundKind.EQUALS_NOISE, rest
+    for d in sorted(below):
+        yield BoundKind.BELOW_NOISE, parents | {d}
+    for p in sorted(g.unmediated_parents(v)):  # the parents with no descendant in pa
+        yield BoundKind.ABOVE_NOISE, g.nodes - g.descendants(p) - {p, v}
 
 
 def check_entropy_bounds(
     m: Scm,
     oracle: "_oracle.EntropyOracle",
-    cases: int = 200,
-    seed: int = 0,
     tol: float = 1e-9,
     assumptions: Assumptions | None = None,
 ) -> list[BoundCheckCase]:
-    """Measure H(v | S) against noise entropy over (v, S) cases.
+    """Measure H(v | S) against noise entropy on each node's extreme sets.
 
-    Exhaustive over all conditioning sets up to 5 nodes, sampled beyond.
     The strict clauses are gated on their validators: BELOW_NOISE needs
     directed faithfulness and ABOVE_NOISE needs single-parent injectivity;
-    when the validator fails, those cases are reported as SKIP. The
+    when the validator fails, those sets are reported as SKIP. The
     validators are read from ``assumptions`` (by default, run on ``m``).
-
-    Cases are drawn with their sets' bit masks, and their entropies come
-    from one ``oracle.marginal_entropies`` call, so each ``cond_entropy`` is
-    a memo hit. Each distinct (v, S) is classified once.
+    One ``oracle.marginal_entropies`` call fills the memo for every set.
     """
     g = m.graph
     audit = assumptions if assumptions is not None else Assumptions(m)
     skip_above = not audit.holds("injective_noise_plus_one")
     skip_below = not audit.holds("directed_faithfulness")
-    nodes = sorted(g.nodes)
-    noise = {v: noise_entropy(m, v) for v in nodes}
-    others = {v: [u for u in nodes if u != v] for v in nodes}
-    drawn = list(_conditioning_cases(others, cases, seed))
-    oracle.marginal_entropies(s for v, _, mask in drawn for s in (mask | 1 << v, mask))
-    kinds_of: dict[tuple[NodeId, int], tuple[BoundKind, ...]] = {}
+    sets = [(v, kind, cond) for v in sorted(g.nodes) for kind, cond in _extreme_sets(g, v)]
+    oracle.marginal_entropies(s for v, _, cond in sets for s in (cond | {v}, cond))
     out: list[BoundCheckCase] = []
-    for v, cond, mask in drawn:
-        kinds = kinds_of.get((v, mask))
-        if kinds is None:
-            kinds = kinds_of[(v, mask)] = _bound_kinds(g, v, cond)
-        measured = oracle.cond_entropy(1 << v, mask)
-        reference = noise[v]
-        if not kinds:
-            out.append(BoundCheckCase(v, cond, None, measured, reference, Verdict.SKIP))
-            continue
-        for kind in kinds:
-            skip = False
-            if kind is BoundKind.AT_MOST_NOISE:
-                ok = measured <= reference + tol
-            elif kind is BoundKind.EQUALS_NOISE:
-                ok = abs(measured - reference) <= tol
-            elif kind is BoundKind.BELOW_NOISE:
-                ok, skip = measured < reference - tol, skip_below
-            else:
-                ok, skip = measured > reference + tol, skip_above
-            verdict = Verdict.SKIP if skip else Verdict.PASS if ok else Verdict.FAIL
-            out.append(BoundCheckCase(v, cond, kind, measured, reference, verdict))
+    for v, kind, cond in sets:
+        measured = oracle.cond_entropy((v,), cond)
+        reference = noise_entropy(m, v)
+        skip = False
+        if kind is BoundKind.AT_MOST_NOISE:
+            ok = measured <= reference + tol
+        elif kind is BoundKind.EQUALS_NOISE:
+            ok = abs(measured - reference) <= tol
+        elif kind is BoundKind.BELOW_NOISE:
+            ok, skip = measured < reference - tol, skip_below
+        else:
+            ok, skip = measured > reference + tol, skip_above
+        verdict = Verdict.SKIP if skip else Verdict.PASS if ok else Verdict.FAIL
+        out.append(BoundCheckCase(v, cond, kind, measured, reference, verdict))
     return out
 
 
@@ -150,7 +115,6 @@ def check_entropy_bounds(
 class IndependenceCase:
     node: NodeId
     cond: frozenset[NodeId]
-    separated: bool
     mutual_information: float
     verdict: Verdict
 
@@ -158,40 +122,22 @@ class IndependenceCase:
 def check_noise_independence(
     m: Scm,
     oracle: "_oracle.EntropyOracle",
-    cases: int = 200,
-    seed: int = 0,
     tol: float = 1e-9,
 ) -> list[IndependenceCase]:
-    """Noise of v against sets disjoint from v's descendants.
-
-    For every such set the explicit-noise graph must d-separate them and
-    the measured mutual information must vanish. Exhaustive up to 5 nodes.
+    """I(N_v; nd) per node v, nd the nodes other than v that are not its
+    descendants; it must vanish. An empty nd passes with no query.
     ``oracle`` must cover the noise variables, as
-    ``Assumptions.noise_oracle()`` does. As in ``check_entropy_bounds``,
-    one batch fills the memo; one ``d_connected_bits`` sweep from each noise
-    variable, given nothing, answers all its cases.
+    ``Assumptions.noise_oracle()`` does; one batch fills its memo.
     """
     g = m.graph
-    noise_graph = explicit_noise_graph(m)
-    nodes = sorted(g.nodes)
-    pools = {v: [u for u in nodes if u != v and u not in g.descendants(v)] for v in nodes}
-    drawn = list(_conditioning_cases(pools, cases, seed))
-    noise = {v: 1 << m.noise_node(v) for v in nodes}
+    tests = [(v, {m.noise_node(v)}, g.nodes - g.descendants(v) - {v}) for v in sorted(g.nodes)]
     oracle.marginal_entropies(  # the sets mutual_information looks up
-        s for v, _, mask in drawn if mask for s in (noise[v] | mask, noise[v], mask, 0)
+        s for _, noise, rest in tests if rest for s in (noise | rest, noise, rest, ())
     )
-    reach = {v: d_connected_bits(noise_graph, noise[v]) for v in nodes}
     out: list[IndependenceCase] = []
-    for v, cond, mask in drawn:
-        if not mask:
-            out.append(IndependenceCase(v, cond, True, 0.0, Verdict.PASS))
-            continue
-        separated = not (reach[v] & mask)
-        mi = oracle.mutual_information(noise[v], mask)
-        ok = separated and mi <= tol
-        out.append(
-            IndependenceCase(v, cond, separated, mi, Verdict.PASS if ok else Verdict.FAIL)
-        )
+    for v, noise, rest in tests:
+        mi = oracle.mutual_information(noise, rest) if rest else 0.0
+        out.append(IndependenceCase(v, rest, mi, Verdict.PASS if mi <= tol else Verdict.FAIL))
     return out
 
 
@@ -248,14 +194,11 @@ def check_call_bound(result: DiscoveryResult, n: int) -> bool:
 
 
 def _render_cases(cases: Iterable, labels: Mapping[NodeId, str], line: Callable) -> str:
-    """One ``line(case, S)`` per case, S its set's labels (joined once per
-    set), then a line tallying the verdicts."""
-    lines = []
-    text = functools.cache(lambda s: ",".join(sorted(labels[v] for v in s)))
-    verdicts = []  # counted by identity: an enum member's hash runs in Python
-    for case in cases:
-        verdicts.append(case.verdict)
-        lines.append(line(case, text(case.cond)))
+    """One ``line(case, S)`` per case, S its set's sorted labels, then a line
+    tallying the verdicts."""
+    cases = list(cases)
+    lines = [line(case, ",".join(sorted(labels[v] for v in case.cond))) for case in cases]
+    verdicts = [case.verdict for case in cases]
     lines.append(
         f"summary: {verdicts.count(Verdict.PASS)} pass, {verdicts.count(Verdict.FAIL)} fail, "
         f"{verdicts.count(Verdict.SKIP)} skip"
@@ -265,9 +208,8 @@ def _render_cases(cases: Iterable, labels: Mapping[NodeId, str], line: Callable)
 
 def render_bound_report(cases: Iterable[BoundCheckCase], labels: Mapping[NodeId, str]) -> str:
     def line(case: BoundCheckCase, cond: str) -> str:
-        kind = case.kind._value_ if case.kind is not None else "none"
         return (
-            f"{kind} v={labels[case.node]} S={{{cond}}} "
+            f"{case.kind._value_} v={labels[case.node]} S={{{cond}}} "
             f"H={case.measured:.9f} Hnoise={case.noise_entropy:.9f} {case.verdict._value_}"
         )
 
@@ -280,7 +222,6 @@ def render_independence_report(
     def line(case: IndependenceCase, cond: str) -> str:
         return (
             f"noise_independence v={labels[case.node]} S={{{cond}}} "
-            f"dsep={str(case.separated).lower()} "
             f"mi={case.mutual_information:.3e} {case.verdict._value_}"
         )
 

@@ -4,11 +4,13 @@ Everything here is written the slow, obvious way on purpose: float
 probabilities accumulated in dicts, d-separation by enumerating every
 simple path. Agreement with the fast implementations is the test. The
 exact projection and per-tuple enumeration, the peeling loops, the
-per-candidate discovery rounds, injectivity scans, case lists, per-case
-verification suites, frozenset-keyed batch planner, uncached descendant
-searches, faithfulness check and model-file writer (``json.dumps`` of the
-model's dict) are the package's earlier separate implementations, kept as
-references for the shared or faster code that replaced them.
+per-candidate discovery rounds, injectivity scans, the bound-case
+classifier with the exhaustive per-case verification suites, the
+explicit-noise graph, frozenset-keyed batch planner, uncached descendant
+searches, faithfulness check, graph and layering text parsers and
+model-file writer (``json.dumps`` of the model's dict) are the package's
+earlier separate implementations, kept as references for the shared or
+faster code that replaced them.
 """
 
 from __future__ import annotations
@@ -27,14 +29,8 @@ from causal_layering.discovery import (
 )
 from causal_layering.graph import Dag, Layering, d_separated, peel
 from causal_layering.oracle import JointTable
-from causal_layering.scm import AssumptionReport, explicit_noise_graph, noise_entropy
-from causal_layering.verify import (
-    BoundCheckCase,
-    BoundKind,
-    IndependenceCase,
-    Verdict,
-    classify_bound_case,
-)
+from causal_layering.scm import AssumptionReport, Pmf, Scm, StructuralTable, noise_entropy
+from causal_layering.verify import BoundCheckCase, BoundKind, IndependenceCase, Verdict
 
 
 def joint_probs(scm) -> dict[tuple, float]:
@@ -234,6 +230,26 @@ def random_dag(rng: random.Random, n: int, edge_prob: float = 0.4) -> Dag:
     return Dag(labels, edges)
 
 
+def random_scm(rng: random.Random, n: int, edge_prob: float = 0.5) -> Scm:
+    """A model on ``random_dag``: noise on 2–3 values with weights 1–5, and
+    each structural table drawn entry by entry into 2–4 outputs, so many
+    tables are not injective in the noise."""
+    g = random_dag(rng, n, edge_prob)
+    noise, functions, outputs = {}, {}, {}
+    for v in g.topological_order():
+        support = tuple(range(rng.randint(2, 3)))
+        noise[v] = Pmf.from_weights(support, [rng.randint(1, 5) for _ in support])
+        parents = tuple(sorted(g.parents(v)))
+        size = rng.randint(2, 4)
+        entries = {
+            (*combo, u): rng.randrange(size)
+            for combo in product(*(outputs[p] for p in parents)) for u in support
+        }
+        outputs[v] = sorted(set(entries.values()))
+        functions[v] = StructuralTable(parents, entries)
+    return Scm(g, noise, functions)
+
+
 def descendants(g: Dag, v: int) -> frozenset[int]:
     """Nodes reachable from ``v`` by directed edges, by a fresh search."""
     seen: set[int] = set()
@@ -422,44 +438,60 @@ def injective_noise_plus_one_witnesses(m) -> tuple:
     return tuple(witnesses)
 
 
-def bound_cases(g: Dag, cases: int, seed: int) -> list[tuple[int, frozenset[int]]]:
-    """Reference (v, S) list of the entropy-bound suite."""
-    nodes = sorted(g.nodes)
-    if len(nodes) <= 5:
-        pairs = []
-        for v in nodes:
-            rest = [u for u in nodes if u != v]
-            for mask in range(1 << len(rest)):
-                pairs.append(
-                    (v, frozenset(u for k, u in enumerate(rest) if mask >> k & 1))
-                )
-        return pairs
-    rng = random.Random(seed)
-    pairs = []
-    for _ in range(cases):
-        v = rng.choice(nodes)
-        rest = [u for u in nodes if u != v]
-        pairs.append((v, frozenset(u for u in rest if rng.random() < 0.5)))
-    return pairs
+def subsets(items) -> list[frozenset[int]]:
+    """Every subset of ``items``."""
+    items = sorted(items)
+    return [
+        frozenset(u for k, u in enumerate(items) if mask >> k & 1)
+        for mask in range(1 << len(items))
+    ]
 
 
-def independence_cases(g: Dag, cases: int, seed: int) -> list[tuple[int, frozenset[int]]]:
-    """Reference (v, S) list of the noise-independence suite: S avoids v and
-    its descendants."""
-    nodes = sorted(g.nodes)
-    pairs = []
-    if len(nodes) <= 5:
-        for v in nodes:
-            allowed = [u for u in nodes if u != v and u not in g.descendants(v)]
-            for mask in range(1 << len(allowed)):
-                pairs.append((v, frozenset(u for k, u in enumerate(allowed) if mask >> k & 1)))
-    else:
-        rng = random.Random(seed)
-        for _ in range(cases):
-            v = rng.choice(nodes)
-            allowed = [u for u in nodes if u != v and u not in g.descendants(v)]
-            pairs.append((v, frozenset(u for u in allowed if rng.random() < 0.5)))
-    return pairs
+def classify_bound_case(g: Dag, v: int, cond) -> frozenset[BoundKind]:
+    """Which guaranteed relations apply to H(v | cond); empty when none do."""
+    cond = frozenset(int(x) for x in cond)
+    if v in cond:
+        raise ValueError("conditioning set must not contain the target node")
+    for x in cond:
+        g.label(x)  # membership check
+    parents = g.parents(v)
+    if parents <= cond:
+        strict = BoundKind.BELOW_NOISE if descendants(g, v) & cond else BoundKind.EQUALS_NOISE
+        return frozenset({BoundKind.AT_MOST_NOISE, strict})
+    if any(not descendants(g, p) & (cond | parents) for p in parents - cond):
+        return frozenset({BoundKind.ABOVE_NOISE})
+    return frozenset()
+
+
+def extreme_cases(g: Dag) -> set[tuple[int, BoundKind, frozenset[int]]]:
+    """(v, kind, S) for the sets that decide each bound kind, found by
+    classifying every S: the inclusion-minimal sets of ``at_most_noise``
+    and ``below_noise``, the maximal sets of ``above_noise``, and both for
+    ``equals_noise``. H(v | S) only falls as S grows, so a kind whose
+    relation bounds H from above is decided by its minimal sets, one that
+    bounds it from below by its maximal sets."""
+    out = set()
+    for v in g.nodes:
+        by_kind: dict[BoundKind, list[frozenset[int]]] = {}
+        for cond in subsets(g.nodes - {v}):
+            for kind in classify_bound_case(g, v, cond):
+                by_kind.setdefault(kind, []).append(cond)
+        for kind, sets in by_kind.items():
+            lowest = [s for s in sets if not any(t < s for t in sets)]
+            highest = [s for s in sets if not any(s < t for t in sets)]
+            picked = {
+                BoundKind.AT_MOST_NOISE: lowest,
+                BoundKind.EQUALS_NOISE: lowest + highest,
+                BoundKind.BELOW_NOISE: lowest,
+                BoundKind.ABOVE_NOISE: highest,
+            }[kind]
+            out |= {(v, kind, s) for s in picked}
+    return out
+
+
+def non_descendants(g: Dag, v: int) -> frozenset[int]:
+    """The nodes other than ``v`` that are not its descendants."""
+    return g.nodes - descendants(g, v) - {v}
 
 
 def faithfulness_probes(nodes: list[int]):
@@ -514,51 +546,81 @@ def check_faithfulness(m, oracle, first_witness: bool = False) -> AssumptionRepo
     return AssumptionReport("faithfulness", not witnesses, tuple(witnesses), detail)
 
 
-def check_entropy_bounds(m, oracle, cases, seed, tol, assert_above, assert_below):
-    """Reference entropy-bound suite: per case, in draw order, one
-    classification, one ``cond_entropy`` query and one noise entropy."""
+def check_entropy_bounds(m, oracle, tol, assert_above, assert_below):
+    """Exhaustive entropy-bound suite: for every node and every conditioning
+    set, in order, one classification, one ``cond_entropy`` query, one noise
+    entropy, and one case per kind (a set that fits no kind gives none)."""
     g = m.graph
     out = []
-    for v, cond in bound_cases(g, cases, seed):
-        kinds = classify_bound_case(g, v, cond)
-        measured = oracle.cond_entropy((v,), cond)
-        reference = noise_entropy(m, v)
-        if not kinds:
-            out.append(BoundCheckCase(v, cond, None, measured, reference, Verdict.SKIP))
-            continue
-        for kind in sorted(kinds, key=lambda k: k.value):
-            if kind is BoundKind.ABOVE_NOISE and not assert_above:
-                verdict = Verdict.SKIP
-            elif kind is BoundKind.BELOW_NOISE and not assert_below:
-                verdict = Verdict.SKIP
-            else:
-                if kind is BoundKind.AT_MOST_NOISE:
-                    ok = measured <= reference + tol
-                elif kind is BoundKind.EQUALS_NOISE:
-                    ok = abs(measured - reference) <= tol
-                elif kind is BoundKind.BELOW_NOISE:
-                    ok = measured < reference - tol
+    for v in sorted(g.nodes):
+        for cond in subsets(g.nodes - {v}):
+            kinds = classify_bound_case(g, v, cond)
+            if not kinds:
+                continue
+            measured = oracle.cond_entropy((v,), cond)
+            reference = noise_entropy(m, v)
+            for kind in sorted(kinds, key=lambda k: k.value):
+                if kind is BoundKind.ABOVE_NOISE and not assert_above:
+                    verdict = Verdict.SKIP
+                elif kind is BoundKind.BELOW_NOISE and not assert_below:
+                    verdict = Verdict.SKIP
                 else:
-                    ok = measured > reference + tol
-                verdict = Verdict.PASS if ok else Verdict.FAIL
-            out.append(BoundCheckCase(v, cond, kind, measured, reference, verdict))
+                    if kind is BoundKind.AT_MOST_NOISE:
+                        ok = measured <= reference + tol
+                    elif kind is BoundKind.EQUALS_NOISE:
+                        ok = abs(measured - reference) <= tol
+                    elif kind is BoundKind.BELOW_NOISE:
+                        ok = measured < reference - tol
+                    else:
+                        ok = measured > reference + tol
+                    verdict = Verdict.PASS if ok else Verdict.FAIL
+                out.append(BoundCheckCase(v, cond, kind, measured, reference, verdict))
     return out
 
 
-def check_noise_independence(m, oracle, cases, seed, tol):
-    """Reference noise-independence suite: per case, in draw order, one
-    ``d_separated`` sweep and one ``mutual_information`` query."""
+def explicit_noise_graph(m) -> Dag:
+    """The graph extended with one exogenous noise parent per node."""
+    base = m.graph
+    n = len(base.labels)
+    noise_labels = tuple(m.noise_label(v) for v in range(n))
+    clash = set(base.labels) & set(noise_labels)
+    if clash:
+        raise ValueError(f"noise labels collide with node labels: {sorted(clash)}")
+    labels = base.labels + noise_labels
+    nodes = set(base.nodes) | {n + v for v in base.nodes}
+    edges = set(base.edges) | {(n + v, v) for v in base.nodes}
+    return Dag(labels, edges, nodes)
+
+
+def check_noise_independence(m, oracle, tol):
+    """Exhaustive noise-independence suite: for every node v and every set S
+    of its non-descendants, one ``d_separated`` sweep on the explicit-noise
+    graph and one ``mutual_information`` query (none for the empty set)."""
     noise_graph = explicit_noise_graph(m)
     out = []
-    for v, ss in independence_cases(m.graph, cases, seed):
-        if not ss:
-            out.append(IndependenceCase(v, ss, True, 0.0, Verdict.PASS))
-            continue
-        separated = d_separated(noise_graph, {m.noise_node(v)}, ss)
-        mi = oracle.mutual_information({m.noise_node(v)}, ss)
-        ok = separated and mi <= tol
-        out.append(IndependenceCase(v, ss, separated, mi, Verdict.PASS if ok else Verdict.FAIL))
+    for v in sorted(m.graph.nodes):
+        for ss in subsets(non_descendants(m.graph, v)):
+            if not ss:
+                out.append(IndependenceCase(v, ss, 0.0, Verdict.PASS))
+                continue
+            separated = d_separated(noise_graph, {m.noise_node(v)}, ss)
+            mi = oracle.mutual_information({m.noise_node(v)}, ss)
+            ok = separated and mi <= tol
+            out.append(IndependenceCase(v, ss, mi, Verdict.PASS if ok else Verdict.FAIL))
     return out
+
+
+def verdicts(cases, key) -> dict:
+    """Each ``key(case)``'s verdict over its cases: FAIL if one fails, else
+    PASS if one passes, else SKIP."""
+    seen: dict = {}
+    for case in cases:
+        seen.setdefault(key(case), set()).add(case.verdict)
+    return {
+        k: Verdict.FAIL if Verdict.FAIL in vs else Verdict.PASS if Verdict.PASS in vs
+        else Verdict.SKIP
+        for k, vs in seen.items()
+    }
 
 
 def scm_to_dict(m) -> dict:
@@ -592,3 +654,41 @@ def scm_to_dict(m) -> dict:
 def scm_to_text(m) -> str:
     """The model file as the package first wrote it, through ``json.dumps``."""
     return json.dumps(scm_to_dict(m), indent=2, sort_keys=True) + "\n"
+
+
+def parse_dag(text: str) -> Dag:
+    """Read ``graph.render_dag``'s text back."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines or not lines[0].startswith("nodes:"):
+        raise ValueError("graph text must start with a 'nodes:' line")
+    labels = [p.strip() for p in lines[0][len("nodes:"):].split(",") if p.strip()]
+    edges: list[tuple[str, str]] = []
+    for ln in lines[1:]:
+        if not ln.startswith("edge:"):
+            raise ValueError(f"unrecognized line in graph text: {ln!r}")
+        body = ln[len("edge:"):]
+        if "->" not in body:
+            raise ValueError(f"malformed edge line: {ln!r}")
+        a, b = (p.strip() for p in body.split("->", 1))
+        edges.append((a, b))
+    return Dag.of(labels, edges)
+
+
+def render_layering(layering: Layering, g: Dag) -> str:
+    """``layer <i>: <labels>`` lines, one per layer, in order."""
+    lines = []
+    for i, layer in enumerate(layering, start=1):
+        lines.append(f"layer {i}: " + ", ".join(sorted(g.label(v) for v in layer)))
+    return "\n".join(lines) + "\n"
+
+
+def parse_layering(text: str, g: Dag) -> Layering:
+    """Read ``render_layering``'s text back."""
+    layers: list[frozenset[int]] = []
+    for n, ln in enumerate((ln.strip() for ln in text.splitlines() if ln.strip()), start=1):
+        head, _, body = ln.partition(":")
+        if head.strip() != f"layer {n}":
+            raise ValueError(f"expected 'layer {n}:' line, got {ln!r}")
+        labels = [p.strip() for p in body.split(",") if p.strip()]
+        layers.append(frozenset(g.id_of(lab) for lab in labels))
+    return Layering(tuple(layers))

@@ -18,12 +18,14 @@ from hypothesis import strategies as st
 from causal_layering import cli, oracle, scm
 from causal_layering.cli import main
 from causal_layering.discovery import LICENSES
+from causal_layering.graph import Dag
 from causal_layering.presets import affine_chain3
 from causal_layering.scm import (
     PROFILES,
     GeneratorConfig,
     Pmf,
     Scm,
+    StructuralTable,
     generate_scm,
     parse_scm,
     scm_to_text,
@@ -65,7 +67,7 @@ class TestUsage:
             monkeypatch.setattr(cli, name, lambda args: seen.append(args) or 0)
         scm_path = str(affine_file)
         runs = [
-            ["check", "--scm", scm_path, "--cases", "7", "--machine"],
+            ["check", "--scm", scm_path, "--seed", "7", "--machine"],
             ["gen", "--nodes", "4", "--seed", "5", "--out", str(tmp_path / "a.json")],
             ["discover", "--scm", scm_path, "--algo", "sir", "--mode", "known"],
             ["check", "--scm", scm_path],
@@ -75,12 +77,12 @@ class TestUsage:
             assert main(argv) == 0
         assert cli._build_parser() is cli._build_parser()
         check1, gen1, disc, check2, gen2 = seen
-        assert (check1.cases, check1.machine) == (7, True)
-        assert (check2.cases, check2.machine, check2.seed) == (200, False, 0)
+        assert (check1.seed, check1.machine) == (7, True)
+        assert (check2.empirical, check2.machine, check2.seed) == (0, False, 0)
         assert (gen1.nodes, gen1.seed, gen1.profile) == (4, 5, "base")
         assert (gen2.nodes, gen2.seed, gen2.report) == (3, 0, None)
         assert (disc.algo, disc.tol, disc.one_at_a_time) == ("sir", 1e-9, False)
-        assert not hasattr(disc, "cases") and not hasattr(gen2, "scm")
+        assert not hasattr(disc, "empirical") and not hasattr(gen2, "scm")
 
     def test_missing_file(self, tmp_path, capsys):
         code = main(["discover", "--scm", str(tmp_path / "nope.json"),
@@ -292,16 +294,42 @@ class TestCheck:
         assert "discovery sour/known" not in out
         assert "discovery sir/known" not in out
 
-    @pytest.mark.parametrize("cases", ["0", "-5"])
-    def test_cases_below_one_is_usage_error(self, cases, tmp_path, capsys):
-        # above five nodes the suites sample --cases cases instead of enumerating
-        path = tmp_path / "n6.json"
-        assert main(["gen", "--nodes", "6", "--seed", "10", "--out", str(path)]) == 0
-        capsys.readouterr()
-        assert main(["check", "--scm", str(path), "--cases", cases]) == 1
+    def test_cases_flag_is_gone(self, affine_file, capsys):
+        # each bound is decided on its extreme sets, so there is no sample size
+        assert main(["check", "--scm", str(affine_file), "--cases", "7"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"usage error: --cases must be at least 1, got {cases}\n"
+        assert captured.err == "usage error: unrecognized arguments: --cases 7\n"
+
+    def test_one_node_model_passes(self, tmp_path, capsys):
+        m = Scm(
+            Dag.of("A"),
+            {0: Pmf.of((0, 1), ("1/3", "2/3"))},
+            {0: StructuralTable((), {(0,): 0, (1,): 1})},
+        )
+        path = tmp_path / "one.json"
+        path.write_text(scm_to_text(m))
+        assert main(["check", "--scm", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        independence = [ln for ln in lines if ln.startswith("noise_independence ")]
+        assert independence == ["noise_independence v=A S={} mi=0.000e+00 PASS"]
+        assert lines[-1] == "overall: PASS"
+
+    def test_node_named_like_a_noise_variable(self, tmp_path, capsys):
+        # B is labelled N_A, the label of A's noise variable; the oracle keys
+        # variables by id, so nothing collides
+        m = Scm(
+            Dag.of(["A", "N_A"], [("A", "N_A")]),
+            {v: Pmf.of((0, 1), ("1/3", "2/3")) for v in (0, 1)},
+            {0: StructuralTable((), {(0,): 0, (1,): 1}),
+             1: StructuralTable((0,), {(a, u): a + 2 * u for a in (0, 1) for u in (0, 1)})},
+        )
+        path = tmp_path / "n_a.json"
+        path.write_text(scm_to_text(m))
+        assert main(["check", "--scm", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-1] == "overall: PASS"
+        assert captured.err == ""
 
     def test_suite_without_cases_fails(self, affine_file, capsys, monkeypatch):
         monkeypatch.setattr(cli._verify, "check_noise_independence", lambda *a, **k: [])

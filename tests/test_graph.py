@@ -13,20 +13,25 @@ from causal_layering.graph import (
     d_separated,
     is_layering,
     layering_violations,
-    parse_dag,
-    parse_layering,
     peel,
     render_dag,
-    render_layering,
     rr,
     select_all,
     sinks_only,
     sources_only,
 )
-from causal_layering.scm import GeneratorConfig, explicit_noise_graph, generate_scm
+from causal_layering.scm import GeneratorConfig, generate_scm
 
 from bruteforce import ancestors as bf_ancestors
-from bruteforce import d_separated_paths, random_dag, take_k_by_label
+from bruteforce import (
+    d_separated_paths,
+    explicit_noise_graph,
+    parse_dag,
+    parse_layering,
+    random_dag,
+    render_layering,
+    take_k_by_label,
+)
 from bruteforce import descendants as bf_descendants
 from bruteforce import sir_layering as bf_sir_layering
 from bruteforce import sour_layering as bf_sour_layering

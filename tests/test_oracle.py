@@ -4,7 +4,7 @@ from itertools import product
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from causal_layering.oracle import (
@@ -176,6 +176,25 @@ def weighted_tables(draw):
     big = frozenset(v for v, keep in zip(variables, in_t) if keep)
     small = frozenset(v for v in big if draw(st.booleans()))
     return variables, weights, big, small
+
+
+@st.composite
+def planner_runs(draw):
+    """A ``weighted_tables`` table and its observed subset, then 1–5 rounds of
+    (ask the noise oracle?, sets of ids, the form each set is passed in, one
+    set asked before, for a single lookup). One id lies outside every table."""
+    variables, weights, observed_vars, _ = draw(weighted_tables())
+    ids = [*variables, max(variables) + 1]
+    rounds, asked = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        use_noisy = draw(st.booleans())
+        sets = draw(st.lists(st.lists(st.sampled_from(ids), unique=True), max_size=30))
+        forms = draw(st.lists(st.sampled_from([_mask, frozenset, list]),
+                              min_size=len(sets), max_size=len(sets)))
+        asked += sets
+        one = draw(st.sampled_from(asked)) if asked else []
+        rounds.append((use_noisy, sets, forms, one))
+    return variables, weights, observed_vars, rounds
 
 
 def _mask(variables) -> int:
@@ -496,23 +515,29 @@ class TestMaskPlanner:
                 out = f"ValueError: {exc}"
         return out, calls
 
+    # Two pinned runs over V0, V1, V2 ask {0, 1}, {0, 2}, then {0}, whose
+    # miss is offered both one-larger tables, each smaller than the full
+    # table's six rows: one where {0, 2} has fewer rows than {0, 1} (4 < 5),
+    # so the smaller offer wins against the earlier variable; one where the
+    # two tie at four rows, so the first extra variable in order wins.
     @settings(max_examples=150, deadline=None)
-    @given(weighted_tables(), st.data())
-    def test_matches_the_frozenset_planner(self, case, data):
-        variables, weights, observed_vars, _ = case
+    @given(planner_runs())
+    @example(((0, 1, 2), dict.fromkeys(
+        [(0, 0, 0), (0, 1, 0), (0, 2, 1), (1, 0, 1), (1, 1, 1), (1, 1, 0)], 1),
+        frozenset({0, 1, 2}), [(True, [[0, 1], [0, 2], [0]], [frozenset] * 3, [0])]))
+    @example(((0, 1, 2), dict.fromkeys(
+        [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1), (1, 1, 0)], 1),
+        frozenset({0, 1, 2}), [(True, [[0, 1], [0, 2], [0]], [_mask] * 3, [0])]))
+    def test_matches_the_frozenset_planner(self, run):
+        variables, weights, observed_vars, rounds = run
         t = _exact(variables, weights)
         noisy = EntropyOracle(t)
         observed = noisy.projected(observed_vars)  # shares the memo, as Assumptions does
         memo: dict[frozenset[int], float] = {}
-        ids = [*variables, max(variables) + 1]  # one id no table covers
-        asked: list[list[int]] = []
-        for _ in range(data.draw(st.integers(1, 5))):
-            orc = data.draw(st.sampled_from([noisy, observed]))
-            sets = data.draw(st.lists(st.lists(st.sampled_from(ids), unique=True), max_size=30))
-            forms = data.draw(st.lists(st.sampled_from([_mask, frozenset, list]),
-                                       min_size=len(sets), max_size=len(sets)))
+        ids = [*variables, max(variables) + 1]
+        for use_noisy, sets, forms, one in rounds:
+            orc = noisy if use_noisy else observed
             batch = [form(s) for form, s in zip(forms, sets)]
-            asked += sets
             want, want_calls = self._run(lambda: bruteforce.marginal_entropies(
                 orc.table, memo, [frozenset(s) for s in sets]))
             got, got_calls = self._run(lambda: orc.marginal_entropies(batch))
@@ -522,7 +547,6 @@ class TestMaskPlanner:
             assert got_calls == want_calls
             keys = {frozenset(v for v in ids if k >> v & 1): h for k, h in orc._cache.items()}
             assert keys == memo
-            one = data.draw(st.sampled_from(asked)) if asked else []
             for lookup in (noisy, observed):  # one lookup: a memo hit, a miss, or out of scope
                 want, _ = self._run(lambda: bruteforce.marginal_entropies(
                     lookup.table, memo, [frozenset(one)])[0])

@@ -27,7 +27,6 @@ from causal_layering.scm import (
     check_injective_noise_plus_one,
     check_noise_entropy_order,
     check_nonconstant_noise,
-    explicit_noise_graph,
     generate_scm,
     guaranteed_assumptions,
     noise_entropy,
@@ -38,6 +37,7 @@ from causal_layering.scm import (
 )
 
 from bruteforce import check_faithfulness as bf_check_faithfulness
+from bruteforce import explicit_noise_graph
 from bruteforce import faithfulness_probes as bf_faithfulness_probes
 from bruteforce import injective_noise_plus_one_witnesses, injective_noise_witnesses
 from bruteforce import scm_to_dict
