@@ -388,35 +388,26 @@ def check_directed_faithfulness(m: Scm, oracle: _oracle.EntropyOracle) -> Assump
 
 @functools.cache
 def _faithfulness_probes(n: int) -> tuple[tuple[int, int, int], ...]:
-    """(X, Y, S) bitmasks to probe over n sorted nodes, bit k for the k-th:
-    every disjoint triple up to six nodes, singleton X and Y beyond.
+    """(x, y, S) bitmasks to probe over n sorted nodes, bit k for the k-th:
+    every pair of single nodes x < y, with every S over the other nodes.
 
-    The order is the walk the reports were first defined by, so the first
-    witness stays the same: up to six nodes, base-4 digit tuples in
-    lexicographic order (digit 1 for X, 2 for Y, 3 for S; the first node's
-    digit most significant), keeping X and Y non-empty and the lowest node of
-    X below that of Y; beyond, pairs x < y in order, then S over the other
-    nodes by counting.
+    The order is the base-4 digit walk the reports were first defined by,
+    restricted to single x and y: digit tuples in lexicographic order (digit
+    1 for x, 2 for y, 3 for S; the first node's digit most significant).
     """
-    if n <= 6:
-        walk = [(0, 0, 0)]
-        for k in range(n):  # node k's digit: none, X, Y or S
-            b = 1 << k
-            walk = [
-                t
-                for x, y, s in walk
-                for t in ((x, y, s), (x | b, y, s), (x, y | b, s), (x, y, s | b))
-            ]
-        # (X, Y) and (Y, X) are the same question: keep min(X) < min(Y)
-        return tuple(t for t in walk if t[0] and t[1] and t[0] & -t[0] < t[1] & -t[1])
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            rest = [k for k in range(n) if k != i and k != j]
-            for mask in range(1 << len(rest)):
-                ss = sum(1 << k for pos, k in enumerate(rest) if mask >> pos & 1)
-                out.append((1 << i, 1 << j, ss))
-    return tuple(out)
+    walk = [(0, 0, 0)]
+    for k in range(n):  # node k's digit: none, x, y or S
+        b = 1 << k
+        step = []
+        for x, y, s in walk:
+            step.append((x, y, s))
+            if not x:
+                step.append((b, y, s))
+            elif not y:  # y comes after x, so x < y
+                step.append((x, b, s))
+            step.append((x, y, s | b))
+        walk = step
+    return tuple(t for t in walk if t[1])
 
 
 def check_faithfulness(
@@ -425,20 +416,26 @@ def check_faithfulness(
     """Observed conditional independences must coincide with d-separations.
 
     ``oracle`` must cover the graph's nodes, as ``Assumptions.oracle()``
-    does. Exhaustive over all disjoint X, Y, S triples up to six nodes;
-    beyond that singleton X, Y pairs only, and ``detail`` says which (``gen``
-    writes it into its sidecar, so it stays byte for byte). An independence
-    where the graph is d-connected is a violation; the converse means broken
-    arithmetic and raises. With ``first_witness`` the check stops at the
-    first violation, the full check's first witness, and runs no later probe.
+    does. An independence where the graph is d-connected is a violation;
+    the converse means broken arithmetic and raises. With ``first_witness``
+    the check stops at the first violation, the full check's first witness,
+    and runs no later probe.
+
+    Single nodes x < y, with every S over the rest, decide every disjoint
+    triple: X and Y are d-connected given S iff some x in X and y in Y are,
+    and I(x; y | S) <= I(X; Y | S). A violating triple's violating pair
+    comes earlier in the base-4 digit walk over triples. ``detail`` keeps
+    the labels of that walk (``gen``'s sidecar prints them). The broken
+    arithmetic check sees the probed pairs only: a d-separated triple whose
+    mutual information is positive while its pairs read zero does not raise.
 
     The subsets' entropies come from a lazy depth-first walk that starts at
     the oracle's table over the nodes and runs only as far as the probes
     need. The walk keeps its own tables and projects each proper subset
     once, from its parent's table, which has one more node; the oracle's
     memo is neither read nor filled. At most n * 2**(n-1) bit-mask
-    d-connection sweeps run, one per (x, S). I(X; Y | S) is
-    H(X∪S) + H(Y∪S) - H(S) - H(X∪Y∪S), summed in that order, so every value
+    d-connection sweeps run, one per (x, S). I(x; y | S) is
+    H(x∪S) + H(y∪S) - H(S) - H(x∪y∪S), summed in that order, so every value
     equals ``oracle.mutual_information``.
     """
     g = m.graph
@@ -472,23 +469,16 @@ def check_faithfulness(
             entropies[s] = value
         return entropies[mask]
 
-    reach: dict[tuple[int, int], int] = {}  # (x bit, S) -> d-connected nodes
-
-    def connected(xs: int, ss: int) -> int:
-        out = 0
-        while xs:
-            x = xs & -xs
-            xs ^= x
-            found = reach.get((x, ss))
-            if found is None:
-                found = reach[(x, ss)] = d_connected_bits(g, x, ss)
-            out |= found
-        return out
+    reach: dict[int, int] = {}  # S << n | x bit -> nodes d-connected to x given S
 
     witnesses: list[tuple] = []
     for xs, ys, ss in _faithfulness_probes(n):
         mi = h(xs | ss) + h(ys | ss) - h(ss) - h(xs | ys | ss)
-        sep = not (connected(xs, ss) & ys)
+        key = ss << n | xs
+        found = reach.get(key)
+        if found is None:
+            found = reach[key] = d_connected_bits(g, xs, ss)
+        sep = not (found & ys)
         if sep and mi > _MI_TOL:
             raise RuntimeError(
                 f"d-separated sets show mutual information {mi}; "
@@ -781,10 +771,11 @@ def generate_scm(cfg: GeneratorConfig, seed: int) -> Scm:
     """Generate an SCM matching the profile and entropy mode, or raise.
 
     Deterministic in (cfg, seed). Every constructed candidate is re-checked
-    against ``guaranteed_assumptions``; a candidate failing any of them (in
-    practice faithfulness, or directed faithfulness for ``sir_faithful``) is
-    discarded and regenerated. The accepted model keeps the reports in
-    ``meta.reports``.
+    against ``guaranteed_assumptions``, in registry order but with
+    ``_AUDIT_LAST`` last; a candidate failing any of them (in practice
+    noise on one value, faithfulness, or directed faithfulness for
+    ``sir_faithful``) is discarded and regenerated. The accepted model keeps
+    the reports, in registry order, in ``meta.reports``.
     """
     rng = random.Random(seed)
     last = "no attempt ran"
@@ -797,6 +788,13 @@ def generate_scm(cfg: GeneratorConfig, seed: int) -> Scm:
         f"profile={cfg.profile!r} entropy={cfg.entropy_mode!r} nodes={cfg.nodes} "
         f"unsatisfied after {cfg.max_retries} attempts (last failure: {last})"
     )
+
+
+# Audited last: every generated table holds them, whatever the config. Each
+# parent assignment maps the noise support to distinct outputs (a sample
+# without replacement, or plus_one's noise scaled past every parent sum), so
+# a rejection names the failure that registry order names.
+_AUDIT_LAST = ("injective_noise", "injective_noise_plus_one")
 
 
 def _generate_once(
@@ -824,9 +822,10 @@ def _generate_once(
 
     # construction is re-verified, never trusted
     audit = Assumptions(m, cfg.enumeration_budget)
-    reports = []
+    reports = {}
     names = guaranteed_assumptions(cfg.profile, cfg.entropy_mode)
-    for name in names:
+    last = [name for name in names if name in _AUDIT_LAST]
+    for name in [name for name in names if name not in last] + last:
         if name == "faithfulness":
             if "directed_faithfulness" in names:  # one enumeration serves both audits
                 audit.noise_oracle()
@@ -836,8 +835,10 @@ def _generate_once(
             report = audit.report(name)
         if not report.holds:
             raise _Retry(f"{name} fails; first witness {report.witnesses[0]}")
-        reports.append(report)
-    m.meta = ScmMeta(cfg.profile, cfg.entropy_mode, seed, attempt, tuple(reports))
+        reports[name] = report
+    m.meta = ScmMeta(
+        cfg.profile, cfg.entropy_mode, seed, attempt, tuple(reports[name] for name in names)
+    )
     return m
 
 

@@ -382,9 +382,10 @@ def discover(nodes, oracle, mode, removal: str, one_at_a_time: bool = False) -> 
     return DiscoveryResult(layering, sum(len(step.entropies) for step in trace), tuple(trace))
 
 
-def injective_noise_witnesses(m) -> tuple:
-    """Reference ``check_injective_noise`` witnesses: per node, the first
-    parent assignment under which two noise values give one output."""
+def check_injective_noise(m) -> AssumptionReport:
+    """Reference ``check_injective_noise``: per node, the parent assignments
+    scanned in order up to the first under which two noise values give one
+    output."""
     witnesses: list[tuple] = []
     for v in sorted(m.graph.nodes):
         table = m.functions[v]
@@ -401,13 +402,13 @@ def injective_noise_witnesses(m) -> tuple:
                 seen[out] = u
             if found:
                 break
-    return tuple(witnesses)
+    return AssumptionReport("injective_noise", not witnesses, tuple(witnesses))
 
 
-def injective_noise_plus_one_witnesses(m) -> tuple:
-    """Reference ``check_injective_noise_plus_one`` witnesses: per node, the
-    first (parent, other parents' values) under which two (parent value,
-    noise value) pairs give one output."""
+def check_injective_noise_plus_one(m) -> AssumptionReport:
+    """Reference ``check_injective_noise_plus_one``: per node, the (parent,
+    other parents' values) scanned in order up to the first under which two
+    (parent value, noise value) pairs give one output."""
     witnesses: list[tuple] = []
     for v in sorted(m.graph.nodes):
         table = m.functions[v]
@@ -435,7 +436,7 @@ def injective_noise_plus_one_witnesses(m) -> tuple:
                     break
             if found:
                 break
-    return tuple(witnesses)
+    return AssumptionReport("injective_noise_plus_one", not witnesses, tuple(witnesses))
 
 
 def subsets(items) -> list[frozenset[int]]:
@@ -494,20 +495,34 @@ def non_descendants(g: Dag, v: int) -> frozenset[int]:
     return g.nodes - descendants(g, v) - {v}
 
 
+def digit_walk(nodes: list[int]):
+    """Every disjoint (X, Y, S) over ``nodes`` with X and Y non-empty, as
+    base-4 digit tuples in lexicographic order: digit 1 for X, 2 for Y, 3
+    for S, the first node's digit most significant."""
+    for digits in product(range(4), repeat=len(nodes)):
+        xs = frozenset(v for v, d in zip(nodes, digits) if d == 1)
+        ys = frozenset(v for v, d in zip(nodes, digits) if d == 2)
+        ss = frozenset(v for v, d in zip(nodes, digits) if d == 3)
+        if not xs or not ys:
+            continue
+        if min(xs) > min(ys):  # (X, Y) and (Y, X) are the same question
+            continue
+        yield xs, ys, ss
+
+
+def digits(nodes: list[int], probe) -> tuple[int, ...]:
+    """A probe's digit tuple, its sort key in ``digit_walk``."""
+    xs, ys, ss = probe
+    return tuple(1 if v in xs else 2 if v in ys else 3 if v in ss else 0 for v in nodes)
+
+
 def faithfulness_probes(nodes: list[int]):
     """Reference (X, Y, S) walk of ``check_faithfulness``: every disjoint
-    triple up to six nodes, as base-4 digit tuples; singleton X and Y beyond."""
+    triple up to six nodes, in ``digit_walk`` order; singleton X and Y
+    beyond, pairs x < y in order, then S over the other nodes by counting."""
     n = len(nodes)
     if n <= 6:
-        for digits in product(range(4), repeat=n):
-            xs = frozenset(v for v, d in zip(nodes, digits) if d == 1)
-            ys = frozenset(v for v, d in zip(nodes, digits) if d == 2)
-            ss = frozenset(v for v, d in zip(nodes, digits) if d == 3)
-            if not xs or not ys:
-                continue
-            if min(xs) > min(ys):  # (X, Y) and (Y, X) are the same question
-                continue
-            yield xs, ys, ss
+        yield from digit_walk(nodes)
         return
     for i, x in enumerate(nodes):
         for y in nodes[i + 1:]:

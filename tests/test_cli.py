@@ -111,6 +111,27 @@ class TestGen:
         assert "injective_noise: holds" in body
         assert "faithfulness: holds" in body
 
+    @pytest.mark.parametrize("flags, reason", [
+        (["1", "1", "--seed", "9", "--retries", "2"],
+         "nonconstant_noise fails; first witness ('A',)"),
+        # this candidate is unfaithful too: nonconstant_noise is audited first
+        (["1", "2", "--seed", "3", "--retries", "1"],
+         "nonconstant_noise fails; first witness ('B',)"),
+        (["1", "2", "--seed", "4", "--retries", "3"],
+         "faithfulness fails; first witness (('B',), ('D',), ('C',), 0.0)"),
+    ])
+    def test_degenerate_noise_names_the_last_failure(self, tmp_path, capsys, flags, reason):
+        # the generator audits in its own order, but names the failure that
+        # registry order names
+        code = main(["gen", "--nodes", "4", "--out", str(tmp_path / "m.json"),
+                     "--noise-support", *flags])
+        assert code == 1
+        attempts = flags[-1]
+        assert capsys.readouterr().err == (
+            f"error: profile='base' entropy='known' nodes=4 unsatisfied after {attempts} "
+            f"attempts (last failure: {reason})\n"
+        )
+
     def test_byte_identical_for_same_flags(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         flags = ["gen", "--nodes", "5", "--profile", "plus_one",

@@ -13,6 +13,7 @@ from causal_layering.graph import Dag, d_separated
 from causal_layering.oracle import EntropyOracle, JointTable, joint_distribution
 from causal_layering.presets import xor_model
 from causal_layering.scm import (
+    ENTROPY_MODES,
     PROFILES,
     Assumptions,
     GenerationError,
@@ -37,9 +38,9 @@ from causal_layering.scm import (
 )
 
 from bruteforce import check_faithfulness as bf_check_faithfulness
-from bruteforce import explicit_noise_graph
-from bruteforce import faithfulness_probes as bf_faithfulness_probes
-from bruteforce import injective_noise_plus_one_witnesses, injective_noise_witnesses
+from bruteforce import check_injective_noise as bf_check_injective_noise
+from bruteforce import check_injective_noise_plus_one as bf_check_injective_noise_plus_one
+from bruteforce import digit_walk, digits, explicit_noise_graph
 from bruteforce import scm_to_dict
 from bruteforce import scm_to_text as bf_scm_to_text
 
@@ -88,6 +89,12 @@ class TestPmf:
         total = sum(weights)
         expected = Pmf.from_weights(range(len(weights)), weights).entropy_bits()
         assert scm_module._entropy_bits(w / total for w in weights) == expected
+
+    @given(st.lists(st.integers(0, 2**80), min_size=1, max_size=8).filter(any))
+    def test_from_weights_is_the_validated_construction(self, weights):
+        total = sum(weights)
+        built = Pmf(tuple(range(len(weights))), tuple(Fraction(w, total) for w in weights))
+        assert Pmf.from_weights(range(len(weights)), weights) == built
 
     def test_bernoulli(self):
         p = Pmf.bernoulli(Fraction(1, 4))
@@ -209,6 +216,34 @@ def scrambled_models(draw) -> Scm:
     return Scm(g, noise, functions)
 
 
+@st.composite
+def planted_collision_models(draw) -> Scm:
+    """Models whose tables are one-to-one in (parents, noise) except for a few
+    planted collisions: a row takes the output of a row that differs from it
+    in the noise value alone, or in one parent's value and the noise value."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())]
+    g = Dag([f"V{i}" for i in range(n)], edges)
+    noise, functions, alphabets = {}, {}, {}
+    for v in range(n):  # 0..n-1 is a topological order
+        pas = tuple(sorted(g.parents(v)))
+        support = tuple(range(draw(st.integers(2, 3))))
+        noise[v] = Pmf.from_weights(support, [draw(st.integers(1, 4)) for _ in support])
+        keys = [(*combo, u) for combo in product(*(alphabets[p] for p in pas)) for u in support]
+        entries = dict(zip(keys, draw(st.permutations(range(len(keys))))))
+        for _ in range(draw(st.integers(0, 3))):
+            src = draw(st.sampled_from(keys))
+            dst = list(src)
+            dst[-1] = draw(st.sampled_from(support))
+            if pas and draw(st.booleans()):
+                j = draw(st.integers(0, len(pas) - 1))
+                dst[j] = draw(st.sampled_from(alphabets[pas[j]]))
+            entries[tuple(dst)] = entries[src]
+        alphabets[v] = tuple(sorted(set(entries.values())))
+        functions[v] = StructuralTable(pas, entries)
+    return Scm(g, noise, functions)
+
+
 class TestScmValidation:
     def test_alphabets_derived_from_outputs(self):
         m = tiny_chain()
@@ -287,15 +322,11 @@ class TestAssumptionChecks:
         assert check_injective_noise(affine_chain).holds
         assert check_injective_noise(xor_chain).holds
 
-    @settings(max_examples=150, deadline=None)
-    @given(st.one_of(random_models(), scrambled_models()))
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(random_models(), scrambled_models(), planted_collision_models()))
     def test_injectivity_reports_match_the_reference_scans(self, m):
-        report = check_injective_noise(m)
-        assert report.witnesses == injective_noise_witnesses(m)
-        assert report.holds == (not report.witnesses)
-        report = check_injective_noise_plus_one(m)
-        assert report.witnesses == injective_noise_plus_one_witnesses(m)
-        assert report.holds == (not report.witnesses)
+        assert check_injective_noise(m) == bf_check_injective_noise(m)
+        assert check_injective_noise_plus_one(m) == bf_check_injective_noise_plus_one(m)
 
     def test_injective_noise_violation_witnessed(self):
         g = Dag.of("A")
@@ -392,21 +423,34 @@ class TestAssumptionChecks:
         assert first.detail == full.detail
 
     def assert_faithfulness_matches_the_reference(self, m) -> bool:
-        """Same report as the reference under both ``first_witness`` values,
-        witness MI floats included bitwise; returns whether it holds."""
-        for first_witness in (False, True):
-            fast = check_faithfulness(m, Assumptions(m).oracle(), first_witness)
-            slow = bf_check_faithfulness(m, Assumptions(m).oracle(), first_witness)
-            assert fast == slow
-            assert repr(fast) == repr(slow)
+        """Against the exhaustive reference: the same verdict and detail; the
+        reference's witnesses with single X and Y, in digit-walk order, as the
+        witness list; and up to six nodes, where the reference walks digits
+        too, the same first witness. MI floats compare bitwise (by repr).
+        Returns whether the model is faithful."""
+        fast = check_faithfulness(m, Assumptions(m).oracle())
+        slow = bf_check_faithfulness(m, Assumptions(m).oracle())
+        assert (fast.assumption, fast.holds, fast.detail) == (
+            slow.assumption, slow.holds, slow.detail)
+        labels = [m.label(v) for v in sorted(m.graph.nodes)]
+        pairs = [w for w in slow.witnesses if len(w[0]) == len(w[1]) == 1]
+        if len(labels) > 6:  # the reference walks pairs x < y, then S by counting
+            pairs.sort(key=lambda w: digits(labels, w[:3]))
+        assert repr(fast.witnesses) == repr(tuple(pairs))
+        first = check_faithfulness(m, Assumptions(m).oracle(), first_witness=True)
+        assert repr(first.witnesses) == repr(fast.witnesses[:1])
+        if len(labels) <= 6:
+            slow_first = bf_check_faithfulness(m, Assumptions(m).oracle(), first_witness=True)
+            assert repr(first) == repr(slow_first)
         return fast.holds
 
     def test_faithfulness_probes_follow_the_reference_walk(self):
+        # the digit walk over triples, restricted to single X and Y
         for n in range(1, 9):
-            nodes = list(range(n))
             expected = tuple(
                 tuple(sum(1 << v for v in part) for part in probe)
-                for probe in bf_faithfulness_probes(nodes)
+                for probe in digit_walk(list(range(n)))
+                if len(probe[0]) == len(probe[1]) == 1
             )
             assert _faithfulness_probes(n) == expected
 
@@ -621,6 +665,51 @@ class TestGenerator:
                 GeneratorConfig(nodes=5, profile="base", entropy_mode=mode), seed=seed
             )
             assert check_noise_entropy_order(m, mode).holds
+
+    def test_audit_order_and_singleton_probes_keep_every_model(self, monkeypatch):
+        # against the exhaustive faithfulness reference, audited in registry
+        # order: the same models, attempts and reports, and the same error
+        # where ten attempts run out (the reference is slow at seven nodes)
+        configs = [
+            (GeneratorConfig(nodes=n, profile=profile, entropy_mode=ENTROPY_MODES[seed % 3],
+                             max_retries=10), seed)
+            for profile in PROFILES for n in range(2, 8) for seed in range(10)
+        ]
+
+        def run() -> list[tuple]:
+            out = []
+            for cfg, seed in configs:
+                try:
+                    m = generate_scm(cfg, seed)
+                except GenerationError as exc:
+                    # beyond six nodes the reference walks pairs in another
+                    # order, so the witness its error names may differ
+                    out.append(str(exc) if cfg.nodes <= 6 else "unsatisfied")
+                    continue
+                out.append((scm_to_text(m), m.meta.attempts, repr(m.meta.reports)))
+            return out
+
+        fast = run()
+        monkeypatch.setattr(scm_module, "check_faithfulness", bf_check_faithfulness)
+        monkeypatch.setattr(scm_module, "_AUDIT_LAST", ())
+        assert run() == fast
+
+    def test_a_zero_strict_gap_names_the_entropy_failure(self, monkeypatch):
+        # a gap of 0 lets a descendant's noise match its ancestor's entropy;
+        # this candidate is unfaithful too, and registry order names the
+        # entropy order first
+        cfg = GeneratorConfig(nodes=4, noise_support_sizes=(2, 2), entropy_mode="strict",
+                              strict_entropy_gap=0, max_retries=1)
+        reason = ("strict_entropy_order fails; first witness "
+                  "('D', 'A', 0.9999435071707974, 0.9999435071707974)")
+        for audit_last in (scm_module._AUDIT_LAST, ()):
+            monkeypatch.setattr(scm_module, "_AUDIT_LAST", audit_last)
+            with pytest.raises(GenerationError) as exc:
+                generate_scm(cfg, 121)
+            assert str(exc.value) == (
+                "profile='base' entropy='strict' nodes=4 unsatisfied after 1 attempts "
+                f"(last failure: {reason})"
+            )
 
     def test_unsatisfiable_config_raises_with_context(self):
         cfg = GeneratorConfig(
