@@ -156,13 +156,15 @@ def _cmd_gen(args) -> int:
     budget = _enumeration_budget(args)  # gen has no --budget flag: the variable only
     if budget is not None:
         cfg = dataclasses.replace(cfg, enumeration_budget=budget)
+    report_path = args.report or args.out.with_name(args.out.name + ".report.txt")
+    if os.path.realpath(report_path) == os.path.realpath(args.out):  # one file for both
+        raise _UsageError(f"--report names the model file {args.out}")
     try:
         model = generate_scm(cfg, args.seed)
     except GenerationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    report_path = args.report or args.out.with_name(args.out.name + ".report.txt")
     args.out.write_text(scm_to_text(model))
 
     # reuses the generator's reports; lists directed faithfulness only where guaranteed
@@ -245,6 +247,8 @@ def _cmd_discover(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.empirical < 0:  # 0 turns the diagnostic off
+        raise _UsageError(f"--empirical must be non-negative, got {args.empirical}")
     model = _load_scm(args.scm)
     budget = _enumeration_budget(args)
     audit = Assumptions(model, budget)

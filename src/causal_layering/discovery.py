@@ -26,6 +26,22 @@ _NOISE = ("nonconstant_noise", "injective_noise")
 # (algorithm, mode) -> alternative sets of assumption names (the keys of
 # ``scm.VALIDATORS``); a pair is licensed when every name of one set holds.
 # Keys are in the order ``causal-layering check`` reports its discovery runs.
+#
+# No alternative needs ``faithfulness`` (README, "Why no license needs
+# faithfulness"). R is the removed set, C the remaining one; both are
+# ancestral. With pa(v) in the conditioning set, injective noise gives
+# H(v | ·) = H(N_v | ·) <= H(N_v), with equality when the set holds no
+# descendant of v: so a residual source or sink v reads exactly H(N_v).
+# - sour/known: a non-source v with p its last parent outside R and Q its
+#   other parents outside R has H(v | R) >= H(v | R+Q) = H(p | R+Q) + H(N_v)
+#   by plus-one injectivity, and H(p | R+Q) >= H(N_p) > 0.
+# - sour/monotone: so H(v | R) > H(N_v) >= H(N_a) = H(a | R) for a residual
+#   source a above v, by the weak order.
+# - sir/known: a non-sink u with child c in C has H(u | C-u) <= H(N_u) -
+#   I(N_u; c) < H(N_u), by directed faithfulness.
+# - sir/monotone: H(u | C-u) <= H(N_u) < H(N_s) for a residual sink s below
+#   u, by the strict order; or < H(N_u) <= H(N_s), by directed faithfulness
+#   and the weak order.
 LICENSES: dict[tuple[str, str], tuple[tuple[str, ...], ...]] = {
     ("sour", "known"): ((*_NOISE, "injective_noise_plus_one"),),
     ("sour", "monotone"): (

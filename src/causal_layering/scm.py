@@ -410,16 +410,14 @@ def _faithfulness_probes(n: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(t for t in walk if t[1])
 
 
-def check_faithfulness(
-    m: Scm, oracle: _oracle.EntropyOracle, first_witness: bool = False
-) -> AssumptionReport:
+def check_faithfulness(m: Scm, oracle: _oracle.EntropyOracle) -> AssumptionReport:
     """Observed conditional independences must coincide with d-separations.
 
     ``oracle`` must cover the graph's nodes, as ``Assumptions.oracle()``
     does. An independence where the graph is d-connected is a violation;
-    the converse means broken arithmetic and raises. With ``first_witness``
-    the check stops at the first violation, the full check's first witness,
-    and runs no later probe.
+    the converse means broken arithmetic and raises. The report holds, or it
+    fails with one witness: the first violation in the digit walk, after
+    which no probe runs.
 
     Single nodes x < y, with every S over the rest, decide every disjoint
     triple: X and Y are d-connected given S iff some x in X and y in Y are,
@@ -471,7 +469,7 @@ def check_faithfulness(
 
     reach: dict[int, int] = {}  # S << n | x bit -> nodes d-connected to x given S
 
-    witnesses: list[tuple] = []
+    detail = "exhaustive triples" if n <= 6 else "singleton pairs only"
     for xs, ys, ss in _faithfulness_probes(n):
         mi = h(xs | ss) + h(ys | ss) - h(ss) - h(xs | ys | ss)
         key = ss << n | xs
@@ -485,18 +483,9 @@ def check_faithfulness(
                 "exact arithmetic is broken"
             )
         if not sep and mi <= _MI_TOL:
-            witnesses.append(
-                (
-                    tuple(m.label(v) for v in members(xs)),
-                    tuple(m.label(v) for v in members(ys)),
-                    tuple(m.label(v) for v in members(ss)),
-                    mi,
-                )
-            )
-            if first_witness:
-                break
-    detail = "exhaustive triples" if n <= 6 else "singleton pairs only"
-    return AssumptionReport("faithfulness", not witnesses, tuple(witnesses), detail)
+            witness = (*(tuple(m.label(v) for v in members(t)) for t in (xs, ys, ss)), mi)
+            return AssumptionReport("faithfulness", False, (witness,), detail)
+    return AssumptionReport("faithfulness", True, (), detail)
 
 
 # --- assumption registry -----------------------------------------------------
@@ -602,9 +591,7 @@ class GeneratorConfig:
     profile: str = "base"
     entropy_mode: str = "known"
     max_retries: int = 60
-    table_budget: int = 1 << 18
     enumeration_budget: int = _oracle.DEFAULT_ENUMERATION_BUDGET
-    strict_entropy_gap: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.nodes < 1:
@@ -625,6 +612,14 @@ class GeneratorConfig:
             raise ValueError("alphabet_sizes must be an ordered positive pair")
         if self.max_retries < 1:
             raise ValueError("max_retries must be positive")
+
+
+# A candidate whose structural tables need more entries than this, all nodes
+# together, is redrawn.
+_TABLE_BUDGET = 1 << 18
+# In strict mode, each node's noise entropy passes its ancestors' by at least
+# this many bits.
+_STRICT_ENTROPY_GAP = 1e-6
 
 
 class _Retry(Exception):
@@ -662,7 +657,7 @@ def _sample_pmfs(
             elif cfg.entropy_mode == "weak":
                 ok = h >= bound
             else:
-                ok = h >= bound + cfg.strict_entropy_gap
+                ok = h >= bound + _STRICT_ENTROPY_GAP
             if ok:
                 break
         else:
@@ -675,7 +670,7 @@ def _sample_pmfs(
 
 
 def _plus_one_tables(
-    cfg: GeneratorConfig, g: Dag, topo: tuple[int, ...], pmfs: dict[int, Pmf]
+    g: Dag, topo: tuple[int, ...], pmfs: dict[int, Pmf]
 ) -> dict[int, StructuralTable]:
     # scaled sum: output = sum(parents) + K * noise with K past any parent sum,
     # so the map is one-to-one jointly in (any single parent, noise)
@@ -688,10 +683,8 @@ def _plus_one_tables(
         k = 1 + sum(max(alphabets[p]) for p in pas)
         size = len(sup) * math.prod(len(alphabets[p]) for p in pas)
         total += size
-        if total > cfg.table_budget:
-            raise _Retry(
-                f"structural tables need more than {cfg.table_budget} entries"
-            )
+        if total > _TABLE_BUDGET:
+            raise _Retry(f"structural tables need more than {_TABLE_BUDGET} entries")
         entries: dict[tuple[int, ...], int] = {}
         outs: set[int] = set()
         for combo in product(*(alphabets[p] for p in pas)):
@@ -724,8 +717,8 @@ def _injection_tables(
         size = max(len(sup), rng.randint(amin, amax))
         domain = list(product(*(alphabets[p] for p in pas)))
         total += len(domain) * len(sup)
-        if total > cfg.table_budget:
-            raise _Retry(f"structural tables need more than {cfg.table_budget} entries")
+        if total > _TABLE_BUDGET:
+            raise _Retry(f"structural tables need more than {_TABLE_BUDGET} entries")
         for _ in range(60):
             maps = {combo: tuple(rng.sample(range(size), len(sup))) for combo in domain}
             if all(_parent_matters(maps, domain, pas, j) for j in range(len(pas))):
@@ -815,29 +808,24 @@ def _generate_once(
 
     pmfs = _sample_pmfs(cfg, rng, g, topo)
     if cfg.profile == "plus_one":
-        tables = _plus_one_tables(cfg, g, topo, pmfs)
+        tables = _plus_one_tables(g, topo, pmfs)
     else:
         tables = _injection_tables(cfg, rng, g, topo, pmfs)
     m = Scm(g, pmfs, tables)
 
     # construction is re-verified, never trusted
     audit = Assumptions(m, cfg.enumeration_budget)
-    reports = {}
     names = guaranteed_assumptions(cfg.profile, cfg.entropy_mode)
-    last = [name for name in names if name in _AUDIT_LAST]
-    for name in [name for name in names if name not in last] + last:
-        if name == "faithfulness":
-            if "directed_faithfulness" in names:  # one enumeration serves both audits
-                audit.noise_oracle()
-            # a rejected candidate needs one witness; an accepted one runs every probe
-            report = check_faithfulness(m, audit.oracle(), first_witness=True)
-        else:
-            report = audit.report(name)
+    # registry order with _AUDIT_LAST last (sorted is stable); each report
+    # is computed once, so meta.reports reuses them
+    for name in sorted(names, key=_AUDIT_LAST.__contains__):
+        if name == "faithfulness" and "directed_faithfulness" in names:
+            audit.noise_oracle()  # one enumeration serves both oracles
+        report = audit.report(name)
         if not report.holds:
             raise _Retry(f"{name} fails; first witness {report.witnesses[0]}")
-        reports[name] = report
     m.meta = ScmMeta(
-        cfg.profile, cfg.entropy_mode, seed, attempt, tuple(reports[name] for name in names)
+        cfg.profile, cfg.entropy_mode, seed, attempt, tuple(map(audit.report, names))
     )
     return m
 

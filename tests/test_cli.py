@@ -154,6 +154,17 @@ class TestGen:
                      "--out", str(out), "--report", str(rep)]) == 0
         assert rep.exists()
 
+    @pytest.mark.parametrize("report", ["m.json", "./m.json", "sub/../m.json"])
+    def test_report_path_must_not_be_the_model(self, tmp_path, monkeypatch, capsys, report):
+        # the sidecar would overwrite the model, and check could not read it back
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        assert main(["gen", "--nodes", "3", "--out", "m.json", "--report", report]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: --report names the model file m.json\n"
+        assert not (tmp_path / "m.json").exists()
+
     def test_generated_file_loads_back(self, tmp_path, capsys):
         out = tmp_path / "m.json"
         assert main(["gen", "--nodes", "4", "--profile", "sir_faithful",
@@ -364,6 +375,15 @@ class TestCheck:
     def test_empirical_section(self, affine_file, capsys):
         assert main(["check", "--scm", str(affine_file), "--empirical", "500"]) == 0
         assert "sampled rows (diagnostic)" in capsys.readouterr().out
+
+    def test_negative_empirical_is_a_usage_error(self, affine_file, capsys):
+        # 0 turns the diagnostic off; a negative count would silently do the same
+        assert main(["check", "--scm", str(affine_file), "--empirical", "-5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: --empirical must be non-negative, got -5\n"
+        assert main(["check", "--scm", str(affine_file), "--empirical", "0"]) == 0
+        assert "sampled rows" not in capsys.readouterr().out
 
     def test_denominator_past_float_range(self, tmp_path, capsys):
         # B's noise has 400-digit literals, so the joint table's denominator

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from causal_layering import scm as scm_module
+from causal_layering.cli import main
 from causal_layering.discovery import (
     LICENSES,
     AssumptionViolation,
@@ -20,14 +22,18 @@ from causal_layering.graph import Dag, is_layering
 from causal_layering.oracle import EntropyOracle, JointTable, joint_distribution
 from causal_layering.presets import xor_model
 from causal_layering.scm import (
+    ENTROPY_MODES,
     PROFILES,
     VALIDATORS,
+    Assumptions,
     GenerationError,
     GeneratorConfig,
     Pmf,
     generate_scm,
     noise_entropy,
+    scm_to_text,
 )
+from causal_layering.verify import check_discovery_result
 
 import bruteforce
 
@@ -343,6 +349,45 @@ class TestLicenses:
                 refused = bool(license_failures(algo, mode, holds.__getitem__))
                 assert refused == bruteforce.license_refuses(holds, algo, mode), (
                     algo, mode, holds)
+
+    def test_no_alternative_needs_faithfulness(self, monkeypatch, tmp_path, capsys,
+                                               affine_chain, xor_chain):
+        # README's "Why no license needs faithfulness" argues each alternative
+        # without it; here every licensed pair of unfaithful models replays
+        guaranteed = scm_module.guaranteed_assumptions
+        monkeypatch.setattr(
+            scm_module, "guaranteed_assumptions",
+            lambda profile, mode: tuple(
+                name for name in guaranteed(profile, mode) if name != "faithfulness"
+            ),
+        )
+        models = [affine_chain, xor_chain] + [
+            generate_scm(GeneratorConfig(nodes=n, profile=profile, entropy_mode=mode), seed)
+            for profile in PROFILES for mode in ENTROPY_MODES
+            for n in range(3, 7) for seed in range(8)
+        ]
+        exercised = set()
+        path = tmp_path / "m.json"
+        for m in models:
+            audit = Assumptions(m)
+            if audit.holds("faithfulness"):
+                continue
+            for algo, mode_name in licensed_pairs(audit.holds):
+                exercised.update(
+                    names for names in LICENSES[(algo, mode_name)] if all(map(audit.holds, names))
+                )
+                mode = known_for(m) if mode_name == "known" else MonotoneEntropy()
+                run = sour_discover if algo == "sour" else sir_discover
+                result = run(m.graph.nodes, audit.oracle(), mode)
+                replay = check_discovery_result(
+                    m.graph, result, "sources" if algo == "sour" else "sinks",
+                    expect_exact_selection=mode_name == "known",
+                )
+                assert replay.ok, (scm_to_text(m), algo, mode_name, replay.reason)
+            path.write_text(scm_to_text(m))
+            assert main(["check", "--scm", str(path)]) == 0, capsys.readouterr().out
+        # every alternative held on some unfaithful model
+        assert exercised == {names for alts in LICENSES.values() for names in alts}
 
     def test_failures_name_only_failing_assumptions(self):
         holds = dict.fromkeys(VALIDATORS, True)

@@ -1,15 +1,17 @@
+import functools
 import math
 import random
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causal_layering import scm as scm_module
-from causal_layering.graph import Dag, d_separated
+from causal_layering.graph import Dag, d_connected_bits, d_separated
 from causal_layering.oracle import EntropyOracle, JointTable, joint_distribution
 from causal_layering.presets import xor_model
 from causal_layering.scm import (
@@ -397,7 +399,7 @@ class TestAssumptionChecks:
         report = check_faithfulness(affine_chain, Assumptions(affine_chain).oracle())
         assert not report.holds
         assert report.detail == "exhaustive triples"
-        assert (("A",), ("B",), ("C",)) in {w[:3] for w in report.witnesses}
+        assert report.witnesses == ((("A",), ("B",), ("C",), 0.0),)
 
     def test_faithfulness_holds_on_generated_base(self):
         m = generate_scm(GeneratorConfig(nodes=4, profile="base"), seed=0)
@@ -406,43 +408,52 @@ class TestAssumptionChecks:
         assert report.detail == "exhaustive triples"
 
     def test_faithfulness_fails_on_xor(self, xor_chain):
-        # the chain ends in uniform noise, so A and C are exactly independent
-        # despite being d-connected
+        # the chain ends in uniform noise, so B and C (and A and C) are
+        # exactly independent despite being d-connected
         report = check_faithfulness(xor_chain, Assumptions(xor_chain).oracle())
         assert not report.holds
-        assert (("A",), ("C",), ()) in {w[:3] for w in report.witnesses}
+        assert report.witnesses == ((("B",), ("C",), (), 0.0),)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_first_witness_stops_at_the_full_checks_first_witness(self, data):
+        # no probe after the witness sweeps the graph: the (x, S) sweeps are
+        # those of the probes up to the witness, or of every probe if it holds
         m = data.draw(random_models())
-        full = check_faithfulness(m, Assumptions(m).oracle())
-        first = check_faithfulness(m, Assumptions(m).oracle(), first_witness=True)
-        assert first.holds == full.holds
-        assert first.witnesses == full.witnesses[:1]
-        assert first.detail == full.detail
+        n = len(m.graph)
+        swept = []
+
+        def counted(g, xs, ss):
+            swept.append((xs, ss))
+            return d_connected_bits(g, xs, ss)
+
+        with mock.patch.object(scm_module, "d_connected_bits", counted):
+            report = check_faithfulness(m, Assumptions(m).oracle())
+        probes = list(_faithfulness_probes(n))
+        if not report.holds:
+            ids = {m.label(v): v for v in m.graph.nodes}
+            witness = tuple(sum(1 << ids[lab] for lab in part) for part in report.witnesses[0][:3])
+            probes = probes[:probes.index(witness) + 1]
+        assert swept == list(dict.fromkeys((xs, ss) for xs, _, ss in probes))
 
     def assert_faithfulness_matches_the_reference(self, m) -> bool:
-        """Against the exhaustive reference: the same verdict and detail; the
-        reference's witnesses with single X and Y, in digit-walk order, as the
-        witness list; and up to six nodes, where the reference walks digits
-        too, the same first witness. MI floats compare bitwise (by repr).
-        Returns whether the model is faithful."""
-        fast = check_faithfulness(m, Assumptions(m).oracle())
-        slow = bf_check_faithfulness(m, Assumptions(m).oracle())
-        assert (fast.assumption, fast.holds, fast.detail) == (
-            slow.assumption, slow.holds, slow.detail)
+        """Against the exhaustive reference: the same verdict and detail, and
+        as the one witness the first of the reference's witnesses with single
+        X and Y in digit-walk order; up to six nodes, where the reference
+        walks digits too, the reference's first-witness report. MI floats
+        compare bitwise (by repr). Returns whether the model is faithful."""
+        report = check_faithfulness(m, Assumptions(m).oracle())
+        full = bf_check_faithfulness(m, Assumptions(m).oracle())
+        assert (report.assumption, report.holds, report.detail) == (
+            full.assumption, full.holds, full.detail)
         labels = [m.label(v) for v in sorted(m.graph.nodes)]
-        pairs = [w for w in slow.witnesses if len(w[0]) == len(w[1]) == 1]
-        if len(labels) > 6:  # the reference walks pairs x < y, then S by counting
-            pairs.sort(key=lambda w: digits(labels, w[:3]))
-        assert repr(fast.witnesses) == repr(tuple(pairs))
-        first = check_faithfulness(m, Assumptions(m).oracle(), first_witness=True)
-        assert repr(first.witnesses) == repr(fast.witnesses[:1])
+        pairs = [w for w in full.witnesses if len(w[0]) == len(w[1]) == 1]
+        pairs.sort(key=lambda w: digits(labels, w[:3]))  # beyond six nodes, x < y then S
+        assert repr(report.witnesses) == repr(tuple(pairs[:1]))
         if len(labels) <= 6:
-            slow_first = bf_check_faithfulness(m, Assumptions(m).oracle(), first_witness=True)
-            assert repr(first) == repr(slow_first)
-        return fast.holds
+            first = bf_check_faithfulness(m, Assumptions(m).oracle(), first_witness=True)
+            assert repr(report) == repr(first)
+        return report.holds
 
     def test_faithfulness_probes_follow_the_reference_walk(self):
         # the digit walk over triples, restricted to single X and Y
@@ -495,9 +506,8 @@ class TestAssumptionChecks:
         monkeypatch.setattr(JointTable, "entropy_bits", lambda t: math.sqrt(len(t.variables)))
 
         for check in (check_faithfulness, bf_check_faithfulness):
-            for first_witness in (False, True):
-                with pytest.raises(RuntimeError, match="exact arithmetic is broken"):
-                    check(m, EntropyOracle(table), first_witness)
+            with pytest.raises(RuntimeError, match="exact arithmetic is broken"):
+                check(m, EntropyOracle(table))
 
     @staticmethod
     def projections(monkeypatch) -> list[tuple[int, int]]:
@@ -529,6 +539,8 @@ class TestAssumptionChecks:
             assert all(source == result + 1 for source, result in made)
 
     def test_first_witness_projects_no_more_than_the_full_check(self, monkeypatch):
+        # an accepted model needs every proper subset's table; the entropy
+        # walk stops with the probes, so some rejection projects fewer
         guaranteed = scm_module.guaranteed_assumptions
         monkeypatch.setattr(
             scm_module, "guaranteed_assumptions",
@@ -541,18 +553,15 @@ class TestAssumptionChecks:
             for profile in PROFILES for n in (5, 6) for seed in range(4)
         ]
         made = self.projections(monkeypatch)
-        pairs = []
+        rejected = []
         for m in candidates:
-            table = joint_distribution(m)
-            counts = []
-            for first_witness in (False, True):
-                made.clear()
-                check_faithfulness(m, EntropyOracle(table), first_witness)
-                counts.append(len(made))
-            pairs.append(counts)
-        assert all(first <= full for full, first in pairs)
-        # the entropy walk stops with the probes: some rejection projects less
-        assert any(first < full for full, first in pairs)
+            made.clear()
+            holds = check_faithfulness(m, EntropyOracle(joint_distribution(m))).holds
+            full = 2 ** len(m.graph) - 1
+            assert (len(made) == full) if holds else (len(made) <= full)
+            if not holds:
+                rejected.append(len(made) < full)
+        assert any(rejected)
 
     @staticmethod
     def coarse_pair() -> Scm:
@@ -690,7 +699,8 @@ class TestGenerator:
             return out
 
         fast = run()
-        monkeypatch.setattr(scm_module, "check_faithfulness", bf_check_faithfulness)
+        monkeypatch.setattr(scm_module, "check_faithfulness",
+                            functools.partial(bf_check_faithfulness, first_witness=True))
         monkeypatch.setattr(scm_module, "_AUDIT_LAST", ())
         assert run() == fast
 
@@ -698,8 +708,9 @@ class TestGenerator:
         # a gap of 0 lets a descendant's noise match its ancestor's entropy;
         # this candidate is unfaithful too, and registry order names the
         # entropy order first
+        monkeypatch.setattr(scm_module, "_STRICT_ENTROPY_GAP", 0)
         cfg = GeneratorConfig(nodes=4, noise_support_sizes=(2, 2), entropy_mode="strict",
-                              strict_entropy_gap=0, max_retries=1)
+                              max_retries=1)
         reason = ("strict_entropy_order fails; first witness "
                   "('D', 'A', 0.9999435071707974, 0.9999435071707974)")
         for audit_last in (scm_module._AUDIT_LAST, ()):
@@ -711,13 +722,15 @@ class TestGenerator:
                 f"(last failure: {reason})"
             )
 
-    def test_unsatisfiable_config_raises_with_context(self):
-        cfg = GeneratorConfig(
-            nodes=6, edge_prob=1.0, profile="plus_one",
-            table_budget=8, max_retries=3,
-        )
-        with pytest.raises(GenerationError, match="plus_one"):
+    def test_unsatisfiable_config_raises_with_context(self, monkeypatch):
+        monkeypatch.setattr(scm_module, "_TABLE_BUDGET", 8)
+        cfg = GeneratorConfig(nodes=6, edge_prob=1.0, profile="plus_one", max_retries=3)
+        with pytest.raises(GenerationError) as exc:
             generate_scm(cfg, seed=0)
+        assert str(exc.value) == (
+            "profile='plus_one' entropy='known' nodes=6 unsatisfied after 3 attempts "
+            "(last failure: structural tables need more than 8 entries)"
+        )
 
 
 class TestSampling:
