@@ -1,8 +1,9 @@
 """Layering discovery for discrete structural causal models via entropy oracles.
 
-The package re-exports the names its README example and scripts use; every
-other name is imported from its submodule (``graph``, ``scm``, ``oracle``,
-``discovery``, ``verify``, ``cli``, ``presets``).
+The package re-exports the names its README example and scripts use, and
+the two preset chains; every other name is imported from its submodule
+(``graph``, ``scm``, ``oracle``, ``discovery``, ``verify``, ``cli``,
+``presets``).
 """
 
 from .discovery import (
@@ -14,6 +15,7 @@ from .discovery import (
 )
 from .graph import render_dag
 from .oracle import EntropyOracle, joint_distribution, render_joint_table
+from .presets import affine_chain3, xor_chain3
 from .scm import GeneratorConfig, generate_scm, noise_entropy
 from .verify import (
     check_call_bound,
@@ -29,6 +31,7 @@ __all__ = [
     "GeneratorConfig",
     "KnownNoiseEntropy",
     "MonotoneEntropy",
+    "affine_chain3",
     "check_call_bound",
     "check_discovery_result",
     "check_entropy_bounds",
@@ -41,4 +44,5 @@ __all__ = [
     "render_joint_table",
     "sir_discover",
     "sour_discover",
+    "xor_chain3",
 ]

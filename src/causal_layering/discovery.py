@@ -19,7 +19,7 @@ import math
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 
-from .graph import Groups, Layering, NodeId, peel
+from .graph import Layering, NodeId
 
 _NOISE = ("nonconstant_noise", "injective_noise")
 
@@ -167,8 +167,9 @@ def _peel(
             raise ValueError(f"known entropies missing for nodes {sorted(uncovered)}")
 
     trace: list[IterationTrace] = []
-
-    def choose(current: frozenset[NodeId]) -> Groups:
+    current = all_nodes
+    # each round removes a node: known mode raises if none qualifies; monotone's extreme does
+    while current:
         # the round's sets in one batch, so each cond_entropy is a memo hit
         givens = {
             v: (all_nodes - current) if removal == "sources" else (current - {v})
@@ -198,11 +199,10 @@ def _peel(
 
         selected = frozenset({min(qualifying)}) if one_at_a_time else qualifying
         trace.append(IterationTrace(current, entropies, qualifying, selected))
-        if removal == "sources":
-            return selected, frozenset()
-        return frozenset(), selected
+        current -= selected
 
-    layering = peel(all_nodes, choose)
+    groups = [step.selected for step in trace]
+    layering = Layering(tuple(groups if removal == "sources" else reversed(groups)))
     calls = sum(len(step.entropies) for step in trace)
     return DiscoveryResult(layering, calls, tuple(trace))
 

@@ -8,9 +8,7 @@ is immutable once built.
 from __future__ import annotations
 
 import heapq
-from collections import deque
-from collections.abc import Callable, Iterable, Sequence
-from collections.abc import Set as AbstractSet
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 NodeId = int
@@ -267,10 +265,6 @@ def layering_violations(g: Dag, layering: Layering) -> tuple[str, ...]:
     return tuple(reasons)
 
 
-def is_layering(g: Dag, layering: Layering) -> bool:
-    return not layering_violations(g, layering)
-
-
 def d_separated(
     g: Dag,
     xs: Iterable[NodeId],
@@ -335,94 +329,6 @@ def d_connected_bits(g: Dag, xs: int, zs: int = 0) -> int:
         up |= new_up
         down |= new_down
     return (up | down) & ~(xs | zs)
-
-
-# --- removal-based layering ------------------------------------------------
-
-Groups = tuple[AbstractSet[NodeId], AbstractSet[NodeId]]  # (front or sources, back or sinks)
-RemovalSelector = Callable[[frozenset[NodeId], frozenset[NodeId]], Groups]
-SetSelector = Callable[[frozenset[NodeId]], AbstractSet[NodeId]]
-PeelChooser = Callable[[frozenset[NodeId]], Groups]
-
-
-def select_all(
-    sources: frozenset[NodeId], sinks: frozenset[NodeId]
-) -> tuple[frozenset[NodeId], frozenset[NodeId]]:
-    """Default removal choice: every source, plus every sink that is not a source."""
-    return sources, sinks - sources
-
-
-def peel(nodes: Iterable[NodeId], choose: PeelChooser) -> Layering:
-    """Layer ``nodes`` by repeatedly removing groups at the front or the back.
-
-    Each round ``choose`` sees the remaining nodes and returns (front, back):
-    disjoint sets of remaining nodes, not both empty. Front groups extend the
-    layering at the front in removal order; back groups extend it at the back
-    in reverse order.
-    """
-    remaining = frozenset(nodes)
-    front: list[frozenset[int]] = []
-    back: deque[frozenset[int]] = deque()
-    while remaining:
-        fr_raw, bk_raw = choose(remaining)
-        fr, bk = frozenset(fr_raw), frozenset(bk_raw)
-        if not (fr or bk):
-            raise ValueError("selector returned two empty sets")
-        if fr & bk:
-            raise ValueError("selector returned overlapping source and sink sets")
-        if not (fr | bk) <= remaining:
-            raise ValueError("selector returned nodes that are not remaining")
-        if fr:
-            front.append(fr)
-        if bk:
-            back.appendleft(bk)
-        remaining -= fr | bk
-    return Layering(tuple(front) + tuple(back))
-
-
-def rr(g: Dag, select: RemovalSelector | None = None) -> Layering:
-    """Layer a DAG by repeatedly removing chosen sources and sinks.
-
-    Each round the selector sees the residual graph's sources and sinks and
-    returns (SR, SN) with SR a set of sources, SN a set of sinks, disjoint,
-    not both empty. Removed source groups extend the layering at the front
-    in removal order; sink groups extend it at the back in reverse order.
-    Any such sequence of choices yields a valid layering.
-    """
-    chooser = select if select is not None else select_all
-
-    def choose(remaining: frozenset[NodeId]) -> Groups:
-        res = g.residual(remaining)
-        sources, sinks = res.sources(), res.sinks()
-        sr_raw, sn_raw = chooser(sources, sinks)
-        sr, sn = frozenset(sr_raw), frozenset(sn_raw)
-        if not sr <= sources:
-            raise ValueError("selector returned nodes that are not current sources")
-        if not sn <= sinks:
-            raise ValueError("selector returned nodes that are not current sinks")
-        return sr, sn
-
-    return peel(g.nodes, choose)
-
-
-def sources_only(select: SetSelector | None = None) -> RemovalSelector:
-    """Removal selector for source peeling: ``select`` picks among the sources
-    (all of them by default) and no sink is taken."""
-
-    def choose(sources: frozenset[NodeId], sinks: frozenset[NodeId]) -> Groups:
-        return (select(sources) if select is not None else sources), frozenset()
-
-    return choose
-
-
-def sinks_only(select: SetSelector | None = None) -> RemovalSelector:
-    """Removal selector for sink peeling: ``select`` picks among the sinks
-    (all of them by default) and no source is taken."""
-
-    def choose(sources: frozenset[NodeId], sinks: frozenset[NodeId]) -> Groups:
-        return frozenset(), (select(sinks) if select is not None else sinks)
-
-    return choose
 
 
 # --- text formats -----------------------------------------------------------

@@ -1041,6 +1041,8 @@ def parse_scm(text: str) -> Scm:
         data = json.loads(text, parse_float=_JsonDecimal, parse_int=_parse_json_int)
     except json.JSONDecodeError as exc:
         raise ValueError(f"SCM file is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError("SCM file nests too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("SCM file must hold a JSON object")
     return scm_from_dict(data)

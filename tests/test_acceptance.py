@@ -20,12 +20,7 @@ from causal_layering.discovery import (
     sir_discover,
     sour_discover,
 )
-from causal_layering.graph import (
-    d_separated,
-    rr,
-    sinks_only,
-    sources_only,
-)
+from causal_layering.graph import d_separated
 from causal_layering.oracle import EntropyOracle, joint_distribution
 from causal_layering.presets import xor_model
 from causal_layering.scm import (
@@ -48,7 +43,15 @@ from causal_layering.verify import (
 )
 
 from bruteforce import cond_entropy as bf_cond_entropy
-from bruteforce import d_separated_paths, joint_probs, random_dag, take_k_by_label
+from bruteforce import (
+    d_separated_paths,
+    joint_probs,
+    random_dag,
+    rr,
+    sinks_only,
+    sources_only,
+    take_k_by_label,
+)
 from conftest import ACCEPTANCE_LINES
 
 TOL = 1e-9

@@ -18,7 +18,7 @@ from causal_layering.discovery import (
     sir_discover,
     sour_discover,
 )
-from causal_layering.graph import Dag, is_layering
+from causal_layering.graph import Dag
 from causal_layering.oracle import EntropyOracle, JointTable, joint_distribution
 from causal_layering.presets import xor_model
 from causal_layering.scm import (
@@ -36,6 +36,7 @@ from causal_layering.scm import (
 from causal_layering.verify import check_discovery_result
 
 import bruteforce
+from bruteforce import is_layering
 
 A, B, C = 0, 1, 2
 

@@ -11,14 +11,8 @@ from causal_layering.graph import (
     d_connected,
     d_connected_bits,
     d_separated,
-    is_layering,
     layering_violations,
-    peel,
     render_dag,
-    rr,
-    select_all,
-    sinks_only,
-    sources_only,
 )
 from causal_layering.scm import GeneratorConfig, generate_scm
 
@@ -26,10 +20,16 @@ from bruteforce import ancestors as bf_ancestors
 from bruteforce import (
     d_separated_paths,
     explicit_noise_graph,
+    is_layering,
     parse_dag,
     parse_layering,
+    peel,
     random_dag,
     render_layering,
+    rr,
+    select_all,
+    sinks_only,
+    sources_only,
     take_k_by_label,
 )
 from bruteforce import descendants as bf_descendants
