@@ -2,14 +2,16 @@
 
 Probability arithmetic is exact: every table entry is an integer
 numerator over one shared denominator, and floats only appear at the
-final logarithm. Entropies are in bits throughout.
+final logarithm. Entropies are in bits throughout. Each node has its own
+noise term, so an enumerated table is stored as one block per connected
+component of the model's skeleton (see ``JointTable``); the enumeration
+budget still caps the product of all noise supports.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
@@ -71,12 +73,19 @@ class JointTable:
     projection is a bit mask per row. A derived table keeps its parent's
     columns, so nested projections mask the same keys. A table computes its
     entropy once and keeps it.
+
+    The rows are stored as blocks over disjoint columns, each (key mask,
+    weights, denominator): a row ORs one key of each block and multiplies
+    their weights. Every value read, the entropy included, comes from the
+    multiplied-out rows, the integers a one-block table holds, so it is bit
+    for bit that table's.
     """
 
     # _cols: one (bit of the id, id, label, field, field mask in a key) per
     # variable, in variable order; a negative id has bit 0 and cannot be kept.
     # _own: the bits of the table's ids.
-    __slots__ = ("_cols", "_own", "_weights", "_denom", "_entropy")
+    # _blocks: (key mask, weights, denominator) per block.
+    __slots__ = ("_cols", "_own", "_blocks", "_denom", "_entropy")
 
     def __init__(
         self,
@@ -116,26 +125,32 @@ class JointTable:
             packed[k] = w
         self._cols = _columns(variables, labels, fields)
         self._own = sum(c[0] for c in self._cols)
-        self._weights = packed
+        self._blocks = ((sum(c[4] for c in self._cols), packed, denom),)
         self._denom = denom
         self._entropy: float | None = None
 
     @classmethod
-    def _derived(
-        cls, cols: tuple, own: int, weights: dict[int, int], denom: int, entropy=None
-    ) -> JointTable:
-        """A table whose integer weights are positive and sum to ``denom``
-        by construction, so nothing needs checking again: a
-        projection of a checked table (sums of its positive weights), or an
-        exact enumeration (products of validated ``Pmf`` numerators).
-        ``own`` is the bits of the ids in ``cols``."""
+    def _derived(cls, cols: tuple, own: int, blocks: tuple, denom: int) -> JointTable:
+        """A table whose blocks' weights are positive and sum to denominators
+        whose product is ``denom``, by construction, so nothing needs
+        checking again: a projection of a checked table (sums of its positive
+        weights), or an exact enumeration (products of validated ``Pmf``
+        numerators). ``own`` is the bits of the ids in ``cols``."""
         table = cls.__new__(cls)
         table._cols = cols
         table._own = own
-        table._weights = weights
+        table._blocks = blocks
         table._denom = denom
-        table._entropy = entropy
+        table._entropy = None
         return table
+
+    @property
+    def _weights(self) -> dict[int, int]:
+        """The multiplied-out rows: packed key -> weight."""
+        rows = {0: 1}
+        for _, ws, _ in self._blocks:
+            rows = {k | b: w * v for k, w in rows.items() for b, v in ws.items()}
+        return rows
 
     @property
     def variables(self) -> tuple[NodeId, ...]:
@@ -146,20 +161,10 @@ class JointTable:
         return tuple(c[2] for c in self._cols)
 
     def __len__(self) -> int:
-        return len(self._weights)
+        return math.prod([len(b[1]) for b in self._blocks])
 
     def prob(self, assignment: tuple[int, ...]) -> Fraction:
-        assignment = tuple(assignment)
-        if len(assignment) != len(self._cols):
-            return Fraction(0)
-        key = 0
-        for c, x in zip(self._cols, assignment):
-            shift, _, alphabet = c[3]
-            i = bisect_left(alphabet, x)
-            if i == len(alphabet) or alphabet[i] != x:
-                return Fraction(0)
-            key |= i << shift
-        return Fraction(self._weights.get(key, 0), self._denom)
+        return dict(self.items()).get(tuple(assignment), Fraction(0))
 
     def items(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Entries sorted by assignment, probabilities as Fractions."""
@@ -173,8 +178,9 @@ class JointTable:
     def marginal(self, keep: Vars) -> JointTable:
         """The marginal on ``keep``: ids, or a bit mask with bit v for id v.
 
-        A projection that merges no rows keeps the multiset of weights, so
-        it takes this table's entropy, when known, as its own.
+        Only the blocks it cuts are scanned; those it drops fold into one
+        constant. A projection that merges no rows keeps the multiset of
+        weights, so it takes this table's entropy, when known, as its own.
         """
         keep = _mask(keep)
         if keep & ~self._own:
@@ -183,24 +189,41 @@ class JointTable:
         if len(cols) == len(self._cols):
             return self
         keep_mask = sum([c[4] for c in cols])
-        out: dict[int, int] = {}
-        get = out.get
-        for key, w in self._weights.items():
-            key &= keep_mask
-            out[key] = get(key, 0) + w
-        carried = self._entropy if len(out) == len(self._weights) else None
-        return JointTable._derived(cols, keep, out, self._denom, carried)
+        blocks, dropped = [], 1
+        for block in self._blocks:
+            block_mask, ws, d = block
+            cut = block_mask & keep_mask
+            if not cut:
+                dropped *= d
+            elif cut == block_mask:
+                blocks.append(block)
+            else:
+                out: dict[int, int] = {}
+                get = out.get
+                for key, w in ws.items():
+                    key &= cut
+                    out[key] = get(key, 0) + w
+                blocks.append((cut, out, d))
+        if dropped > 1 or not blocks:
+            blocks.append((0, {0: dropped}, dropped))
+        table = JointTable._derived(cols, keep, tuple(blocks), self._denom)
+        if len(table) == len(self):
+            table._entropy = self._entropy
+        return table
 
     def entropy_bits(self) -> float:
         """Shannon entropy of the full table, in bits; 0 log 0 counts as 0.
 
-        The terms are summed with ``math.fsum``, so the result depends only on
+        The blocks' weights are multiplied out into the rows' integers, and
+        the terms are summed with ``math.fsum``, so the result depends only on
         the multiset of weights, not on the order the table was built in. A
         denominator past float range takes each term from ``w / d`` and the
         big-int ``math.log2`` instead of from w * log2(w).
         """
         if self._entropy is None:
-            d, ws = self._denom, self._weights.values()
+            d, ws = self._denom, self._blocks[0][1].values()
+            for _, block, _ in self._blocks[1:]:
+                ws = [w * v for v in block.values() for w in ws]
             if d.bit_length() <= _FLOAT_SAFE_BITS:
                 acc = math.fsum(map(operator.mul, ws, map(math.log2, ws)))
                 self._entropy = math.log2(d) - acc / d
@@ -226,8 +249,10 @@ def joint_distribution(
     """Enumerate all noise tuples of an SCM into an exact joint table.
 
     The enumeration size is the product of noise support sizes, capped by
-    ``budget`` (default 2**24). With ``include_noise`` the table also covers
-    the noise variables, under the ids given by ``scm.noise_node``.
+    ``budget`` (default 2**24), though each connected component of the
+    skeleton is enumerated on its own, as one block. With ``include_noise``
+    the table also covers the noise variables (``N_v`` in ``v``'s block),
+    under the ids given by ``scm.noise_node``.
 
     Partial states are extended one node at a time in topological order:
     each node's step maps its parents' packed field values to the bits and
@@ -253,12 +278,21 @@ def joint_distribution(
         alphabets += [tuple(sorted(scm.noise[v].support)) for v in nodes]
     fields = dict(zip(variables, _layout(alphabets)))
 
-    steps: list[tuple[int, dict[int, tuple[tuple[int, int], ...]]]] = []
-    denoms = []
+    cols = _columns(variables, labels, fields.values())
+    key_bits = {c[1]: c[4] for c in cols}
+    root = {v: v for v in nodes}  # union-find over the skeleton's edges
+
+    def find(v: NodeId) -> NodeId:
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for parent, child in scm.graph.edges:
+        root[find(parent)] = find(child)
+    components: dict[NodeId, list] = {}  # root -> [key mask, steps]
     for v in scm.topological_order:
         pmf, table = scm.noise[v], scm.functions[v]
         d = math.lcm(*(q.denominator for q in pmf.probs))
-        denoms.append(d)
         code = _codes(fields[v])
         u_code = _codes(fields[scm.noise_node(v)]) if include_noise else {}
         noise = []
@@ -276,25 +310,31 @@ def joint_distribution(
             choices[sum(bits for _, bits in combo)] = tuple(
                 (code[table.entries[(*parent_vals, u)]] | u_bits, w) for u, w, u_bits in noise
             )
-        steps.append((parent_mask, choices))
+        block = components.setdefault(find(v), [0, []])
+        block[0] |= key_bits[v] | key_bits.get(scm.noise_node(v), 0)
+        block[1].append((parent_mask, choices))
 
-    if not steps:  # a model without nodes has one empty assignment
-        return JointTable._derived((), 0, {0: 1}, 1)
-    states = [(0, 1)]
-    for parent_mask, choices in steps[:-1]:
-        states = [
-            (key | bits, w * nw) for key, w in states for bits, nw in choices[key & parent_mask]
-        ]
-    acc: dict[int, int] = {}
-    get = acc.get
-    parent_mask, choices = steps[-1]
-    for key, w in states:
-        for bits, nw in choices[key & parent_mask]:
-            bits |= key
-            acc[bits] = get(bits, 0) + w * nw
-    # the products of each node's numerators sum to the product of its denominators
-    cols = _columns(variables, labels, fields.values())
-    return JointTable._derived(cols, sum(c[0] for c in cols), acc, math.prod(denoms))
+    blocks = []
+    for block_mask, steps in components.values():
+        states = [(0, 1)]
+        for parent_mask, choices in steps[:-1]:
+            states = [
+                (key | bits, w * nw) for key, w in states for bits, nw in choices[key & parent_mask]
+            ]
+        acc: dict[int, int] = {}
+        get = acc.get
+        parent_mask, choices = steps[-1]
+        for key, w in states:
+            for bits, nw in choices[key & parent_mask]:
+                bits |= key
+                acc[bits] = get(bits, 0) + w * nw
+        # the products of each node's numerators sum to the product of its denominators
+        blocks.append((block_mask, acc, sum(acc.values())))
+    # a model without nodes has one empty assignment
+    blocks = tuple(blocks) or ((0, {0: 1}, 1),)
+    return JointTable._derived(
+        cols, sum(c[0] for c in cols), blocks, math.prod(b[2] for b in blocks)
+    )
 
 
 def empirical_joint(dataset: "Dataset") -> JointTable:

@@ -892,6 +892,12 @@ def _json_ints(raw) -> tuple[int, ...]:
     return tuple(_json_int(x) for x in raw)
 
 
+def _json_object(raw) -> dict:
+    if not isinstance(raw, dict):
+        raise ValueError(f"expected an object, got {type(raw).__name__}")
+    return raw
+
+
 def _json_block(items: Iterable[str], pad: str, brackets: str) -> str:
     """Rendered ``items`` in ``brackets``, one per line at ``pad`` plus two
     spaces, the closing bracket at ``pad``: how ``json.dumps(indent=2)``
@@ -976,7 +982,7 @@ def scm_from_dict(data: dict) -> Scm:
         labels, declared = [], []
         for i, spec in enumerate(node_specs):
             where = f"nodes[{i}]"
-            labels.append(spec["label"])
+            labels.append(_json_object(spec)["label"])
             where += ".alphabet"
             declared.append(_json_ints(spec["alphabet"]))
         where = "edges"
@@ -986,10 +992,11 @@ def scm_from_dict(data: dict) -> Scm:
         functions = {}
         for lab in labels:
             where = "noise"
-            if lab not in noise_specs:
+            if lab not in _json_object(noise_specs):
                 raise ValueError(f"node {lab!r} has no noise entry")
             where = f"noise.{lab}"
-            support, probs = noise_specs[lab]["support"], noise_specs[lab]["probs"]
+            noise_spec = _json_object(noise_specs[lab])
+            support, probs = noise_spec["support"], noise_spec["probs"]
             where = f"noise.{lab}.support"
             support = _json_ints(support)
             where = f"noise.{lab}.probs"
@@ -997,15 +1004,15 @@ def scm_from_dict(data: dict) -> Scm:
                 raise ValueError(f"expected a list of probabilities, got {probs!r}")
             noise[ids[lab]] = Pmf.of(support, probs)
             where = "functions"
-            if lab not in function_specs:
+            if lab not in _json_object(function_specs):
                 raise ValueError(f"node {lab!r} has no function entry")
             where = f"functions.{lab}"
-            fspec = function_specs[lab]
+            fspec = _json_object(function_specs[lab])
             parent_order = tuple(ids[p] for p in fspec["parent_order"])
             entries = {}
             for k, row in enumerate(fspec["table"]):
                 row_at = where = f"functions.{lab}.table[{k}]"
-                parents, u, out = row["parents"], row["noise"], row["out"]
+                parents, u, out = _json_object(row)["parents"], row["noise"], row["out"]
                 where = row_at + ".parents"
                 key = _json_ints(parents)
                 where = row_at + ".noise"

@@ -283,6 +283,27 @@ class TestBudget:
         monkeypatch.setattr(oracle, "DEFAULT_ENUMERATION_BUDGET", 4)
         assert main([*argv, "--scm", str(affine_file), "--budget", "100"]) == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["discover", "--algo", "sour", "--mode", "known"],
+        ["check"],
+    ])
+    def test_budget_caps_the_product_over_components(self, tmp_path, argv, capsys):
+        # three isolated nodes are three blocks of 3 rows each, but the budget
+        # still caps the product of all noise supports, 27
+        labels = ("A", "B", "C")
+        m = Scm(
+            Dag.of(labels),
+            {v: Pmf.of((0, 1, 2), ("1/3",) * 3) for v in range(3)},
+            {v: StructuralTable((), {(u,): u for u in range(3)}) for v in range(3)},
+        )
+        path = tmp_path / "isolated.json"
+        path.write_text(scm_to_text(m))
+        assert main([*argv, "--scm", str(path), "--budget", "26"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: noise-tuple product 27 exceeds enumeration budget 26\n"
+        assert main([*argv, "--scm", str(path), "--budget", "27"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_env_budget_bounds_gen(self, tmp_path, capsys, monkeypatch):
         # gen has no --budget flag; the variable bounds its enumerations all the same
         out = tmp_path / "g.json"
@@ -450,6 +471,13 @@ class TestMalformedModel:
          "noise.A.probs: probability literal exceeds 1000 digits"),
         (("functions", "C", "table", 0, "out"), RawJson("-" + "9" * 1001),
          "functions.C.table[0].out: integer literal exceeds 1000 digits"),
+        # an entry that must be an object names its path and its type
+        (("nodes", 0), [], "nodes[0]: expected an object, got list"),
+        (("nodes", 0), "A", "nodes[0]: expected an object, got str"),
+        (("noise",), [], "noise: expected an object, got list"),
+        (("noise", "A"), [], "noise.A: expected an object, got list"),
+        (("functions", "A"), [], "functions.A: expected an object, got list"),
+        (("functions", "A", "table", 0), [], "functions.A.table[0]: expected an object, got list"),
     ])
     def test_named_error_without_traceback(self, tmp_path, affine_chain, path, value,
                                            where, capsys):

@@ -677,6 +677,140 @@ class TestJointDistribution:
                 assert float(t.prob(key)) == pytest.approx(p, abs=1e-12)
 
 
+@st.composite
+def block_models(draw) -> Scm:
+    """Models of 1–7 nodes whose skeleton is often disconnected, and edgeless
+    in about half the draws; a node's noise has 1–3 values, some of zero mass."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    edgeless = draw(st.booleans())
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if not edgeless and draw(st.integers(0, 2)) == 0]
+    g = Dag([f"V{i}" for i in range(n)], edges)
+    noise, functions, alphabets = {}, {}, {}
+    for v in range(n):  # 0..n-1 is a topological order
+        pas = tuple(sorted(g.parents(v)))
+        support = tuple(range(draw(st.integers(1, 3 if n <= 4 else 2))))
+        weights = [draw(st.integers(0, 4)) for _ in support]
+        if not any(weights):
+            weights[0] = 1
+        noise[v] = Pmf.from_weights(support, weights)
+        entries = {
+            (*combo, u): draw(st.integers(0, 2))
+            for combo in product(*(alphabets[p] for p in pas))
+            for u in support
+        }
+        alphabets[v] = tuple(sorted(set(entries.values())))
+        functions[v] = StructuralTable(pas, entries)
+    return Scm(g, noise, functions)
+
+
+def _one_block(t: JointTable) -> JointTable:
+    """The table of ``t``'s multiplied-out rows, built as one block by the
+    checking constructor."""
+    rows = {key: p.numerator * (t._denom // p.denominator) for key, p in t.items()}
+    return JointTable(t.variables, t.labels, rows, t._denom)
+
+
+def _components(m: Scm) -> int:
+    """The number of connected components of ``m``'s skeleton."""
+    seen, count = set(), 0
+    for v in m.graph.nodes:
+        if v not in seen:
+            count += 1
+            stack = [v]
+            while stack:
+                u = stack.pop()
+                if u not in seen:
+                    seen.add(u)
+                    stack += m.graph.parents(u) | m.graph.children(u)
+    return count
+
+
+class TestBlockTables:
+    """An exact joint table is stored as one block per connected component of
+    the skeleton; it must behave, bit for bit, as the one-block table of its
+    multiplied-out rows. Block order follows component discovery, so these
+    tests also run under two hash seeds in CI."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(block_models(), st.booleans())
+    def test_every_projection_matches_the_one_block_table(self, m, include_noise):
+        t = joint_distribution(m, include_noise=include_noise)
+        assert len(t._blocks) == _components(m)
+        assert len(t) == len(_one_block(t)) and t.items() == _one_block(t).items()
+        # the same rows in the same packed layout, so equal rows are equal items
+        flat = JointTable._derived(
+            t._cols, t._own, ((sum(c[4] for c in t._cols), t._weights, t._denom),), t._denom
+        )
+        # no value may depend on the order of the blocks
+        reordered = JointTable._derived(t._cols, t._own, t._blocks[::-1], t._denom)
+        for mask in range(1 << len(t.variables)):  # ids are 0..len - 1
+            got, want = t.marginal(mask), flat.marginal(mask)
+            assert got.entropy_bits().hex() == want.entropy_bits().hex()
+            assert reordered.marginal(mask).entropy_bits().hex() == want.entropy_bits().hex()
+            assert len(got) == len(want)
+            assert got._cols == want._cols and got._weights == want._blocks[0][1]
+        # the planner projects nested tables, some of which carry their
+        # source's entropy; every value must still be bitwise the flat one
+        masks = range(1 << len(t.variables))
+        got = EntropyOracle(t).marginal_entropies(masks)
+        want = EntropyOracle(_one_block(t)).marginal_entropies(masks)
+        assert [h.hex() for h in got] == [h.hex() for h in want]
+
+    @staticmethod
+    def two_components() -> Scm:
+        """A -> B and an isolated C, whose noise has a zero-mass value."""
+        g = Dag.of("ABC", [("A", "B")])
+        noise = {
+            0: Pmf.of((0, 1), ("1/4", "3/4")),
+            1: Pmf.of((0, 1, 2), ("1/3", "1/3", "1/3")),
+            2: Pmf.of((5, 6, 7), ("1/2", "0", "1/2")),
+        }
+        functions = {
+            0: StructuralTable((), {(0,): 0, (1,): 1}),
+            1: StructuralTable((0,), {(a, u): (a + u) % 2 for a in (0, 1) for u in range(3)}),
+            2: StructuralTable((), {(5,): 3, (6,): 4, (7,): 9}),
+        }
+        return Scm(g, noise, functions)
+
+    def test_flat_expansion_matches_the_one_block_table(self):
+        # items, prob, len and rendering read the lazily multiplied-out rows
+        m = self.two_components()
+        for t in (joint_distribution(m), joint_distribution(m, include_noise=True),
+                  joint_distribution(m).marginal({B, C}), joint_distribution(m).marginal({B})):
+            flat = _one_block(t)
+            assert len(t._blocks) > 1
+            assert len(t) == len(flat) == len(t._weights)
+            assert t.items() == flat.items()
+            assert render_joint_table(t) == render_joint_table(flat)
+            # every value a column takes, and one it never takes
+            values = [{key[i] for key, _ in flat.items()} | {-1} for i in range(len(t.variables))]
+            for key in product(*values):
+                assert t.prob(key) == flat.prob(key)
+            assert t.prob(()) == flat.prob(()) == 0
+
+    def test_projections_keep_uncut_blocks_and_fold_dropped_ones(self):
+        m = self.two_components()
+        t = joint_distribution(m)
+        ab, c = t._blocks
+        assert (len(ab[1]), ab[2]) == (4, 12) and (list(c[1].values()), c[2]) == ([1, 1], 2)
+        assert t.marginal({A, C})._blocks[1] is c  # C is not cut
+        # dropping C folds its block into one constant factor
+        assert t.marginal({A, B})._blocks == (ab, (0, {0: 2}, 2))
+        assert t.marginal(())._blocks == ((0, {0: 24}, 24),)
+        assert t.marginal(()).entropy_bits() == 0.0
+        assert t.marginal({A, B, C}) is t
+        # the entropy is carried only when no block merges rows
+        t.entropy_bits()
+        assert t.marginal({A, B})._entropy is None  # C's two rows merge
+        assert t.marginal({A, C})._entropy is None  # B's rows merge
+        noisy = joint_distribution(m, include_noise=True)
+        n_a = m.noise_node(A)
+        assert noisy.marginal(0b111111 ^ 1 << n_a)._entropy is None  # nothing to carry yet
+        noisy.entropy_bits()
+        assert noisy.marginal(0b111111 ^ 1 << n_a)._entropy == noisy._entropy  # A = N_A
+
+
 class TestEmpiricalJoint:
     def test_counts_over_rows(self):
         d = Dataset((0, 1), ("X", "Y"), ((0, 0), (0, 0), (1, 1), (0, 1)))
