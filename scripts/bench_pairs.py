@@ -3,19 +3,25 @@
     python3 scripts/bench_pairs.py --parent P1.json P2.json ... \
         --change C1.json C2.json ... [--out BENCH.json]
 
-Each file is one ``perfbench/run.py --trace 0`` record (what it writes to
-``perfbench/out/<workload>-seed<N>-trace0.json``), copied aside after its
-run. Within a workload, the i-th parent record and the i-th change record
-form pair i, so list them in the order they ran. For each workload and each
-end-to-end metric of ``BENCHMARK.json`` the summary gives both sides' runs,
-medians and quartiles, the change of the median, the pairs the change won
-and lost, and two verdicts:
+Each file is one ``perfbench/run.py`` record (what it writes to
+``perfbench/out/<workload>-seed<N>-trace<T>.json``), copied aside after its
+run. Within a workload and trace setting, the i-th parent record and the
+i-th change record form pair i, so list them in the order they ran.
+
+For each workload and each end-to-end metric of ``BENCHMARK.json``, the
+``--trace 0`` pairs give both sides' runs, medians and quartiles, the change
+of the median, the pairs the change won and lost, and two verdicts:
 
 - ``gain``: the change won at least nine tenths of the pairs (ties count for
   neither side) and its median beats the parent's by more than the distance
   between the parent's quartiles;
 - ``within_bound``: the change's median is no worse than the parent's by
   more than the metric's bound.
+
+The ``--trace 1`` pairs give, under ``counts``, every metric whose unit is
+``count`` or ``ratio``: both sides' values, one per pair, and whether they
+are equal. Such counts do not vary between runs of one commit, so unequal
+counts mean the commits did different work.
 
 The summary is printed as JSON, and written to ``--out`` when given.
 Standard library only.
@@ -39,24 +45,35 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(parent: list[dict], change: list[dict], benchmark: dict) -> dict:
-    """Per workload and metric, the paired comparison of two lists of records."""
+def paired(
+    parent: list[dict], change: list[dict], traced: bool
+) -> dict[str, tuple[list[dict], list[dict]]]:
+    """Per workload, both sides' records of one trace setting, in the order given."""
+    kind = "traced " if traced else ""
+
     def by_workload(records: list[dict]) -> dict[str, list[dict]]:
         out: dict[str, list[dict]] = {}
         for record in records:
-            if record.get("trace"):
-                raise ValueError("records must come from --trace 0 runs")
-            out.setdefault(record["workload"], []).append(record)
+            if bool(record.get("trace")) == traced:
+                out.setdefault(record["workload"], []).append(record)
         return out
 
     parents, changes = by_workload(parent), by_workload(change)
     if parents.keys() != changes.keys():
-        raise ValueError(f"workloads differ: {sorted(parents)} vs {sorted(changes)}")
-    summary: dict[str, dict] = {}
-    for workload in sorted(parents):
-        ps, cs = parents[workload], changes[workload]
+        raise ValueError(f"{kind}workloads differ: {sorted(parents)} vs {sorted(changes)}")
+    for workload, ps in parents.items():
+        cs = changes[workload]
         if len(ps) != len(cs):
-            raise ValueError(f"{workload}: {len(ps)} parent runs but {len(cs)} change runs")
+            raise ValueError(
+                f"{workload}: {len(ps)} parent {kind}runs but {len(cs)} change {kind}runs"
+            )
+    return {workload: (parents[workload], changes[workload]) for workload in sorted(parents)}
+
+
+def summarize(parent: list[dict], change: list[dict], benchmark: dict) -> dict:
+    """Per workload and metric, the paired comparison of two lists of records."""
+    summary: dict[str, dict] = {}
+    for workload, (ps, cs) in paired(parent, change, traced=False).items():
         metrics = {}
         for spec in benchmark["end_to_end"]:
             name, higher = spec["name"], spec["better"] == "higher"
@@ -86,6 +103,20 @@ def summarize(parent: list[dict], change: list[dict], benchmark: dict) -> dict:
             "failures": [[len(p["failures"]), len(c["failures"])] for p, c in zip(ps, cs)],
             "metrics": metrics,
         }
+    for workload, (ps, cs) in paired(parent, change, traced=True).items():
+        units = {
+            name: metric["unit"]
+            for record in ps + cs
+            for name, metric in record["metrics"].items()
+            if metric["unit"] in ("count", "ratio")
+        }
+        counts = {}
+        for name in sorted(units):  # a metric one record lacks reads None there
+            pv, cv = ([r["metrics"].get(name, {}).get("value") for r in rs] for rs in (ps, cs))
+            counts[name] = {"unit": units[name], "parent": pv, "change": cv, "equal": pv == cv}
+        summary.setdefault(workload, {}).update(
+            traced_seeds=[[p["seed"], c["seed"]] for p, c in zip(ps, cs)], counts=counts
+        )
     return summary
 
 

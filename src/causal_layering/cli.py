@@ -82,7 +82,6 @@ def _build_parser() -> _Parser:
     disc.add_argument("--scm", type=Path, required=True)
     disc.add_argument("--algo", choices=("sour", "sir"), required=True)
     disc.add_argument("--mode", choices=("known", "monotone"), required=True)
-    disc.add_argument("--tol", type=float, default=1e-9)
     disc.add_argument("--budget", type=int, default=None,
                       help=f"noise enumeration budget (default from ${BUDGET_ENV})")
     disc.add_argument("--one-at-a-time", action="store_true")
@@ -192,12 +191,11 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _run_pair(model, orc, algo, mode_name, tol=1e-9, one_at_a_time=False):
+def _run_pair(model, orc, algo, mode_name, one_at_a_time=False):
     if mode_name == "known":
-        entropies = {v: noise_entropy(model, v) for v in model.graph.nodes}
-        mode = KnownNoiseEntropy(entropies, tol=tol)
+        mode = KnownNoiseEntropy({v: noise_entropy(model, v) for v in model.graph.nodes})
     else:
-        mode = MonotoneEntropy(tol=tol)
+        mode = MonotoneEntropy()
     run = sour_discover if algo == "sour" else sir_discover
     return run(model.graph.nodes, orc, mode, one_at_a_time=one_at_a_time)
 
@@ -221,9 +219,7 @@ def _cmd_discover(args) -> int:
         guarantee = "none"
 
     try:
-        result = _run_pair(
-            model, audit.oracle(), args.algo, args.mode, args.tol, args.one_at_a_time
-        )
+        result = _run_pair(model, audit.oracle(), args.algo, args.mode, args.one_at_a_time)
     except AssumptionViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

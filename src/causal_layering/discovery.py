@@ -15,11 +15,11 @@ front, conditioning each candidate on every other remaining node.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 
 from .graph import Layering, NodeId
+from .oracle import TOL
 
 _NOISE = ("nonconstant_noise", "injective_noise")
 
@@ -75,30 +75,16 @@ def licensed_pairs(holds: Callable[[str], bool]) -> list[tuple[str, str]]:
     return [pair for pair in LICENSES if not license_failures(*pair, holds)]
 
 
-class _Tolerance:
-    """Rejects a ``tol`` that is not positive and finite: a NaN tolerance
-    selects nothing and an infinite one selects everything."""
-
-    tol: float
-
-    def __post_init__(self) -> None:
-        if not 0 < self.tol < math.inf:
-            raise ValueError(f"tolerance must be positive and finite, got {self.tol}")
-
-
 @dataclass(frozen=True)
-class KnownNoiseEntropy(_Tolerance):
-    """Select nodes whose conditional entropy matches the given noise entropy."""
+class KnownNoiseEntropy:
+    """Select nodes whose conditional entropy is within TOL of their noise entropy."""
 
     entropies: Mapping[NodeId, float]
-    tol: float = 1e-9
 
 
 @dataclass(frozen=True)
-class MonotoneEntropy(_Tolerance):
-    """Select the extreme conditional entropies, grouping ties within ``tol``."""
-
-    tol: float = 1e-9
+class MonotoneEntropy:
+    """Select the extreme conditional entropy and every one within TOL of it."""
 
 
 DiscoveryMode = KnownNoiseEntropy | MonotoneEntropy
@@ -180,7 +166,7 @@ def _peel(
 
         if isinstance(mode, KnownNoiseEntropy):
             qualifying = frozenset(
-                v for v in current if abs(entropies[v] - mode.entropies[v]) <= mode.tol
+                v for v in current if abs(entropies[v] - mode.entropies[v]) <= TOL
             )
             if not qualifying:
                 raise AssumptionViolation(
@@ -193,9 +179,7 @@ def _peel(
             extreme = (
                 min(entropies.values()) if removal == "sources" else max(entropies.values())
             )
-            qualifying = frozenset(
-                v for v in current if abs(entropies[v] - extreme) <= mode.tol
-            )
+            qualifying = frozenset(v for v in current if abs(entropies[v] - extreme) <= TOL)
 
         selected = frozenset({min(qualifying)}) if one_at_a_time else qualifying
         trace.append(IterationTrace(current, entropies, qualifying, selected))

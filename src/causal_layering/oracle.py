@@ -25,6 +25,10 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 
 DEFAULT_ENUMERATION_BUDGET = 1 << 24
 
+# The one decision tolerance, in bits: two entropies within TOL are equal, and
+# mutual information at or below TOL is independence.
+TOL = 1e-9
+
 Vars = Iterable[NodeId] | int  # ids, or a bit mask with bit v for id v
 
 

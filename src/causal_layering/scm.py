@@ -27,6 +27,7 @@ from .graph import (
     d_connected_bits,
     d_separated,  # noqa: F401  perfbench/test_perfbench.py traces this binding
 )
+from .oracle import TOL
 
 
 # A "p/q" literal longer than this, or a decimal whose numerator or denominator
@@ -346,7 +347,9 @@ def check_nonconstant_noise(m: Scm) -> AssumptionReport:
 
 def check_noise_entropy_order(m: Scm, mode: str) -> AssumptionReport:
     """Noise entropy must not decrease (``weak``) or must increase (``strict``)
-    from any node to each of its descendants, at a 1e-12 bit tolerance."""
+    from any node to each of its descendants. A strict step must exceed
+    ``oracle.TOL``, the width discovery groups as a tie; a weak step may drop
+    1e-12 bits, for rounding between equal entropies of different weights."""
     if mode not in ("weak", "strict"):
         raise ValueError(f"unknown entropy order mode {mode!r}")
     ent = {v: noise_entropy(m, v) for v in m.graph.nodes}
@@ -356,14 +359,10 @@ def check_noise_entropy_order(m: Scm, mode: str) -> AssumptionReport:
             if mode == "weak":
                 ok = ent[v] <= ent[d] + 1e-12
             else:
-                ok = ent[d] - ent[v] > 1e-12
+                ok = ent[d] - ent[v] > TOL
             if not ok:
                 witnesses.append((m.label(v), m.label(d), ent[v], ent[d]))
     return AssumptionReport(f"{mode}_entropy_order", not witnesses, tuple(witnesses))
-
-
-# mutual information at or below this many bits counts as independence
-_MI_TOL = 1e-9
 
 
 def check_directed_faithfulness(m: Scm, oracle: _oracle.EntropyOracle) -> AssumptionReport:
@@ -381,7 +380,7 @@ def check_directed_faithfulness(m: Scm, oracle: _oracle.EntropyOracle) -> Assump
     witnesses: list[tuple] = []
     for v, d in pairs:
         mi = oracle.mutual_information(noise[v], {d})
-        if mi <= _MI_TOL:
+        if mi <= TOL:
             witnesses.append((m.noise_label(v), m.label(d), mi))
     return AssumptionReport("directed_faithfulness", not witnesses, tuple(witnesses))
 
@@ -477,12 +476,12 @@ def check_faithfulness(m: Scm, oracle: _oracle.EntropyOracle) -> AssumptionRepor
         if found is None:
             found = reach[key] = d_connected_bits(g, xs, ss)
         sep = not (found & ys)
-        if sep and mi > _MI_TOL:
+        if sep and mi > TOL:
             raise RuntimeError(
                 f"d-separated sets show mutual information {mi}; "
                 "exact arithmetic is broken"
             )
-        if not sep and mi <= _MI_TOL:
+        if not sep and mi <= TOL:
             witness = (*(tuple(m.label(v) for v in members(t)) for t in (xs, ys, ss)), mi)
             return AssumptionReport("faithfulness", False, (witness,), detail)
     return AssumptionReport("faithfulness", True, (), detail)
@@ -892,9 +891,18 @@ def _json_ints(raw) -> tuple[int, ...]:
     return tuple(_json_int(x) for x in raw)
 
 
+# What error messages call a parsed JSON value (NaN and Infinity parse as floats).
+_JSON_TYPES = ((type(None), "null"), (bool, "a boolean"), ((int, float, Decimal), "a number"),
+               (str, "a string"), (list, "an array"), (dict, "an object"))
+
+
+def _json_type(raw) -> str:
+    return next((name for t, name in _JSON_TYPES if isinstance(raw, t)), type(raw).__name__)
+
+
 def _json_object(raw) -> dict:
     if not isinstance(raw, dict):
-        raise ValueError(f"expected an object, got {type(raw).__name__}")
+        raise ValueError(f"expected an object, got {_json_type(raw)}")
     return raw
 
 
@@ -978,7 +986,7 @@ def scm_from_dict(data: dict) -> Scm:
     try:
         for where, specs in (("nodes", node_specs), ("edges", edge_specs)):
             if not isinstance(specs, list):
-                raise TypeError(f"expected a list, got {type(specs).__name__}")
+                raise TypeError(f"expected a list, got {_json_type(specs)}")
         labels, declared = [], []
         for i, spec in enumerate(node_specs):
             where = f"nodes[{i}]"

@@ -29,6 +29,7 @@ from enum import Enum
 from . import oracle as _oracle
 from .discovery import DiscoveryResult
 from .graph import Dag, NodeId, layering_violations
+from .oracle import TOL
 from .scm import Assumptions, Scm, noise_entropy
 
 
@@ -76,7 +77,6 @@ def _extreme_sets(g: Dag, v: NodeId) -> Iterator[tuple[BoundKind, frozenset[Node
 def check_entropy_bounds(
     m: Scm,
     oracle: "_oracle.EntropyOracle",
-    tol: float = 1e-9,
     assumptions: Assumptions | None = None,
 ) -> list[BoundCheckCase]:
     """Measure H(v | S) against noise entropy on each node's extreme sets.
@@ -99,13 +99,13 @@ def check_entropy_bounds(
         reference = noise_entropy(m, v)
         skip = False
         if kind is BoundKind.AT_MOST_NOISE:
-            ok = measured <= reference + tol
+            ok = measured <= reference + TOL
         elif kind is BoundKind.EQUALS_NOISE:
-            ok = abs(measured - reference) <= tol
+            ok = abs(measured - reference) <= TOL
         elif kind is BoundKind.BELOW_NOISE:
-            ok, skip = measured < reference - tol, skip_below
+            ok, skip = measured < reference - TOL, skip_below
         else:
-            ok, skip = measured > reference + tol, skip_above
+            ok, skip = measured > reference + TOL, skip_above
         verdict = Verdict.SKIP if skip else Verdict.PASS if ok else Verdict.FAIL
         out.append(BoundCheckCase(v, cond, kind, measured, reference, verdict))
     return out
@@ -119,11 +119,7 @@ class IndependenceCase:
     verdict: Verdict
 
 
-def check_noise_independence(
-    m: Scm,
-    oracle: "_oracle.EntropyOracle",
-    tol: float = 1e-9,
-) -> list[IndependenceCase]:
+def check_noise_independence(m: Scm, oracle: "_oracle.EntropyOracle") -> list[IndependenceCase]:
     """I(N_v; nd) per node v, nd the nodes other than v that are not its
     descendants; it must vanish. An empty nd passes with no query.
     ``oracle`` must cover the noise variables, as
@@ -137,7 +133,7 @@ def check_noise_independence(
     out: list[IndependenceCase] = []
     for v, noise, rest in tests:
         mi = oracle.mutual_information(noise, rest) if rest else 0.0
-        out.append(IndependenceCase(v, rest, mi, Verdict.PASS if mi <= tol else Verdict.FAIL))
+        out.append(IndependenceCase(v, rest, mi, Verdict.PASS if mi <= TOL else Verdict.FAIL))
     return out
 
 

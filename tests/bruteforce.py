@@ -456,7 +456,7 @@ def discover(nodes, oracle, mode, removal: str, one_at_a_time: bool = False) -> 
             entropies[v] = oracle.cond_entropy((v,), given)
         if isinstance(mode, KnownNoiseEntropy):
             qualifying = frozenset(
-                v for v in current if abs(entropies[v] - mode.entropies[v]) <= mode.tol
+                v for v in current if abs(entropies[v] - mode.entropies[v]) <= 1e-9
             )
             if not qualifying:
                 raise AssumptionViolation(
@@ -469,7 +469,7 @@ def discover(nodes, oracle, mode, removal: str, one_at_a_time: bool = False) -> 
             extreme = (
                 min(entropies.values()) if removal == "sources" else max(entropies.values())
             )
-            qualifying = frozenset(v for v in current if abs(entropies[v] - extreme) <= mode.tol)
+            qualifying = frozenset(v for v in current if abs(entropies[v] - extreme) <= 1e-9)
         selected = frozenset({min(qualifying)}) if one_at_a_time else qualifying
         trace.append(IterationTrace(current, entropies, qualifying, selected))
         return (selected, frozenset()) if removal == "sources" else (frozenset(), selected)

@@ -82,11 +82,9 @@ def model_battery(profile: str, entropy_mode: str, count: int, nmax: int):
 def run_discovery(m, algo: str, mode_name: str):
     orc = EntropyOracle(joint_distribution(m))
     if mode_name == "known":
-        mode = KnownNoiseEntropy(
-            {v: noise_entropy(m, v) for v in m.graph.nodes}, tol=TOL
-        )
+        mode = KnownNoiseEntropy({v: noise_entropy(m, v) for v in m.graph.nodes})
     else:
-        mode = MonotoneEntropy(tol=TOL)
+        mode = MonotoneEntropy()
     run = sour_discover if algo == "sour" else sir_discover
     return run(m.graph.nodes, orc, mode)
 
@@ -169,7 +167,7 @@ def test_criterion_3_noise_independence():
         m = generate_scm(
             GeneratorConfig(nodes=rng.randint(2, 5), profile="base"), seed=i
         )
-        for case in check_noise_independence(m, Assumptions(m).noise_oracle(), tol=TOL):
+        for case in check_noise_independence(m, Assumptions(m).noise_oracle()):
             cases += 1
             if case.verdict is not Verdict.PASS:
                 fails += 1
@@ -196,7 +194,7 @@ def test_criterion_4_entropy_bounds():
                 seed=i,
             )
             orc = EntropyOracle(joint_distribution(m))
-            for case in check_entropy_bounds(m, orc, tol=TOL):
+            for case in check_entropy_bounds(m, orc):
                 total += 1
                 if case.verdict is Verdict.FAIL:
                     fails += 1

@@ -20,6 +20,15 @@ def record(seed: int, ops_per_s: float, p50: float, rss: float = 25.0) -> dict:
             "metrics": {k: {"value": v, "unit": u} for k, (v, u) in values.items()}}
 
 
+def traced(seed: int, calls: int, hit_ratio: float) -> dict:
+    """A ``perfbench/run.py --trace 1`` record with only the fields the script reads."""
+    values = {"oracle.marginal.calls": (calls, "count"),
+              "oracle.cache_hit_ratio": (hit_ratio, "ratio"),
+              "oracle.marginal.self_ms": (3.0 * seed, "ms")}
+    return {"workload": "check", "seed": seed, "seconds": 10.0, "trace": 1, "failures": [],
+            "metrics": {k: {"value": v, "unit": u} for k, (v, u) in values.items()}}
+
+
 def run(tmp_path: Path, parent: list[dict], change: list[dict]) -> subprocess.CompletedProcess:
     paths = {}
     for side, records in (("parent", parent), ("change", change)):
@@ -67,6 +76,29 @@ def test_quartiles_and_the_spread_rule(tmp_path):
     assert (parent["q1"], parent["median"], parent["q3"]) == (35.0, 40.0, 45.0)
     # every pair won, but by less than the parent's own spread: no gain
     assert ops["pairs_won"] == 5 and not ops["gain"]
+
+
+def test_traced_records_compare_counts_and_ratios(tmp_path):
+    parent = [record(1, 40.0, 25.0), traced(1, 120, 0.5)]
+    change = [traced(2, 120, 0.75), record(1, 50.0, 20.0)]
+    proc = run(tmp_path, parent, change)
+    assert proc.returncode == 0, proc.stderr
+    check = json.loads(proc.stdout)["check"]
+    assert check["pairs"] == 1 and check["metrics"]["ops_per_s"]["pairs_won"] == 1
+    assert check["traced_seeds"] == [[1, 2]]
+    assert check["counts"] == {  # milliseconds vary between runs, so they are left out
+        "oracle.cache_hit_ratio": {"unit": "ratio", "parent": [0.5], "change": [0.75],
+                                   "equal": False},
+        "oracle.marginal.calls": {"unit": "count", "parent": [120], "change": [120],
+                                  "equal": True},
+    }
+    only_traced = run(tmp_path, [traced(1, 120, 0.5)], [traced(1, 121, 0.5)])
+    assert only_traced.returncode == 0, only_traced.stderr
+    counts = json.loads(only_traced.stdout)["check"]["counts"]
+    assert not counts["oracle.marginal.calls"]["equal"]
+    unpaired = run(tmp_path, [traced(1, 120, 0.5)], [record(1, 50.0, 20.0)])
+    assert unpaired.returncode == 1
+    assert unpaired.stderr.startswith("error: workloads differ: [] vs ['check']")
 
 
 def test_unpaired_runs_are_refused(tmp_path):

@@ -81,7 +81,7 @@ class TestUsage:
         assert (check2.empirical, check2.machine, check2.seed) == (0, False, 0)
         assert (gen1.nodes, gen1.seed, gen1.profile) == (4, 5, "base")
         assert (gen2.nodes, gen2.seed, gen2.report) == (3, 0, None)
-        assert (disc.algo, disc.tol, disc.one_at_a_time) == ("sir", 1e-9, False)
+        assert (disc.algo, disc.one_at_a_time) == ("sir", False)
         assert not hasattr(disc, "empirical") and not hasattr(gen2, "scm")
 
     def test_missing_file(self, tmp_path, capsys):
@@ -244,21 +244,6 @@ class TestDiscover:
         assert code == 0
 
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
-    @pytest.mark.parametrize("extra", [
-        ["--mode", "known"],
-        ["--mode", "monotone"],
-        ["--mode", "monotone", "--one-at-a-time"],
-    ])
-    def test_tolerance_must_be_positive_and_finite(self, affine_file, tol, extra, capsys):
-        # nan once looped forever in monotone mode, and inf selected every node
-        code = main(["discover", "--scm", str(affine_file), "--algo", "sour",
-                     *extra, "--tol", tol])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: tolerance must be positive and finite")
-        assert len(err.splitlines()) == 1
-
 
 class TestBudget:
     def test_env_budget_too_small(self, affine_file, capsys, monkeypatch):
@@ -354,6 +339,14 @@ class TestCheck:
         assert captured.out == ""
         assert captured.err == "usage error: unrecognized arguments: --cases 7\n"
 
+    def test_tol_flag_is_gone(self, affine_file, capsys):
+        # every decision reads oracle.TOL; no run can widen or narrow it
+        argv = ["discover", "--scm", str(affine_file), "--algo", "sour", "--mode", "known"]
+        assert main([*argv, "--tol", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: unrecognized arguments: --tol 5\n"
+
     def test_one_node_model_passes(self, tmp_path, capsys):
         m = Scm(
             Dag.of("A"),
@@ -425,6 +418,30 @@ class TestCheck:
         assert re.search(r"^overall: (PASS|FAIL)$", captured.out, re.M)
         assert captured.err == ""
 
+    def test_gap_within_tie_width_is_no_strict_order(self, tmp_path, capsys):
+        # A -> B with B equal to its noise: H(N_B) - H(N_A) is about 2e-11 bits,
+        # inside the width discovery groups as a tie, so sir/monotone would
+        # return one layer; the strict order must fail and nothing is licensed
+        big = 10**12
+        m = Scm(
+            Dag.of(["A", "B"], [("A", "B")]),
+            {
+                0: Pmf.of((0, 1), ("1/2", "1/2")),
+                1: Pmf.of((0, 1, 2), [Fraction(w, 2 * big + 1) for w in (big, 1, big)]),
+            },
+            {
+                0: StructuralTable((), {(0,): 0, (1,): 1}),
+                1: StructuralTable((0,), {(a, u): u for a in (0, 1) for u in (0, 1, 2)}),
+            },
+        )
+        path = tmp_path / "near_tie.json"
+        path.write_text(scm_to_text(m))
+        argv = ["--scm", str(path)]
+        assert main(["discover", *argv, "--algo", "sir", "--mode", "monotone"]) == 2
+        assert "strict_entropy_order: fails" in capsys.readouterr().err
+        assert main(["check", *argv]) == 0
+        assert "no licensed algorithm/mode combination" in capsys.readouterr().out
+
 
 class RawJson(str):
     """A literal written into the model file as is, not as a JSON string."""
@@ -472,12 +489,17 @@ class TestMalformedModel:
         (("functions", "C", "table", 0, "out"), RawJson("-" + "9" * 1001),
          "functions.C.table[0].out: integer literal exceeds 1000 digits"),
         # an entry that must be an object names its path and its type
-        (("nodes", 0), [], "nodes[0]: expected an object, got list"),
-        (("nodes", 0), "A", "nodes[0]: expected an object, got str"),
-        (("noise",), [], "noise: expected an object, got list"),
-        (("noise", "A"), [], "noise.A: expected an object, got list"),
-        (("functions", "A"), [], "functions.A: expected an object, got list"),
-        (("functions", "A", "table", 0), [], "functions.A.table[0]: expected an object, got list"),
+        (("nodes", 0), [], "nodes[0]: expected an object, got an array"),
+        (("nodes", 0), "A", "nodes[0]: expected an object, got a string"),
+        (("noise",), [], "noise: expected an object, got an array"),
+        (("noise", "A"), [], "noise.A: expected an object, got an array"),
+        (("functions", "A"), [], "functions.A: expected an object, got an array"),
+        (("functions", "A", "table", 0), [],
+         "functions.A.table[0]: expected an object, got an array"),
+        # JSON numbers are named as such, not by the parser's classes
+        (("nodes",), 2.5, "nodes: expected a list, got a number"),
+        (("nodes",), [1.5], "nodes[0]: expected an object, got a number"),
+        (("noise", "A"), RawJson("9" * 1001), "noise.A: expected an object, got a number"),
     ])
     def test_named_error_without_traceback(self, tmp_path, affine_chain, path, value,
                                            where, capsys):

@@ -29,6 +29,7 @@ from causal_layering.scm import (
     GenerationError,
     GeneratorConfig,
     Pmf,
+    Scm,
     generate_scm,
     noise_entropy,
     scm_to_text,
@@ -51,14 +52,6 @@ def known_for(m) -> KnownNoiseEntropy:
 
 def singleton_layers(result):
     return [sorted(layer) for layer in result.layering]
-
-
-class TestModes:
-    def test_tolerances_must_be_positive(self):
-        with pytest.raises(ValueError, match="positive"):
-            KnownNoiseEntropy({0: 1.0}, tol=0.0)
-        with pytest.raises(ValueError, match="positive"):
-            MonotoneEntropy(tol=-1e-9)
 
 
 class TestKnownMode:
@@ -312,6 +305,46 @@ class TestDiscoveryOnGeneratedModels:
             residual = m.graph.residual(remaining)
             assert step.qualifying == residual.sinks()
             remaining -= step.selected
+
+
+EXTREME_WEIGHTS = (1, 2, 3, 10**6, 10**12, 10**17)
+
+
+@st.composite
+def extreme_weight_models(draw):
+    """A generated model with n = 2-5 whose noise keeps each node's support
+    and redraws its weights from ``EXTREME_WEIGHTS``, so that some entropy
+    gaps fall below the decision tolerance or below float error."""
+    cfg = GeneratorConfig(nodes=draw(st.integers(2, 5)), profile=draw(st.sampled_from(PROFILES)),
+                          entropy_mode=draw(st.sampled_from(ENTROPY_MODES)))
+    try:
+        m = generate_scm(cfg, seed=draw(st.integers(0, 10**6)))
+    except GenerationError:
+        reject()
+    weights = st.sampled_from(EXTREME_WEIGHTS)
+    noise = {
+        v: Pmf.from_weights(pmf.support, [draw(weights) for _ in pmf.support])
+        for v, pmf in m.noise.items()
+    }
+    return Scm(m.graph, noise, m.functions)
+
+
+class TestExtremeNoiseWeights:
+    # The sink pairs only: sour/known and sour/monotone still fail on some of
+    # these models, where entropies that should differ are equal in floats.
+    @settings(max_examples=300, deadline=None)
+    @given(extreme_weight_models())
+    def test_licensed_sink_peeling_replays(self, m):
+        audit = Assumptions(m)
+        for algo, mode_name in licensed_pairs(audit.holds):
+            if algo != "sir":
+                continue
+            mode = known_for(m) if mode_name == "known" else MonotoneEntropy()
+            result = sir_discover(m.graph.nodes, audit.oracle(), mode)
+            replay = check_discovery_result(
+                m.graph, result, "sinks", expect_exact_selection=mode_name == "known"
+            )
+            assert replay.ok, (scm_to_text(m), mode_name, replay.reason)
 
 
 class TestRendering:
