@@ -177,6 +177,24 @@ class Dag:
         kept_edges = [(u, v) for u, v in self._edges if u in keep and v in keep]
         return Dag(self._labels, kept_edges, keep)
 
+    def components(self) -> tuple[int, ...]:
+        """The connected components of the skeleton, as bit masks (bit v for
+        node v), ordered by their lowest node."""
+        parents, children = self._bits
+        rest, out = sum(1 << v for v in self._nodes), []
+        while rest:
+            comp = frontier = rest & -rest
+            while frontier:
+                b = frontier & -frontier
+                frontier ^= b
+                v = b.bit_length() - 1
+                new = (parents[v] | children[v]) & ~comp
+                comp |= new
+                frontier |= new
+            out.append(comp)
+            rest &= ~comp
+        return tuple(out)
+
     def unmediated_parents(self, v: NodeId) -> frozenset[NodeId]:
         """Parents of ``v`` with no descendant among the other parents of ``v``."""
         ps = self.parents(v)

@@ -284,16 +284,8 @@ def joint_distribution(
 
     cols = _columns(variables, labels, fields.values())
     key_bits = {c[1]: c[4] for c in cols}
-    root = {v: v for v in nodes}  # union-find over the skeleton's edges
-
-    def find(v: NodeId) -> NodeId:
-        while root[v] != v:
-            v = root[v]
-        return v
-
-    for parent, child in scm.graph.edges:
-        root[find(parent)] = find(child)
-    components: dict[NodeId, list] = {}  # root -> [key mask, steps]
+    skeleton = scm.graph.components()
+    components: dict[int, list] = {}  # component -> [key mask, steps]
     for v in scm.topological_order:
         pmf, table = scm.noise[v], scm.functions[v]
         d = math.lcm(*(q.denominator for q in pmf.probs))
@@ -314,7 +306,7 @@ def joint_distribution(
             choices[sum(bits for _, bits in combo)] = tuple(
                 (code[table.entries[(*parent_vals, u)]] | u_bits, w) for u, w, u_bits in noise
             )
-        block = components.setdefault(find(v), [0, []])
+        block = components.setdefault(next(c for c in skeleton if c >> v & 1), [0, []])
         block[0] |= key_bits[v] | key_bits.get(scm.noise_node(v), 0)
         block[1].append((parent_mask, choices))
 

@@ -385,21 +385,25 @@ def check_directed_faithfulness(m: Scm, oracle: _oracle.EntropyOracle) -> Assump
     return AssumptionReport("directed_faithfulness", not witnesses, tuple(witnesses))
 
 
-@functools.cache
-def _faithfulness_probes(n: int) -> tuple[tuple[int, int, int], ...]:
-    """(x, y, S) bitmasks to probe over n sorted nodes, bit k for the k-th:
-    every pair of single nodes x < y, with every S over the other nodes.
+@functools.lru_cache(maxsize=256)
+def _faithfulness_probes(home: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
+    """(x, y, S) bitmasks to probe over nodes 0..n-1, bit k for node k, where
+    ``home[k]`` is the mask of node k's connected component: every pair of
+    single nodes x < y in one component, with every S over its other nodes.
 
     The order is the base-4 digit walk the reports were first defined by,
-    restricted to single x and y: digit tuples in lexicographic order (digit
+    restricted to these probes: digit tuples in lexicographic order (digit
     1 for x, 2 for y, 3 for S; the first node's digit most significant).
+    Node k joins only partial tuples inside its component.
     """
     walk = [(0, 0, 0)]
-    for k in range(n):  # node k's digit: none, x, y or S
+    for k, comp in enumerate(home):  # node k's digit: none, x, y or S
         b = 1 << k
         step = []
         for x, y, s in walk:
             step.append((x, y, s))
+            if (x | y | s) & ~comp:
+                continue
             if not x:
                 step.append((b, y, s))
             elif not y:  # y comes after x, so x < y
@@ -412,65 +416,71 @@ def _faithfulness_probes(n: int) -> tuple[tuple[int, int, int], ...]:
 def check_faithfulness(m: Scm, oracle: _oracle.EntropyOracle) -> AssumptionReport:
     """Observed conditional independences must coincide with d-separations.
 
-    ``oracle`` must cover the graph's nodes, as ``Assumptions.oracle()``
-    does. An independence where the graph is d-connected is a violation;
-    the converse means broken arithmetic and raises. The report holds, or it
-    fails with one witness: the first violation in the digit walk, after
-    which no probe runs.
+    ``oracle`` must answer over the model's exact enumeration, as
+    ``Assumptions.oracle()`` does, so its table is a product over the
+    skeleton's connected components. An independence where the graph is
+    d-connected is a violation; the converse means broken arithmetic and
+    raises. The report holds, or it fails with one witness: the first
+    violation in the digit walk, after which no probe runs.
 
     Single nodes x < y, with every S over the rest, decide every disjoint
     triple: X and Y are d-connected given S iff some x in X and y in Y are,
     and I(x; y | S) <= I(X; Y | S). A violating triple's violating pair
-    comes earlier in the base-4 digit walk over triples. ``detail`` keeps
-    the labels of that walk (``gen``'s sidecar prints them). The broken
-    arithmetic check sees the probed pairs only: a d-separated triple whose
-    mutual information is positive while its pairs read zero does not raise.
+    comes earlier in the base-4 digit walk over triples. Only pairs inside
+    one component C are probed, with S inside C: paths stay in C and the
+    table factors over components, so (x, y, S) is d-separated, and
+    independent, exactly when (x, y, S ∩ C) is, which comes earlier in the
+    walk, and a pair across components is both. ``detail`` keeps the
+    walk's labels (``gen``'s sidecar prints them). The broken arithmetic
+    check sees the probed pairs only.
 
-    The subsets' entropies come from a lazy depth-first walk that starts at
-    the oracle's table over the nodes and runs only as far as the probes
-    need. The walk keeps its own tables and projects each proper subset
-    once, from its parent's table, which has one more node; the oracle's
-    memo is neither read nor filled. At most n * 2**(n-1) bit-mask
-    d-connection sweeps run, one per (x, S). I(x; y | S) is
-    H(x∪S) + H(y∪S) - H(S) - H(x∪y∪S), summed in that order, so every value
+    Each component's subsets take their entropies from a lazy depth-first
+    walk from the oracle's table projected on C, run only as far as the
+    probes need. It projects each proper subset once, from its parent's
+    table, which has one more node, and leaves the oracle's memo alone. At
+    most |C| * 2**(|C|-1) d-connection sweeps run per component, one per
+    (x, S). I(x; y | S) is H(x∪S) + H(y∪S) - H(S) - H(x∪y∪S), summed in
+    that order, each entropy bit for bit the whole table's, so every value
     equals ``oracle.mutual_information``.
     """
     g = m.graph
     n = len(g)  # node ids are 0..n-1, so bit k is node k
+    components = g.components()
+    home = tuple(next(c for c in components if c >> k & 1) for k in range(n))
 
     def members(mask: int) -> list[NodeId]:
         return [k for k in range(n) if mask >> k & 1]
 
-    def subsets():
-        """(mask, H) of every node subset, depth first from the full set: each
-        comes after its parent, itself plus the highest node it lacks, and a
-        set without node k before one with it."""
-        full, root = (1 << n) - 1, oracle.table
-        if len(root.variables) != n:  # the oracle covers more than the nodes
-            root = root.marginal(full)
-        stack = [(full, 0, root)]
+    def subsets(comp: int):
+        """(mask, H) of every subset of ``comp``, depth first from ``comp``:
+        each comes after its parent, itself plus the highest node it lacks,
+        and a set without node k before one with it."""
+        stack = [(comp, 0, oracle.table)]
         while stack:
             mask, k, parent = stack.pop()
-            table = parent if mask == full else parent.marginal(mask)
+            table = parent.marginal(mask)
             yield mask, table.entropy_bits()
             stack.extend(
                 (mask ^ 1 << j, j + 1, table) for j in range(n - 1, k - 1, -1) if mask >> j & 1
             )
 
-    entropies: list[float | None] = [None] * (1 << n)
-    walk = subsets()
+    # every component's walk gives the empty set the same entropy, so one
+    # map serves them all
+    walks = {comp: subsets(comp) for comp in components}
+    entropies: dict[int, float] = {}
 
-    def h(mask: int) -> float:
-        while entropies[mask] is None:
-            s, value = next(walk)
+    def h(mask: int, comp: int) -> float:
+        while mask not in entropies:
+            s, value = next(walks[comp])
             entropies[s] = value
         return entropies[mask]
 
     reach: dict[int, int] = {}  # S << n | x bit -> nodes d-connected to x given S
 
     detail = "exhaustive triples" if n <= 6 else "singleton pairs only"
-    for xs, ys, ss in _faithfulness_probes(n):
-        mi = h(xs | ss) + h(ys | ss) - h(ss) - h(xs | ys | ss)
+    for xs, ys, ss in _faithfulness_probes(home):
+        c = home[xs.bit_length() - 1]
+        mi = h(xs | ss, c) + h(ys | ss, c) - h(ss, c) - h(xs | ys | ss, c)
         key = ss << n | xs
         found = reach.get(key)
         if found is None:
@@ -515,11 +525,12 @@ class Assumptions:
     otherwise enumerates without noise columns. So a caller that will need
     both asks for ``noise_oracle()`` first. An oracle built second shares the
     first one's memo, so each observed set's entropy is computed once per
-    command, whichever oracle asks first. The faithfulness audit is the
-    exception: its subset walk projects its own tables from ``oracle()``'s
-    table and keeps them to itself. The validators and the rest of a command
-    share both oracles. Nothing keeps them after the command drops this
-    object.
+    command, whichever oracle asks first. Both answer over the model's exact
+    enumeration, which the faithfulness audit requires. That audit is the
+    exception to the shared memo: its per-component subset walks project
+    their own tables from ``oracle()``'s table and keep them. The validators
+    and the rest of a command share both oracles. Nothing keeps them after
+    the command drops this object.
     """
 
     def __init__(
@@ -714,10 +725,10 @@ def _injection_tables(
         pas = tuple(sorted(g.parents(v)))
         sup = pmfs[v].support
         size = max(len(sup), rng.randint(amin, amax))
-        domain = list(product(*(alphabets[p] for p in pas)))
-        total += len(domain) * len(sup)
+        total += len(sup) * math.prod(len(alphabets[p]) for p in pas)
         if total > _TABLE_BUDGET:
             raise _Retry(f"structural tables need more than {_TABLE_BUDGET} entries")
+        domain = list(product(*(alphabets[p] for p in pas)))
         for _ in range(60):
             maps = {combo: tuple(rng.sample(range(size), len(sup))) for combo in domain}
             if all(_parent_matters(maps, domain, pas, j) for j in range(len(pas))):

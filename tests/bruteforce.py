@@ -7,8 +7,10 @@ exact projection and per-tuple enumeration, the peeling loops, the
 per-candidate discovery rounds, injectivity scans, the bound-case
 classifier with the exhaustive per-case verification suites, the
 explicit-noise graph, frozenset-keyed batch planner, uncached descendant
-searches, faithfulness check, graph and layering text parsers and
-model-file writer (``json.dumps`` of the model's dict) are the package's
+searches, faithfulness checks (over every triple, and the walk over all
+2**n subsets that preceded the one per connected component), graph and
+layering text parsers and model-file writer (``json.dumps`` of the
+model's dict) are the package's
 earlier separate implementations, kept as references for the shared or
 faster code that replaced them. The oracle-free peeling helpers ``peel``,
 ``rr``, ``select_all``, ``sources_only``, ``sinks_only`` and
@@ -19,6 +21,7 @@ used before it built its layering from its own trace.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -33,7 +36,14 @@ from causal_layering.discovery import (
     IterationTrace,
     KnownNoiseEntropy,
 )
-from causal_layering.graph import Dag, Layering, NodeId, d_separated, layering_violations
+from causal_layering.graph import (
+    Dag,
+    Layering,
+    NodeId,
+    d_connected_bits,
+    d_separated,
+    layering_violations,
+)
 from causal_layering.oracle import JointTable
 from causal_layering.scm import AssumptionReport, Pmf, Scm, StructuralTable, noise_entropy
 from causal_layering.verify import BoundCheckCase, BoundKind, IndependenceCase, Verdict
@@ -655,6 +665,76 @@ def check_faithfulness(m, oracle, first_witness: bool = False) -> AssumptionRepo
                 break
     detail = "exhaustive triples" if len(nodes) <= 6 else "singleton pairs only"
     return AssumptionReport("faithfulness", not witnesses, tuple(witnesses), detail)
+
+
+@functools.cache
+def whole_graph_probes(n: int) -> tuple[tuple[int, int, int], ...]:
+    """(x, y, S) bitmasks over n sorted nodes, bit k for the k-th: every pair
+    of single nodes x < y, with every S over the other nodes, in the base-4
+    digit walk's order (``digit_walk`` restricted to single X and Y)."""
+    walk = [(0, 0, 0)]
+    for k in range(n):  # node k's digit: none, x, y or S
+        b = 1 << k
+        step = []
+        for x, y, s in walk:
+            step.append((x, y, s))
+            if not x:
+                step.append((b, y, s))
+            elif not y:  # y comes after x, so x < y
+                step.append((x, b, s))
+            step.append((x, y, s | b))
+        walk = step
+    return tuple(t for t in walk if t[1])
+
+
+def whole_graph_faithfulness(m, oracle) -> AssumptionReport:
+    """Reference for ``scm.check_faithfulness``'s walk: every pair of single
+    nodes with every S over all the other nodes, components or not, and
+    every entropy from one lazy depth-first walk over all 2**n subsets,
+    rooted at the oracle's table over the nodes; the same first-witness
+    report, raising on mutual information where d-separated, across
+    components too."""
+    g = m.graph
+    n = len(g)  # node ids are 0..n-1, so bit k is node k
+
+    def members(mask: int) -> list[int]:
+        return [k for k in range(n) if mask >> k & 1]
+
+    def subsets():
+        full, root = (1 << n) - 1, oracle.table
+        if len(root.variables) != n:  # the oracle covers more than the nodes
+            root = root.marginal(full)
+        stack = [(full, 0, root)]
+        while stack:
+            mask, k, parent = stack.pop()
+            table = parent if mask == full else parent.marginal(mask)
+            yield mask, table.entropy_bits()
+            stack.extend(
+                (mask ^ 1 << j, j + 1, table) for j in range(n - 1, k - 1, -1) if mask >> j & 1
+            )
+
+    entropies: list[float | None] = [None] * (1 << n)
+    walk = subsets()
+
+    def h(mask: int) -> float:
+        while entropies[mask] is None:
+            s, value = next(walk)
+            entropies[s] = value
+        return entropies[mask]
+
+    detail = "exhaustive triples" if n <= 6 else "singleton pairs only"
+    for xs, ys, ss in whole_graph_probes(n):
+        mi = h(xs | ss) + h(ys | ss) - h(ss) - h(xs | ys | ss)
+        sep = not (d_connected_bits(g, xs, ss) & ys)
+        if sep and mi > 1e-9:
+            raise RuntimeError(
+                f"d-separated sets show mutual information {mi}; "
+                "exact arithmetic is broken"
+            )
+        if not sep and mi <= 1e-9:
+            witness = (*(tuple(m.label(v) for v in members(t)) for t in (xs, ys, ss)), mi)
+            return AssumptionReport("faithfulness", False, (witness,), detail)
+    return AssumptionReport("faithfulness", True, (), detail)
 
 
 def check_entropy_bounds(m, oracle, tol, assert_above, assert_below):

@@ -132,6 +132,25 @@ class TestAccessors:
         with pytest.raises(ValueError, match="unknown node"):
             g.descendants(len(g.labels))
 
+    @settings(max_examples=100, deadline=None)
+    @given(dags(), st.data())
+    def test_components_are_the_skeletons_connected_sets(self, g: Dag, data):
+        keep = data.draw(st.sets(st.sampled_from(sorted(g.nodes))))
+        for h in (g, g.residual(keep)):
+            comps = h.components()
+            sets = [frozenset(v for v in h.nodes if c >> v & 1) for c in comps]
+            assert sum(comps) == sum(1 << v for v in h.nodes)  # disjoint, covering
+            assert [min(s) for s in sets] == sorted(min(s) for s in sets)
+            for s in sets:  # each is everything reachable along edges either way
+                linked, stack = set(), [min(s)]
+                while stack:
+                    v = stack.pop()
+                    if v not in linked:
+                        linked.add(v)
+                        stack += h.parents(v) | h.children(v)
+                assert s == linked
+        assert Dag.of("").components() == ()
+
     def test_unmediated_parents_drops_mediated(self):
         # A -> B -> C plus direct A -> C: among C's parents, A reaches B
         g = Dag.of("ABC", [("A", "B"), ("B", "C"), ("A", "C")])

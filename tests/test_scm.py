@@ -1,13 +1,14 @@
 import functools
 import math
 import random
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from causal_layering import scm as scm_module
@@ -42,9 +43,11 @@ from causal_layering.scm import (
 from bruteforce import check_faithfulness as bf_check_faithfulness
 from bruteforce import check_injective_noise as bf_check_injective_noise
 from bruteforce import check_injective_noise_plus_one as bf_check_injective_noise_plus_one
-from bruteforce import digit_walk, digits, explicit_noise_graph
+from bruteforce import digit_walk, digits, explicit_noise_graph, whole_graph_faithfulness
 from bruteforce import scm_to_dict
 from bruteforce import scm_to_text as bf_scm_to_text
+from bruteforce import whole_graph_probes
+from test_oracle import block_models
 
 H_EIGHTH = 0.5435644431995964
 H_QUARTER = 0.8112781244591328
@@ -418,9 +421,11 @@ class TestAssumptionChecks:
     @given(st.data())
     def test_first_witness_stops_at_the_full_checks_first_witness(self, data):
         # no probe after the witness sweeps the graph: the (x, S) sweeps are
-        # those of the probes up to the witness, or of every probe if it holds
-        m = data.draw(random_models())
+        # those of the probes up to the witness, or of every probe if it
+        # holds, where the probes are the whole walk's inside one component
+        m = data.draw(st.one_of(random_models(), block_models()))
         n = len(m.graph)
+        home = {1 << v: c for c in m.graph.components() for v in range(n) if c >> v & 1}
         swept = []
 
         def counted(g, xs, ss):
@@ -429,7 +434,8 @@ class TestAssumptionChecks:
 
         with mock.patch.object(scm_module, "d_connected_bits", counted):
             report = check_faithfulness(m, Assumptions(m).oracle())
-        probes = list(_faithfulness_probes(n))
+        probes = [(xs, ys, ss) for xs, ys, ss in whole_graph_probes(n)
+                  if not (ys | ss) & ~home[xs]]
         if not report.holds:
             ids = {m.label(v): v for v in m.graph.nodes}
             witness = tuple(sum(1 << ids[lab] for lab in part) for part in report.witnesses[0][:3])
@@ -443,6 +449,7 @@ class TestAssumptionChecks:
         walks digits too, the reference's first-witness report. MI floats
         compare bitwise (by repr). Returns whether the model is faithful."""
         report = check_faithfulness(m, Assumptions(m).oracle())
+        assert repr(report) == repr(whole_graph_faithfulness(m, Assumptions(m).oracle()))
         full = bf_check_faithfulness(m, Assumptions(m).oracle())
         assert (report.assumption, report.holds, report.detail) == (
             full.assumption, full.holds, full.detail)
@@ -456,14 +463,25 @@ class TestAssumptionChecks:
         return report.holds
 
     def test_faithfulness_probes_follow_the_reference_walk(self):
-        # the digit walk over triples, restricted to single X and Y
+        # the digit walk over triples, restricted to single X and Y inside
+        # one component and S inside it too: one component, every node on
+        # its own, and random partitions
+        rng = random.Random(5)
         for n in range(1, 9):
-            expected = tuple(
-                tuple(sum(1 << v for v in part) for part in probe)
-                for probe in digit_walk(list(range(n)))
-                if len(probe[0]) == len(probe[1]) == 1
-            )
-            assert _faithfulness_probes(n) == expected
+            walk = [probe for probe in digit_walk(list(range(n)))
+                    if len(probe[0]) == len(probe[1]) == 1]
+            partitions = [[0] * n, list(range(n))]
+            partitions += [[rng.randrange(3) for _ in range(n)] for _ in range(4)]
+            for part in partitions:
+                home = tuple(sum(1 << j for j in range(n) if part[j] == part[k])
+                             for k in range(n))
+                expected = tuple(
+                    tuple(sum(1 << v for v in nodes) for nodes in probe)
+                    for probe in walk
+                    if len({part[v] for nodes in probe for v in nodes}) == 1
+                )
+                assert _faithfulness_probes(home) == expected
+            assert whole_graph_probes(n) == _faithfulness_probes(((1 << n) - 1,) * n)
 
     def test_faithfulness_matches_the_reference_on_the_chains(self, affine_chain, xor_chain):
         assert not self.assert_faithfulness_matches_the_reference(affine_chain)
@@ -495,17 +513,50 @@ class TestAssumptionChecks:
                     unfaithful += not self.assert_faithfulness_matches_the_reference(m)
         assert unfaithful > 0
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_faithfulness_matches_the_whole_graph_walk(self, data):
+        # the same report, MI floats compared bitwise (by repr), as the walk
+        # over all 2**n subsets, which also probes every pair across
+        # components and raises if one shows mutual information; on models
+        # whose skeleton is often disconnected or edgeless, and on generator
+        # candidates with the faithfulness gate bypassed
+        if data.draw(st.booleans()):
+            m = data.draw(block_models())
+        else:
+            cfg = GeneratorConfig(
+                nodes=data.draw(st.integers(1, 7)),
+                profile=data.draw(st.sampled_from(PROFILES)),
+                entropy_mode=data.draw(st.sampled_from(ENTROPY_MODES)),
+                edge_prob=data.draw(st.sampled_from([0.1, 0.35])),
+            )
+            guaranteed = scm_module.guaranteed_assumptions(cfg.profile, cfg.entropy_mode)
+            ungated = tuple(name for name in guaranteed if name != "faithfulness")
+            with mock.patch.object(scm_module, "guaranteed_assumptions", lambda *_: ungated):
+                try:
+                    m = generate_scm(cfg, data.draw(st.integers(0, 2**16)))
+                except GenerationError:
+                    reject()
+        reference = repr(whole_graph_faithfulness(m, Assumptions(m).oracle()))
+        audit = Assumptions(m)
+        assert repr(check_faithfulness(m, audit.noise_oracle())) == reference
+        assert repr(check_faithfulness(m, audit.oracle())) == reference
+
     def test_mutual_information_where_d_separated_raises(self, monkeypatch):
-        # A and B share no edge, so they are d-separated given nothing; with
-        # entropies that are not additive, I(A; B) reads 2 - sqrt(2)
-        g = Dag(["A", "B"], [])
+        # in the collider A -> C <- B, A and B are d-separated given nothing;
+        # with entropies that are not additive, I(A; B) reads 2 - sqrt(2).
+        # The probes before it, (B, C) and (A, C), are d-connected and read
+        # the same, so they pass
+        g = Dag(["A", "B", "C"], [(0, 2), (1, 2)])
         coin = Pmf.bernoulli(Fraction(1, 2))
         identity = StructuralTable((), {(0,): 0, (1,): 1})
-        m = Scm(g, {0: coin, 1: coin}, {0: identity, 1: identity})
+        code = StructuralTable(
+            (0, 1), {(a, b, u): a + 2 * b + 4 * u for a in (0, 1) for b in (0, 1) for u in (0, 1)})
+        m = Scm(g, {0: coin, 1: coin, 2: coin}, {0: identity, 1: identity, 2: code})
         table = joint_distribution(m)
         monkeypatch.setattr(JointTable, "entropy_bits", lambda t: math.sqrt(len(t.variables)))
 
-        for check in (check_faithfulness, bf_check_faithfulness):
+        for check in (check_faithfulness, bf_check_faithfulness, whole_graph_faithfulness):
             with pytest.raises(RuntimeError, match="exact arithmetic is broken"):
                 check(m, EntropyOracle(table))
 
@@ -524,6 +575,21 @@ class TestAssumptionChecks:
         monkeypatch.setattr(JointTable, "marginal", recording)
         return made
 
+    @staticmethod
+    def walk_projections(m: Scm) -> Counter:
+        """(variables of the source, of the result) of each projection an
+        accepted model's audit makes: each component with a pair projects
+        each proper subset once from one more node, and, when the skeleton
+        has several components, its root from the n nodes."""
+        sizes = [c.bit_count() for c in m.graph.components()]
+        made = Counter()
+        for k in sizes:
+            if k > 1:
+                made.update({(j + 1, j): math.comb(k, j) for j in range(k)})
+                if len(sizes) > 1:
+                    made[len(m.graph), k] += 1
+        return made
+
     @pytest.mark.parametrize("n", [6, 7])
     def test_faithfulness_projects_each_subset_once_from_one_more_node(self, monkeypatch, n):
         models = [
@@ -531,16 +597,19 @@ class TestAssumptionChecks:
             for profile in PROFILES for seed in (3, 4)
         ]
         made = self.projections(monkeypatch)
+        several = 0
         for m in models:
             oracle = EntropyOracle(joint_distribution(m))
             made.clear()
             assert check_faithfulness(m, oracle).holds
-            assert len(made) == 2**n - 1
-            assert all(source == result + 1 for source, result in made)
+            assert Counter(made) == self.walk_projections(m)
+            assert len(made) <= 2**n - 1
+            several += len(m.graph.components()) > 1
+        assert several
 
     def test_first_witness_projects_no_more_than_the_full_check(self, monkeypatch):
-        # an accepted model needs every proper subset's table; the entropy
-        # walk stops with the probes, so some rejection projects fewer
+        # an accepted model needs every table of its components' walks; the
+        # entropy walks stop with the probes, so some rejection projects fewer
         guaranteed = scm_module.guaranteed_assumptions
         monkeypatch.setattr(
             scm_module, "guaranteed_assumptions",
@@ -557,10 +626,12 @@ class TestAssumptionChecks:
         for m in candidates:
             made.clear()
             holds = check_faithfulness(m, EntropyOracle(joint_distribution(m))).holds
-            full = 2 ** len(m.graph) - 1
-            assert (len(made) == full) if holds else (len(made) <= full)
-            if not holds:
-                rejected.append(len(made) < full)
+            full = self.walk_projections(m)
+            if holds:
+                assert Counter(made) == full
+            else:
+                assert not Counter(made) - full
+                rejected.append(len(made) < full.total())
         assert any(rejected)
 
     @staticmethod
@@ -721,6 +792,25 @@ class TestGenerator:
                 "profile='base' entropy='strict' nodes=4 unsatisfied after 1 attempts "
                 f"(last failure: {reason})"
             )
+
+    def test_injection_tables_check_the_budget_before_building_a_domain(self, monkeypatch):
+        # binary noise and outputs on a complete DAG: node k's parent domain
+        # has 2**k assignments and its table 2**(k+1) entries, so the tables
+        # pass 20 entries at node 3, before its domain of 8 is built
+        monkeypatch.setattr(scm_module, "_TABLE_BUDGET", 20)
+        built: list[int] = []
+
+        def counted(*alphabets):
+            built.append(math.prod(map(len, alphabets)))
+            return product(*alphabets)
+
+        monkeypatch.setattr(scm_module, "product", counted)
+        cfg = GeneratorConfig(nodes=6, edge_prob=1.0, noise_support_sizes=(2, 2),
+                              alphabet_sizes=(2, 2), max_retries=2)
+        with pytest.raises(GenerationError, match="structural tables need more than 20"):
+            generate_scm(cfg, seed=0)
+        assert built == [1, 2, 4] * 2
+        assert sum(2 * size for size in built[:3]) <= 20
 
     def test_unsatisfiable_config_raises_with_context(self, monkeypatch):
         monkeypatch.setattr(scm_module, "_TABLE_BUDGET", 8)
