@@ -1,7 +1,6 @@
 """Directed acyclic graphs, layerings, and d-separation.
 
-Nodes are small integer ids indexing a fixed label registry, so ids stay
-stable when residual graphs are carved out of a larger graph. Everything
+Nodes are the integer ids ``0..n-1`` of ``n`` unique labels. Everything
 is immutable once built.
 """
 
@@ -19,33 +18,15 @@ class CycleError(ValueError):
 
 
 class Dag:
-    """Immutable DAG over integer node ids with string labels.
+    """Immutable DAG whose nodes are the ids ``0..n-1`` of its ``n`` labels."""
 
-    ``labels`` is the full registry; ``nodes`` may be a subset of registry
-    ids (residual graphs keep the registry of the graph they came from).
-    """
+    __slots__ = ("_labels", "_nodes", "_edges", "_parents", "_children", "_bits", "_memo")
 
-    __slots__ = (
-        "_labels", "_nodes", "_edges", "_parents", "_children", "_id_of", "_bits", "_memo"
-    )
-
-    def __init__(
-        self,
-        labels: Sequence[str],
-        edges: Iterable[tuple[NodeId, NodeId]] = (),
-        nodes: Iterable[NodeId] | None = None,
-    ):
+    def __init__(self, labels: Sequence[str], edges: Iterable[tuple[NodeId, NodeId]] = ()):
         self._labels = tuple(str(x) for x in labels)
         if len(set(self._labels)) != len(self._labels):
             raise ValueError("node labels must be unique")
-        if nodes is None:
-            self._nodes = frozenset(range(len(self._labels)))
-        else:
-            self._nodes = frozenset(int(v) for v in nodes)
-        for v in self._nodes:
-            if not 0 <= v < len(self._labels):
-                raise ValueError(f"node id {v} has no label registry entry")
-        self._id_of = {lab: i for i, lab in enumerate(self._labels)}
+        self._nodes = frozenset(range(len(self._labels)))
 
         edge_set: set[tuple[int, int]] = set()
         for u, v in edges:
@@ -102,17 +83,13 @@ class Dag:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dag):
             return NotImplemented
-        return (
-            self._labels == other._labels
-            and self._nodes == other._nodes
-            and self._edges == other._edges
-        )
+        return self._labels == other._labels and self._edges == other._edges
 
     def __hash__(self) -> int:
-        return hash((self._labels, self._nodes, self._edges))
+        return hash((self._labels, self._edges))
 
     def __repr__(self) -> str:
-        ns = ",".join(self.label(v) for v in sorted(self._nodes))
+        ns = ",".join(self._labels)
         es = ",".join(f"{self.label(u)}->{self.label(v)}" for u, v in sorted(self._edges))
         return f"Dag([{ns}], [{es}])"
 
@@ -123,12 +100,6 @@ class Dag:
     def label(self, v: NodeId) -> str:
         self._require(v)
         return self._labels[v]
-
-    def id_of(self, label: str) -> NodeId:
-        v = self._id_of.get(label)
-        if v is None or v not in self._nodes:
-            raise ValueError(f"unknown node label {label!r}")
-        return v
 
     def parents(self, v: NodeId) -> frozenset[NodeId]:
         self._require(v)
@@ -162,26 +133,11 @@ class Dag:
             out = self._memo[key] = frozenset(seen)
         return out
 
-    def sources(self) -> frozenset[NodeId]:
-        return frozenset(v for v in self._nodes if not self._parents[v])
-
-    def sinks(self) -> frozenset[NodeId]:
-        return frozenset(v for v in self._nodes if not self._children[v])
-
-    def residual(self, keep: Iterable[NodeId]) -> Dag:
-        """The induced subgraph on ``keep``, with ids kept stable."""
-        keep = frozenset(int(v) for v in keep)
-        if not keep <= self._nodes:
-            bad = sorted(keep - self._nodes)
-            raise ValueError(f"keep set contains unknown nodes {bad}")
-        kept_edges = [(u, v) for u, v in self._edges if u in keep and v in keep]
-        return Dag(self._labels, kept_edges, keep)
-
     def components(self) -> tuple[int, ...]:
         """The connected components of the skeleton, as bit masks (bit v for
         node v), ordered by their lowest node."""
         parents, children = self._bits
-        rest, out = sum(1 << v for v in self._nodes), []
+        rest, out = (1 << len(self._nodes)) - 1, []
         while rest:
             comp = frontier = rest & -rest
             while frontier:
@@ -354,7 +310,7 @@ def d_connected_bits(g: Dag, xs: int, zs: int = 0) -> int:
 
 def render_dag(g: Dag) -> str:
     """One ``nodes:`` header line plus one ``edge:`` line per edge."""
-    lines = ["nodes: " + ", ".join(g.label(v) for v in sorted(g.nodes))]
+    lines = ["nodes: " + ", ".join(g.labels)]
     for u, v in sorted(g.edges):
         lines.append(f"edge: {g.label(u)} -> {g.label(v)}")
     return "\n".join(lines) + "\n"

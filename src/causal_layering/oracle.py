@@ -167,9 +167,6 @@ class JointTable:
     def __len__(self) -> int:
         return math.prod([len(b[1]) for b in self._blocks])
 
-    def prob(self, assignment: tuple[int, ...]) -> Fraction:
-        return dict(self.items()).get(tuple(assignment), Fraction(0))
-
     def items(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Entries sorted by assignment, probabilities as Fractions."""
         fields, d = [c[3] for c in self._cols], self._denom

@@ -118,12 +118,6 @@ class Pmf:
     def positive_support(self) -> tuple[int, ...]:
         return tuple(v for v, p in zip(self.support, self.probs) if p > 0)
 
-    def prob_of(self, value: int) -> Fraction:
-        for v, p in zip(self.support, self.probs):
-            if v == value:
-                return p
-        return Fraction(0)
-
     def entropy_bits(self) -> float:
         return _entropy_bits(float(p) for p in self.probs)
 
@@ -160,9 +154,6 @@ class StructuralTable:
         except KeyError:
             raise ValueError(f"structural table has no entry for {key}") from None
 
-    def outputs(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.entries.values())))
-
 
 class Scm:
     """A discrete SCM: graph, per-node noise Pmfs, per-node structural tables.
@@ -182,8 +173,6 @@ class Scm:
         functions: Mapping[NodeId, StructuralTable],
         meta: "ScmMeta | None" = None,
     ):
-        if set(graph.nodes) != set(range(len(graph.labels))):
-            raise ValueError("SCM graph must use every label registry entry")
         nodes = set(graph.nodes)
         if set(noise) != nodes:
             raise ValueError("noise map must cover exactly the graph nodes")
@@ -1001,8 +990,12 @@ def scm_from_dict(data: dict) -> Scm:
         labels, declared = [], []
         for i, spec in enumerate(node_specs):
             where = f"nodes[{i}]"
-            labels.append(_json_object(spec)["label"])
-            where += ".alphabet"
+            label = _json_object(spec)["label"]
+            where = f"nodes[{i}].label"
+            if not isinstance(label, str):
+                raise ValueError(f"expected a string, got {_json_type(label)}")
+            labels.append(label)
+            where = f"nodes[{i}].alphabet"
             declared.append(_json_ints(spec["alphabet"]))
         where = "edges"
         g = Dag.of(labels, [(a, b) for a, b in edge_specs])

@@ -152,33 +152,42 @@ def check_discovery_result(
 ) -> TraceCheck:
     """Replay a discovery run against the graph that generated the oracle.
 
-    The final layering must be a layering of ``truth``; each round's
-    selection must consist of residual sources (``removal="sources"``) or
-    sinks; with ``expect_exact_selection`` the qualifying set must equal
-    that residual set exactly; and the trace must rebuild the layering.
+    The final layering must be a layering of ``truth``. Each round's
+    ``remaining`` set must be the nodes that no earlier round selected, and
+    its selection must consist of residual sources (``removal="sources"``:
+    remaining nodes with no parent among them) or residual sinks (no child
+    among them); with ``expect_exact_selection`` the qualifying set must
+    equal that residual set exactly. The trace must rebuild the layering.
     """
     if removal not in ("sources", "sinks"):
         raise ValueError(f"removal must be 'sources' or 'sinks', not {removal!r}")
     problems = layering_violations(truth, result.layering)
     if problems:
         return TraceCheck(False, None, "; ".join(problems))
+
+    def names(vs: Iterable[NodeId]) -> str:
+        return ", ".join(truth.label(v) for v in sorted(vs))
+
+    linked = truth.parents if removal == "sources" else truth.children
+    remaining = truth.nodes
     rebuilt: list[frozenset[int]] = []
     for i, step in enumerate(result.trace, start=1):
-        residual = truth.residual(step.remaining)
-        pool = residual.sources() if removal == "sources" else residual.sinks()
+        if step.remaining != remaining:
+            return TraceCheck(False, i, f"remaining set {{{names(step.remaining)}}} "
+                                        f"is not the unselected set {{{names(remaining)}}}")
+        pool = frozenset(v for v in remaining if not linked(v) & remaining)
         if not step.selected <= pool:
-            bad = ", ".join(truth.label(v) for v in sorted(step.selected - pool))
-            return TraceCheck(False, i, f"selected non-{removal[:-1]} nodes: {bad}")
-        if expect_exact_selection and step.qualifying != pool:
-            want = ", ".join(truth.label(v) for v in sorted(pool))
-            got = ", ".join(truth.label(v) for v in sorted(step.qualifying))
             return TraceCheck(
-                False, i, f"qualifying set {{{got}}} is not the residual set {{{want}}}"
+                False, i, f"selected non-{removal[:-1]} nodes: {names(step.selected - pool)}"
             )
+        if expect_exact_selection and step.qualifying != pool:
+            return TraceCheck(False, i, f"qualifying set {{{names(step.qualifying)}}} "
+                                        f"is not the residual set {{{names(pool)}}}")
         if removal == "sources":
             rebuilt.append(step.selected)
         else:
             rebuilt.insert(0, step.selected)
+        remaining -= step.selected
     if tuple(rebuilt) != result.layering.layers:
         return TraceCheck(False, None, "trace does not rebuild the layering")
     return TraceCheck(True, None, "")

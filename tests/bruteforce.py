@@ -4,15 +4,15 @@ Everything here is written the slow, obvious way on purpose: float
 probabilities accumulated in dicts, d-separation by enumerating every
 simple path. Agreement with the fast implementations is the test. The
 exact projection and per-tuple enumeration, the peeling loops, the
-per-candidate discovery rounds, injectivity scans, the bound-case
-classifier with the exhaustive per-case verification suites, the
-explicit-noise graph, frozenset-keyed batch planner, uncached descendant
-searches, faithfulness checks (over every triple, and the walk over all
-2**n subsets that preceded the one per connected component), graph and
-layering text parsers and model-file writer (``json.dumps`` of the
-model's dict) are the package's
-earlier separate implementations, kept as references for the shared or
-faster code that replaced them. The oracle-free peeling helpers ``peel``,
+per-candidate discovery rounds, the trace replay on residual graphs,
+injectivity scans, the bound-case classifier with the exhaustive per-case
+verification suites, the explicit-noise graph, frozenset-keyed batch
+planner, uncached descendant searches, faithfulness checks (over every
+triple, and the walk over all 2**n subsets that preceded the one per
+connected component), graph and layering text parsers and model-file
+writer (``json.dumps`` of the model's dict) are the package's earlier
+separate implementations, kept as references for the shared or faster
+code that replaced them. The oracle-free peeling helpers ``peel``,
 ``rr``, ``select_all``, ``sources_only``, ``sinks_only`` and
 ``is_layering`` came from ``graph``, where no command called them;
 ``discover`` still runs its rounds on ``peel``, the loop that discovery
@@ -46,7 +46,13 @@ from causal_layering.graph import (
 )
 from causal_layering.oracle import JointTable
 from causal_layering.scm import AssumptionReport, Pmf, Scm, StructuralTable, noise_entropy
-from causal_layering.verify import BoundCheckCase, BoundKind, IndependenceCase, Verdict
+from causal_layering.verify import (
+    BoundCheckCase,
+    BoundKind,
+    IndependenceCase,
+    TraceCheck,
+    Verdict,
+)
 
 
 def joint_probs(scm) -> dict[tuple, float]:
@@ -342,6 +348,16 @@ def select_all(
     return sources, sinks - sources
 
 
+def residual_sources(g: Dag, keep: AbstractSet[NodeId]) -> frozenset[NodeId]:
+    """The nodes of ``keep`` with no parent in ``keep``: the induced subgraph's sources."""
+    return frozenset(keep) - {v for u, v in g.edges if u in keep}
+
+
+def residual_sinks(g: Dag, keep: AbstractSet[NodeId]) -> frozenset[NodeId]:
+    """The nodes of ``keep`` with no child in ``keep``: the induced subgraph's sinks."""
+    return frozenset(keep) - {u for u, v in g.edges if v in keep}
+
+
 def peel(nodes: Iterable[NodeId], choose: PeelChooser) -> Layering:
     """Layer ``nodes`` by repeatedly removing groups at the front or the back.
 
@@ -382,8 +398,7 @@ def rr(g: Dag, select: RemovalSelector | None = None) -> Layering:
     chooser = select if select is not None else select_all
 
     def choose(remaining: frozenset[NodeId]) -> Groups:
-        res = g.residual(remaining)
-        sources, sinks = res.sources(), res.sinks()
+        sources, sinks = residual_sources(g, remaining), residual_sinks(g, remaining)
         sr_raw, sn_raw = chooser(sources, sinks)
         sr, sn = frozenset(sr_raw), frozenset(sn_raw)
         if not sr <= sources:
@@ -424,8 +439,7 @@ def sour_layering(g: Dag, select=None) -> Layering:
     remaining = set(g.nodes)
     layers: list[frozenset[int]] = []
     while remaining:
-        res = g.residual(remaining)
-        candidates = res.sources()
+        candidates = residual_sources(g, remaining)
         sr = frozenset(select(candidates)) if select is not None else candidates
         if not sr:
             raise ValueError("selector returned an empty source set")
@@ -441,8 +455,7 @@ def sir_layering(g: Dag, select=None) -> Layering:
     remaining = set(g.nodes)
     layers: deque[frozenset[int]] = deque()
     while remaining:
-        res = g.residual(remaining)
-        candidates = res.sinks()
+        candidates = residual_sinks(g, remaining)
         sn = frozenset(select(candidates)) if select is not None else candidates
         if not sn:
             raise ValueError("selector returned an empty sink set")
@@ -486,6 +499,47 @@ def discover(nodes, oracle, mode, removal: str, one_at_a_time: bool = False) -> 
 
     layering = peel(all_nodes, choose)
     return DiscoveryResult(layering, sum(len(step.entropies) for step in trace), tuple(trace))
+
+
+def check_discovery_result(
+    truth: Dag, result: DiscoveryResult, removal: str, expect_exact_selection: bool = False
+) -> TraceCheck:
+    """Reference replay on residual graphs: each round's pool is the sources
+    (or sinks) of the subgraph induced on the round's ``remaining`` set,
+    rebuilt by ``Dag.of`` over its labels. It trusts the ``remaining`` sets,
+    so it agrees with the package's replay on traces whose sets are the
+    nodes not yet selected."""
+    if removal not in ("sources", "sinks"):
+        raise ValueError(f"removal must be 'sources' or 'sinks', not {removal!r}")
+    problems = layering_violations(truth, result.layering)
+    if problems:
+        return TraceCheck(False, None, "; ".join(problems))
+    rebuilt: list[frozenset[int]] = []
+    for i, step in enumerate(result.trace, start=1):
+        kept = sorted(step.remaining)
+        residual = Dag.of(
+            [truth.label(v) for v in kept],
+            [(truth.label(u), truth.label(v)) for u, v in truth.edges
+             if u in step.remaining and v in step.remaining],
+        )
+        linked = residual.parents if removal == "sources" else residual.children
+        pool = frozenset(kept[w] for w in residual.nodes if not linked(w))
+        if not step.selected <= pool:
+            bad = ", ".join(truth.label(v) for v in sorted(step.selected - pool))
+            return TraceCheck(False, i, f"selected non-{removal[:-1]} nodes: {bad}")
+        if expect_exact_selection and step.qualifying != pool:
+            want = ", ".join(truth.label(v) for v in sorted(pool))
+            got = ", ".join(truth.label(v) for v in sorted(step.qualifying))
+            return TraceCheck(
+                False, i, f"qualifying set {{{got}}} is not the residual set {{{want}}}"
+            )
+        if removal == "sources":
+            rebuilt.append(step.selected)
+        else:
+            rebuilt.insert(0, step.selected)
+    if tuple(rebuilt) != result.layering.layers:
+        return TraceCheck(False, None, "trace does not rebuild the layering")
+    return TraceCheck(True, None, "")
 
 
 def check_injective_noise(m) -> AssumptionReport:
@@ -777,10 +831,8 @@ def explicit_noise_graph(m) -> Dag:
     clash = set(base.labels) & set(noise_labels)
     if clash:
         raise ValueError(f"noise labels collide with node labels: {sorted(clash)}")
-    labels = base.labels + noise_labels
-    nodes = set(base.nodes) | {n + v for v in base.nodes}
     edges = set(base.edges) | {(n + v, v) for v in base.nodes}
-    return Dag(labels, edges, nodes)
+    return Dag(base.labels + noise_labels, edges)
 
 
 def check_noise_independence(m, oracle, tol):
@@ -881,5 +933,5 @@ def parse_layering(text: str, g: Dag) -> Layering:
         if head.strip() != f"layer {n}":
             raise ValueError(f"expected 'layer {n}:' line, got {ln!r}")
         labels = [p.strip() for p in body.split(",") if p.strip()]
-        layers.append(frozenset(g.id_of(lab) for lab in labels))
+        layers.append(frozenset(g.labels.index(lab) for lab in labels))
     return Layering(tuple(layers))

@@ -500,6 +500,10 @@ class TestMalformedModel:
         (("nodes",), 2.5, "nodes: expected a list, got a number"),
         (("nodes",), [1.5], "nodes[0]: expected an object, got a number"),
         (("noise", "A"), RawJson("9" * 1001), "noise.A: expected an object, got a number"),
+        # a label is a JSON string: an array broke the edge lookup, and 1
+        # missed its noise entry "1"
+        (("nodes", 0, "label"), [1], "nodes[0].label: expected a string, got an array"),
+        (("nodes", 0, "label"), 1, "nodes[0].label: expected a string, got a number"),
     ])
     def test_named_error_without_traceback(self, tmp_path, affine_chain, path, value,
                                            where, capsys):

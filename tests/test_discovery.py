@@ -37,7 +37,7 @@ from causal_layering.scm import (
 from causal_layering.verify import check_discovery_result
 
 import bruteforce
-from bruteforce import is_layering
+from bruteforce import is_layering, residual_sinks, residual_sources
 
 A, B, C = 0, 1, 2
 
@@ -287,8 +287,7 @@ class TestDiscoveryOnGeneratedModels:
         # every selection is exactly the residual source set
         remaining = set(m.graph.nodes)
         for step in result.trace:
-            residual = m.graph.residual(remaining)
-            assert step.qualifying == residual.sources()
+            assert step.qualifying == residual_sources(m.graph, remaining)
             remaining -= step.selected
 
     @settings(max_examples=15, deadline=None)
@@ -302,8 +301,7 @@ class TestDiscoveryOnGeneratedModels:
         assert is_layering(m.graph, result.layering)
         remaining = set(m.graph.nodes)
         for step in result.trace:
-            residual = m.graph.residual(remaining)
-            assert step.qualifying == residual.sinks()
+            assert step.qualifying == residual_sinks(m.graph, remaining)
             remaining -= step.selected
 
 

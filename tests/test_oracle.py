@@ -45,6 +45,11 @@ H_5_16 = 0.8960382325345574     # p = 5/16
 A, B, C = 0, 1, 2
 
 
+def prob(t: JointTable, key: tuple) -> Fraction:
+    """P(key) read off ``t.items()``; 0 for a key it does not list."""
+    return dict(t.items()).get(tuple(key), Fraction(0))
+
+
 def exact_pair() -> JointTable:
     # P(X=0,Y=0)=1/2, P(X=0,Y=1)=1/4, P(X=1,Y=1)=1/4
     return JointTable((0, 1), ("X", "Y"), {(0, 0): 2, (0, 1): 1, (1, 1): 1}, 4)
@@ -53,8 +58,8 @@ def exact_pair() -> JointTable:
 class TestJointTable:
     def test_prob_and_total(self):
         t = exact_pair()
-        assert t.prob((0, 0)) == Fraction(1, 2)
-        assert t.prob((1, 0)) == 0
+        assert prob(t, (0, 0)) == Fraction(1, 2)
+        assert prob(t, (1, 0)) == 0
         assert sum(p for _, p in t.items()) == 1
 
     def test_zero_weights_dropped(self):
@@ -105,8 +110,8 @@ class TestJointTable:
     def test_marginal_projects(self):
         t = exact_pair()
         mx = t.marginal({0})
-        assert mx.prob((0,)) == Fraction(3, 4)
-        assert mx.prob((1,)) == Fraction(1, 4)
+        assert prob(mx, (0,)) == Fraction(3, 4)
+        assert prob(mx, (1,)) == Fraction(1, 4)
         assert mx.labels == ("X",)
 
     def test_marginal_identity_is_same_object(self):
@@ -138,21 +143,21 @@ class TestJointTable:
         t = JointTable((4, 1, 9), ("X", "Y", "Z"), weights, 8)
         assert t.items() == sorted((key, Fraction(w, 8)) for key, w in weights.items())
         for key, w in weights.items():
-            assert t.prob(key) == Fraction(w, 8)
+            assert prob(t, key) == Fraction(w, 8)
         yz = t.marginal({1, 9})
         assert yz.items() == [((-big, 1), Fraction(1, 8)), ((0, -1), Fraction(2, 8)),
                               ((big, 0), Fraction(3, 8)), ((big, 1), Fraction(2, 8))]
         y = yz.marginal({1})
         assert y.items() == [((-big,), Fraction(1, 8)), ((0,), Fraction(2, 8)),
                              ((big,), Fraction(5, 8))]
-        assert y.prob((big,)) == Fraction(5, 8) and y.prob((-big,)) == Fraction(1, 8)
+        assert prob(y, (big,)) == Fraction(5, 8) and prob(y, (-big,)) == Fraction(1, 8)
         assert y.entropy_bits() == t.marginal({1}).entropy_bits()
 
     def test_prob_outside_the_alphabet_is_zero(self):
         t = exact_pair()
         for key in [(2, 0), (0, -1), (-1, 1), (10**30, 0), (0,), (0, 0, 0)]:
-            assert t.prob(key) == 0
-        assert t.marginal({1}).prob((5,)) == 0
+            assert prob(t, key) == 0
+        assert prob(t.marginal({1}), (5,)) == 0
 
     def test_entropy_past_float_range(self):
         d = 10**400  # w * log2(w) would overflow a float
@@ -593,11 +598,11 @@ class TestJointDistribution:
         assert sum(p for _, p in t.items()) == 1
         # the scaled-sum map is injective in the noise: one outcome per combination
         assert len(t) == 8
-        assert t.prob((0, 0, 0)) == Fraction(21, 64)
+        assert prob(t, (0, 0, 0)) == Fraction(21, 64)
 
     def test_xor_chain_corner_probability(self, xor_chain):
         t = joint_distribution(xor_chain)
-        assert t.prob((0, 0, 0)) == Fraction(21, 64)
+        assert prob(t, (0, 0, 0)) == Fraction(21, 64)
 
     def test_include_noise_adds_shifted_ids(self, xor_chain):
         t = joint_distribution(xor_chain, include_noise=True)
@@ -674,7 +679,7 @@ class TestJointDistribution:
             slow = joint_probs(m)
             assert set(slow) == {key for key, _ in t.items()}
             for key, p in slow.items():
-                assert float(t.prob(key)) == pytest.approx(p, abs=1e-12)
+                assert float(prob(t, key)) == pytest.approx(p, abs=1e-12)
 
 
 @st.composite
@@ -786,8 +791,8 @@ class TestBlockTables:
             # every value a column takes, and one it never takes
             values = [{key[i] for key, _ in flat.items()} | {-1} for i in range(len(t.variables))]
             for key in product(*values):
-                assert t.prob(key) == flat.prob(key)
-            assert t.prob(()) == flat.prob(()) == 0
+                assert prob(t, key) == prob(flat, key)
+            assert prob(t, ()) == prob(flat, ()) == 0
 
     def test_projections_keep_uncut_blocks_and_fold_dropped_ones(self):
         m = self.two_components()
@@ -815,8 +820,8 @@ class TestEmpiricalJoint:
     def test_counts_over_rows(self):
         d = Dataset((0, 1), ("X", "Y"), ((0, 0), (0, 0), (1, 1), (0, 1)))
         t = empirical_joint(d)
-        assert t.prob((0, 0)) == Fraction(1, 2)
-        assert t.prob((1, 1)) == Fraction(1, 4)
+        assert prob(t, (0, 0)) == Fraction(1, 2)
+        assert prob(t, (1, 1)) == Fraction(1, 4)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="no rows"):

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import random
 from itertools import product
 
@@ -7,6 +8,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from causal_layering.discovery import (
+    LICENSES,
     AssumptionViolation,
     DiscoveryResult,
     IterationTrace,
@@ -404,6 +406,30 @@ class TestDiscoveryReplay:
         assert not strict.ok
         assert "is not the residual set" in strict.reason
 
+    def test_remaining_sets_must_be_the_unselected_nodes(self):
+        # edgeless A, B peeled as {A} then {B}, each round qualifying only
+        # what it selects; the traces differ in their remaining sets alone
+        g = Dag.of("AB")
+
+        def replay(remaining, exact=True):
+            trace = tuple(
+                IterationTrace(frozenset(rest), {v: 1.0 for v in rest},
+                               frozenset({v}), frozenset({v}))
+                for v, rest in zip((A, B), remaining)
+            )
+            result = DiscoveryResult(Layering.of([[A], [B]]), 3, trace)
+            check = check_discovery_result(g, result, "sources", expect_exact_selection=exact)
+            return check.ok, check.failed_iteration, check.reason
+
+        assert replay(({A, B}, {B})) == (
+            False, 1, "qualifying set {A} is not the residual set {A, B}")
+        # leaving B out of round 1 made {A} look like the exact source set
+        assert replay(({A}, {B})) == (
+            False, 1, "remaining set {A} is not the unselected set {A, B}")
+        assert replay(({A, B}, {A, B}), exact=False) == (
+            False, 2, "remaining set {A, B} is not the unselected set {B}")
+        assert replay(({A, B}, {B}), exact=False) == (True, None, "")
+
     def test_catches_trace_layering_mismatch(self):
         g = Dag.of("AB")
         result = DiscoveryResult(Layering.of([[0, 1]]), 2, ())
@@ -415,6 +441,73 @@ class TestDiscoveryReplay:
         result = self.run_sour(affine_chain)
         with pytest.raises(ValueError, match="removal"):
             check_discovery_result(affine_chain.graph, result, "middles")
+
+
+def moved_node_runs(result: DiscoveryResult, removal: str, rng: random.Random):
+    """The run with one selected node moved to another round's selection (a
+    round left empty is dropped), each ``remaining`` set rebuilt from the
+    selections before it; once with the layering those selections give and
+    once with the run's own."""
+    selections = [set(step.selected) for step in result.trace]
+    if len(selections) < 2:
+        return []
+    i, j = rng.sample(range(len(selections)), 2)
+    v = rng.choice(sorted(selections[i]))
+    selections[i].remove(v)
+    selections[j].add(v)
+    remaining, trace = frozenset().union(*selections), []
+    for step, chosen in zip(result.trace, map(frozenset, selections)):
+        if chosen:
+            trace.append(dataclasses.replace(step, remaining=remaining, selected=chosen))
+            remaining -= chosen
+    groups = [step.selected for step in trace]
+    layering = Layering(tuple(groups if removal == "sources" else reversed(groups)))
+    return [DiscoveryResult(lay, result.oracle_calls, tuple(trace))
+            for lay in (layering, result.layering)]
+
+
+def shrunk_qualifying_run(result: DiscoveryResult, rng: random.Random) -> DiscoveryResult:
+    """The run with one node dropped from one round's qualifying set."""
+    trace = list(result.trace)
+    i = rng.randrange(len(trace))
+    v = rng.choice(sorted(trace[i].qualifying))
+    trace[i] = dataclasses.replace(trace[i], qualifying=trace[i].qualifying - {v})
+    return DiscoveryResult(result.layering, result.oracle_calls, tuple(trace))
+
+
+class TestReplayReference:
+    """The replay against its residual-graph reference in ``bruteforce``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(PROFILES),
+        st.integers(min_value=2, max_value=7),
+        st.integers(min_value=0, max_value=10_000),
+        st.randoms(use_true_random=False),
+    )
+    def test_replay_matches_the_residual_graph_reference(self, profile, n, seed, rng):
+        try:
+            m = generate_scm(
+                GeneratorConfig(nodes=n, profile=profile, edge_prob=0.4, max_retries=3), seed
+            )
+        except GenerationError:  # the generator's documented refusal: no model to compare
+            reject()
+        audit = Assumptions(m, reports=m.meta.reports)
+        known = KnownNoiseEntropy({v: noise_entropy(m, v) for v in m.graph.nodes})
+        for algo, mode in LICENSES:  # every pair, licensed or not
+            removal = "sources" if algo == "sour" else "sinks"
+            run = sour_discover if algo == "sour" else sir_discover
+            try:
+                result = run(m.graph.nodes, audit.oracle(),
+                             known if mode == "known" else MonotoneEntropy())
+            except AssumptionViolation:
+                continue
+            runs = [result, *moved_node_runs(result, removal, rng),
+                    shrunk_qualifying_run(result, rng)]
+            for replayed, exact in product(runs, (False, True)):
+                got = check_discovery_result(m.graph, replayed, removal, exact)
+                want = bruteforce.check_discovery_result(m.graph, replayed, removal, exact)
+                assert got == want, (algo, mode, exact, replayed)
 
 
 class TestCallBound:
