@@ -373,19 +373,19 @@ class EntropyOracle:
     mask (bit v for id v), not a node. Entropies are memoized per mask.
     ``marginal_entropies`` fills the memo for many sets at once and is the
     one place that projects; a ``marginal_entropy`` miss is a one-set batch.
-    Callers that know their sets in advance (a discovery round, a
-    verification suite, the directed-faithfulness audit) batch them first,
-    so their later queries are memo hits. An oracle given another's
-    ``memo`` (as ``projected`` does) shares it, and still checks every key
-    against its own variables. The oracle is single-threaded.
+    The oracle keeps its full table and the memo's floats, never a
+    projection: the tables a batch projects die when it returns. Callers
+    that know their sets in advance (a discovery round, a verification
+    suite, the directed-faithfulness audit) batch them first, so their
+    later queries are memo hits. An oracle given another's ``memo`` (as
+    ``projected`` does) shares it, and still checks every key against its
+    own variables. The oracle is single-threaded.
     """
 
     def __init__(self, table: JointTable, memo: dict[int, float] | None = None):
         if any(v < 0 for v in table.variables):
             raise ValueError(f"variable ids must be non-negative, got {min(table.variables)}")
         self._table = table
-        # each variable's bit -> its position in the table's variable order
-        self._rank = {1 << v: i for i, v in enumerate(table.variables)}
         self._outside = ~table._own
         self._cache: dict[int, float] = {} if memo is None else memo
 
@@ -409,41 +409,28 @@ class EntropyOracle:
     def marginal_entropies(self, sets: Iterable[Vars]) -> list[float]:
         """H of each set in ``sets``, in input order, every one memoized.
 
-        The distinct misses are projected one set size at a time, largest
-        first: each from the smallest of the previous size's tables over its
-        one-larger supersets (the first in variable order on a tie), or from
-        the full table when there is none. Each table, once projected, is
-        offered to the misses one size down that it covers; one that has
-        as many rows as the full table, which scans as fast, is not. Only
-        the tables some miss takes outlive their size, so at most two
-        sizes' tables are alive at once.
+        The distinct misses are projected largest first, in batch order
+        within a size: each from the smallest table this call has already
+        projected that covers it (the one projected first on a tie), or from
+        the full table when there is none. A projection becomes a source
+        only when it has fewer rows than the table it came from; one as long
+        scans no faster than that table. Those sources stay alive until the
+        call returns, and no longer.
         """
         keys = [_mask(s) for s in sets]
-        cache, full, rank = self._cache, self._table, self._rank
-        levels: dict[int, dict[int, None]] = {}
+        cache, full = self._cache, self._table
         for key in keys:
             if key & self._outside:
                 raise _unknown(key, full._own)
-            if key not in cache:
-                levels.setdefault(key.bit_count(), {})[key] = None
-        sources: dict[int, JointTable] = {}  # miss -> the table it is projected from
-        for size in sorted(levels, reverse=True):
-            below = levels.get(size - 1, {})
-            offers: dict[int, tuple[int, int, JointTable]] = {}  # miss -> (rows, rank, table)
-            for key in levels[size]:
-                table = sources.get(key, full).marginal(key)
-                cache[key] = table.entropy_bits()
-                rows = len(table)
-                if not below or rows >= len(full):
-                    continue
-                for c in table._cols:  # the misses this table covers
-                    miss = key ^ c[0]
-                    if miss in below:
-                        # two offers to one miss differ in rank, so the table is never compared
-                        offer = (rows, rank[c[0]], table)
-                        if miss not in offers or offer < offers[miss]:
-                            offers[miss] = offer
-            sources = {miss: offer[2] for miss, offer in offers.items()}
+        misses = sorted(dict.fromkeys(k for k in keys if k not in cache),
+                        key=int.bit_count, reverse=True)  # stable: batch order within a size
+        done: list[tuple[int, JointTable]] = []  # (key, table) of each source projected so far
+        for key in misses:
+            source = min((t for k, t in done if not key & ~k), key=len, default=full)
+            table = source.marginal(key)
+            cache[key] = table.entropy_bits()
+            if len(table) < len(source):
+                done.append((key, table))
         return [cache[key] for key in keys]
 
     def projected(self, variables: Vars) -> EntropyOracle:

@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import random
+from collections import Counter
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
@@ -606,6 +607,11 @@ class GeneratorConfig:
         lo, hi = self.noise_support_sizes
         if not 1 <= lo <= hi:
             raise ValueError("noise_support_sizes must be an ordered positive pair")
+        if hi > _MAX_NOISE_WEIGHT:
+            raise ValueError(
+                f"noise_support_sizes must not exceed {_MAX_NOISE_WEIGHT}, "
+                "the number of distinct noise weights"
+            )
         lo, hi = self.alphabet_sizes
         if not 1 <= lo <= hi:
             raise ValueError("alphabet_sizes must be an ordered positive pair")
@@ -616,14 +622,20 @@ class GeneratorConfig:
 # A candidate whose structural tables need more entries than this, all nodes
 # together, is redrawn.
 _TABLE_BUDGET = 1 << 18
+# Noise weights are drawn without replacement from 1 to this.
+_MAX_NOISE_WEIGHT = 63
 # In strict mode, each node's noise entropy passes its ancestors' by at least
 # this many bits.
 _STRICT_ENTROPY_GAP = 1e-6
 
 
 class _Retry(Exception):
-    def __init__(self, reason: str):
+    """A failed candidate: ``kind`` names the failure for the retry tally,
+    ``reason`` describes it."""
+
+    def __init__(self, kind: str, reason: str):
         super().__init__(reason)
+        self.kind = kind
         self.reason = reason
 
 
@@ -648,7 +660,7 @@ def _sample_pmfs(
         bound = max((ent[a] for a in g.ancestors(v)), default=None)
         size = sizes[v]
         for _ in range(400):
-            weights = rng.sample(range(1, 64), size) if size > 1 else [1]
+            weights = rng.sample(range(1, _MAX_NOISE_WEIGHT + 1), size) if size > 1 else [1]
             total = sum(weights)  # w / total rounds as float(Fraction(w, total))
             h = _entropy_bits(w / total for w in weights)
             if bound is None or cfg.entropy_mode == "known":
@@ -661,7 +673,7 @@ def _sample_pmfs(
                 break
         else:
             raise _Retry(
-                f"no noise pmf of support size {size} with entropy above {bound:.4f}"
+                "noise_pmf", f"no noise pmf of support size {size} with entropy above {bound:.4f}"
             )
         pmfs[v] = Pmf.from_weights(range(size), weights)
         ent[v] = h
@@ -683,7 +695,9 @@ def _plus_one_tables(
         size = len(sup) * math.prod(len(alphabets[p]) for p in pas)
         total += size
         if total > _TABLE_BUDGET:
-            raise _Retry(f"structural tables need more than {_TABLE_BUDGET} entries")
+            raise _Retry(
+                "table_budget", f"structural tables need more than {_TABLE_BUDGET} entries"
+            )
         entries: dict[tuple[int, ...], int] = {}
         outs: set[int] = set()
         for combo in product(*(alphabets[p] for p in pas)):
@@ -716,14 +730,18 @@ def _injection_tables(
         size = max(len(sup), rng.randint(amin, amax))
         total += len(sup) * math.prod(len(alphabets[p]) for p in pas)
         if total > _TABLE_BUDGET:
-            raise _Retry(f"structural tables need more than {_TABLE_BUDGET} entries")
+            raise _Retry(
+                "table_budget", f"structural tables need more than {_TABLE_BUDGET} entries"
+            )
         domain = list(product(*(alphabets[p] for p in pas)))
         for _ in range(60):
             maps = {combo: tuple(rng.sample(range(size), len(sup))) for combo in domain}
             if all(_parent_matters(maps, domain, pas, j) for j in range(len(pas))):
                 break
         else:
-            raise _Retry(f"node {g.label(v)} would not depend on every parent")
+            raise _Retry(
+                "parent_dependence", f"node {g.label(v)} would not depend on every parent"
+            )
         entries = {
             (*combo, u): maps[combo][i]
             for combo in domain
@@ -770,15 +788,17 @@ def generate_scm(cfg: GeneratorConfig, seed: int) -> Scm:
     the reports, in registry order, in ``meta.reports``.
     """
     rng = random.Random(seed)
-    last = "no attempt ran"
+    tally: Counter[str] = Counter()  # failed attempts per kind, in order of first failure
     for attempt in range(1, cfg.max_retries + 1):
         try:
             return _generate_once(cfg, rng, seed, attempt)
         except _Retry as r:
+            tally[r.kind] += 1
             last = r.reason
+    counts = ", ".join(f"{n} {kind}" for kind, n in tally.items())
     raise GenerationError(
         f"profile={cfg.profile!r} entropy={cfg.entropy_mode!r} nodes={cfg.nodes} "
-        f"unsatisfied after {cfg.max_retries} attempts (last failure: {last})"
+        f"unsatisfied after {cfg.max_retries} attempts ({counts}; last failure: {last})"
     )
 
 
@@ -822,7 +842,7 @@ def _generate_once(
             audit.noise_oracle()  # one enumeration serves both oracles
         report = audit.report(name)
         if not report.holds:
-            raise _Retry(f"{name} fails; first witness {report.witnesses[0]}")
+            raise _Retry(name, f"{name} fails; first witness {report.witnesses[0]}")
     m.meta = ScmMeta(
         cfg.profile, cfg.entropy_mode, seed, attempt, tuple(map(audit.report, names))
     )
@@ -882,6 +902,12 @@ def _json_int(raw) -> int:
     # a float, a string or a bool would otherwise coerce into a different model
     if type(raw) is not int:
         raise ValueError(f"expected an integer, got {raw!r}")
+    return raw
+
+
+def _json_str(raw) -> str:
+    if not isinstance(raw, str):
+        raise ValueError(f"expected a string, got {_json_type(raw)}")
     return raw
 
 
@@ -992,13 +1018,21 @@ def scm_from_dict(data: dict) -> Scm:
             where = f"nodes[{i}]"
             label = _json_object(spec)["label"]
             where = f"nodes[{i}].label"
-            if not isinstance(label, str):
-                raise ValueError(f"expected a string, got {_json_type(label)}")
-            labels.append(label)
+            labels.append(_json_str(label))
             where = f"nodes[{i}].alphabet"
             declared.append(_json_ints(spec["alphabet"]))
+        for i, spec in enumerate(edge_specs):
+            where = f"edges[{i}]"
+            if not isinstance(spec, list) or len(spec) != 2:
+                got = _json_type(spec)
+                if isinstance(spec, list):
+                    got += f" of length {len(spec)}"
+                raise ValueError(f"expected an array of two labels, got {got}")
+            for j, label in enumerate(spec):
+                where = f"edges[{i}][{j}]"
+                _json_str(label)
         where = "edges"
-        g = Dag.of(labels, [(a, b) for a, b in edge_specs])
+        g = Dag.of(labels, edge_specs)
         ids = {lab: i for i, lab in enumerate(labels)}
         noise = {}
         functions = {}

@@ -25,7 +25,7 @@ import functools
 import json
 import math
 import random
-from collections import Counter, deque
+from collections import deque
 from collections.abc import Callable, Iterable
 from collections.abc import Set as AbstractSet
 from itertools import product
@@ -112,38 +112,30 @@ def marginal(table: JointTable, keep) -> JointTable:
 
 
 def marginal_entropies(table: JointTable, cache: dict, sets) -> list[float]:
-    """``EntropyOracle.marginal_entropies`` as it was with frozenset memo keys:
-    the same plan, one set size at a time, largest first, each miss projected
-    from the smallest one-larger table (the first in variable order on a
-    tie) or from ``table``. ``cache`` maps frozensets to entropies and may be
-    shared between tables over nested variable sets."""
+    """``EntropyOracle.marginal_entropies`` with frozenset memo keys: one set
+    size at a time, largest first, each distinct miss in batch order is
+    projected from the smallest of the tables projected before it in this
+    batch that covers it (the earliest on a tie), or from ``table``. A
+    projection is offered to later misses only when it has fewer rows than
+    the table it came from. ``cache`` maps frozensets to entropies and may
+    be shared between tables over nested variable sets."""
     scope = frozenset(table.variables)
     keys = [frozenset(int(v) for v in s) for s in sets]
-    levels: dict[int, dict[frozenset[int], None]] = {}
     for key in keys:
         if not key <= scope:
             raise ValueError(f"unknown variables {sorted(key - scope)}")
-        if key not in cache:
-            levels.setdefault(len(key), {})[key] = None
-    above: dict[frozenset[int], JointTable] = {}
-    for size in sorted(levels, reverse=True):
-        plan = []
-        for key in levels[size]:
-            supersets = [s for s in (key | {v} for v in table.variables) if s in above]
-            plan.append((key, min(supersets, key=lambda s: len(above[s]), default=None)))
-        users = Counter(source for _, source in plan)
-        above = {s: t for s, t in above.items() if s in users}
-        below = levels.get(size - 1, {})
-        here = {}
-        for key, source in plan:
-            projected = (table if source is None else above[source]).marginal(key)
+    misses = [key for key in dict.fromkeys(keys) if key not in cache]
+    offered: list[tuple[frozenset[int], JointTable]] = []
+    for size in sorted({len(key) for key in misses}, reverse=True):
+        for key in (key for key in misses if len(key) == size):
+            source = table
+            for covered, projected in offered:
+                if key <= covered and len(projected) < len(source):
+                    source = projected
+            projected = source.marginal(key)
             cache[key] = projected.entropy_bits()
-            users[source] -= 1
-            if not users[source]:
-                above.pop(source, None)
-            if len(projected) < len(table) and any(key - {v} in below for v in key):
-                here[key] = projected
-        above = here
+            if len(projected) < len(source):
+                offered.append((key, projected))
     return [cache[key] for key in keys]
 
 

@@ -111,26 +111,38 @@ class TestGen:
         assert "injective_noise: holds" in body
         assert "faithfulness: holds" in body
 
-    @pytest.mark.parametrize("flags, reason", [
+    @pytest.mark.parametrize("flags, reason, tally", [
         (["1", "1", "--seed", "9", "--retries", "2"],
-         "nonconstant_noise fails; first witness ('A',)"),
+         "nonconstant_noise fails; first witness ('A',)",
+         "1 parent_dependence, 1 nonconstant_noise"),
         # this candidate is unfaithful too: nonconstant_noise is audited first
         (["1", "2", "--seed", "3", "--retries", "1"],
-         "nonconstant_noise fails; first witness ('B',)"),
+         "nonconstant_noise fails; first witness ('B',)", "1 nonconstant_noise"),
         (["1", "2", "--seed", "4", "--retries", "3"],
-         "faithfulness fails; first witness (('B',), ('D',), ('C',), 0.0)"),
+         "faithfulness fails; first witness (('B',), ('D',), ('C',), 0.0)",
+         "1 parent_dependence, 1 nonconstant_noise, 1 faithfulness"),
     ])
-    def test_degenerate_noise_names_the_last_failure(self, tmp_path, capsys, flags, reason):
+    def test_degenerate_noise_names_the_last_failure(self, tmp_path, capsys, flags, reason,
+                                                     tally):
         # the generator audits in its own order, but names the failure that
-        # registry order names
+        # registry order names; every failed attempt is tallied by kind
         code = main(["gen", "--nodes", "4", "--out", str(tmp_path / "m.json"),
                      "--noise-support", *flags])
         assert code == 1
         attempts = flags[-1]
         assert capsys.readouterr().err == (
             f"error: profile='base' entropy='known' nodes=4 unsatisfied after {attempts} "
-            f"attempts (last failure: {reason})\n"
+            f"attempts ({tally}; last failure: {reason})\n"
         )
+
+    def test_noise_support_past_the_weight_range_is_refused(self, tmp_path, capsys):
+        # noise weights are distinct draws from 1..63, so 64 values cannot all get one
+        out = str(tmp_path / "m.json")
+        assert main(["gen", "--nodes", "3", "--noise-support", "64", "64", "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            "error: noise_support_sizes must not exceed 63, the number of distinct noise weights\n"
+        )
+        assert main(["gen", "--nodes", "3", "--noise-support", "63", "63", "--out", out]) == 0
 
     def test_byte_identical_for_same_flags(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -453,7 +465,8 @@ class TestMalformedModel:
         (("noise", "A", "probs"), None, "noise.A: missing key 'probs'"),
         (("nodes",), {"A": {"label": "A"}}, "nodes: expected a list"),
         (("noise", "A", "probs", 0), "1/0", "noise.A.probs: zero denominator"),
-        (("edges", 0), ["A"], "edges: "),
+        (("edges", 0), ["A"],
+         "edges[0]: expected an array of two labels, got an array of length 1"),
         (("noise", "A", "probs"), [float("nan")] * 2,
          "noise.A.probs: probabilities must be finite"),
         # integer fields take JSON integers only; each of these used to load
@@ -504,6 +517,11 @@ class TestMalformedModel:
         # missed its noise entry "1"
         (("nodes", 0, "label"), [1], "nodes[0].label: expected a string, got an array"),
         (("nodes", 0, "label"), 1, "nodes[0].label: expected a string, got a number"),
+        # an edge is an array of two labels: "AB" and "BC" loaded as the chain A -> B -> C
+        (("edges",), ["AB", "BC"], "edges[0]: expected an array of two labels, got a string"),
+        (("edges",), [["A", "B", "C"]],
+         "edges[0]: expected an array of two labels, got an array of length 3"),
+        (("edges", 1, 0), 1, "edges[1][0]: expected a string, got a number"),
     ])
     def test_named_error_without_traceback(self, tmp_path, affine_chain, path, value,
                                            where, capsys):

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from itertools import product
@@ -398,14 +399,14 @@ class TestBatchEntropies:
 
     @settings(max_examples=100, deadline=None)
     @given(weighted_tables(), st.data())
-    def test_each_miss_is_projected_from_the_smallest_one_larger_table(self, case, data):
+    def test_each_miss_is_projected_from_the_smallest_covering_table(self, case, data):
         variables, weights, _, _ = case
         t = _exact(variables, weights)
         orc = EntropyOracle(t)
         for key in data.draw(query_sets(variables, 10)):
             orc.marginal_entropy(key)
         sets = data.draw(query_sets(variables))
-        misses = {s for s in sets if _mask(s) not in orc._cache}
+        misses = dict.fromkeys(s for s in sets if _mask(s) not in orc._cache)
         calls: list[tuple[JointTable, frozenset[int], JointTable]] = []
         original = JointTable.marginal
 
@@ -417,19 +418,16 @@ class TestBatchEntropies:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(JointTable, "marginal", recording)
             orc.marginal_entropies(sets)
-        assert sorted(map(sorted, (key for _, key, _ in calls))) == sorted(map(sorted, misses))
-        sizes = [len(key) for _, key, _ in calls]
-        assert sizes == sorted(sizes, reverse=True)
-        made: dict[frozenset[int], JointTable] = {}
+        # largest first, and in batch order within a size
+        assert [key for _, key, _ in calls] == sorted(misses, key=len, reverse=True)
+        kept: list[tuple[frozenset[int], JointTable]] = []
         for source, key, table in calls:
-            one_larger = [made[key | {v}] for v in variables if key | {v} in made and v not in key]
-            # a table as long as the full one is not kept: the full table scans as fast
-            if one_larger and min(map(len, one_larger)) < len(t):
-                assert any(source is x for x in one_larger)
-                assert len(source) == min(map(len, one_larger))
-            else:
-                assert source is t
-            made[key] = table
+            covering = [x for covered, x in kept if key <= covered]
+            fewest = min(map(len, covering), default=None)
+            assert source is next((x for x in covering if len(x) == fewest), t)
+            # a table as long as its source scans no faster than that source
+            if len(table) < len(source):
+                kept.append((key, table))
 
     def test_the_smaller_one_larger_table_is_the_source(self):
         # over (k%2, k//4, k%3, k) for k < 8: {0, 1} has 4 rows, {0, 2} has 6, the table 8
@@ -448,11 +446,10 @@ class TestBatchEntropies:
         assert sources == [(8, [0, 2], 6), (8, [0, 1], 4), (4, [0], 2)]
 
     @pytest.mark.parametrize("variables", [(2, 0, 1), (1, 0, 2)])
-    def test_a_tie_goes_to_the_first_extra_variable_in_variable_order(self, variables):
+    def test_a_tie_goes_to_the_table_projected_first(self, variables):
         # every pair of the three binary variables has 4 of the table's 8 rows, so {0}
-        # has two equal sources, {0} plus whichever of 1 and 2 the table lists first
+        # has two equal sources: the one the batch asks first, in either variable order
         t = JointTable(variables, "XYZ", {k: 1 for k in product((0, 1), repeat=3)}, 8)
-        first = next(v for v in variables if v != 0)
         for batch in ([{0, 2}, {0, 1}, {0}], [{0, 1}, {0, 2}, {0}]):
             sources = []
             original = JointTable.marginal
@@ -466,7 +463,47 @@ class TestBatchEntropies:
                 mp.setattr(JointTable, "marginal", recording)
                 EntropyOracle(t).marginal_entropies(batch)
             source, kept = sources[-1]
-            assert kept == {0} and set(source) == {0, first}
+            assert kept == {0} and set(source) == batch[0]
+
+    def test_a_source_may_be_any_size_larger(self):
+        # over (k%2, k//2%2, 0, k) for k < 8: {0, 1, 2} has 4 rows, the table 8; the
+        # batch asks no set of two, and {0} still comes from the smaller table
+        t = JointTable((0, 1, 2, 3), "ABCD",
+                       {(k % 2, k // 2 % 2, 0, k): 1 for k in range(8)}, 8)
+        sources = []
+        original = JointTable.marginal
+
+        def recording(self, keep):
+            out = original(self, keep)
+            sources.append((len(self), sorted(as_ids(keep)), len(out)))
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(JointTable, "marginal", recording)
+            EntropyOracle(t).marginal_entropies([{0, 1, 2}, {0}])
+        assert sources == [(8, [0, 1, 2], 4), (4, [0], 2)]
+
+    def test_no_projected_table_outlives_the_call(self):
+        t = JointTable((0, 1, 2, 3), "ABCD",
+                       {(k % 2, k // 2 % 2, k % 3, k): 1 for k in range(8)}, 8)
+        orc = EntropyOracle(t)
+
+        def live() -> int:
+            return sum(type(x) is JointTable for x in gc.get_objects())
+
+        alive = []  # the tables alive as each projection is made
+        original = JointTable.marginal
+
+        def recording(self, keep):
+            alive.append(live())
+            return original(self, keep)
+
+        before = live()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(JointTable, "marginal", recording)
+            orc.marginal_entropies([{0, 1, 2}, {0, 1}, {1, 2}, {0}, {1}, {2}])
+        assert alive[-1] > before  # the batch kept sources while it ran
+        assert live() == before
 
     def test_observed_oracle_shares_the_noise_oracles_memo(self, affine_chain):
         calls = []
@@ -500,7 +537,7 @@ class TestBatchEntropies:
 
 class TestMaskPlanner:
     """The bit-mask planner against ``bruteforce.marginal_entropies``, the
-    frozenset-keyed planner it replaced."""
+    same rule over frozenset keys."""
 
     @staticmethod
     def _run(fn):
@@ -520,11 +557,11 @@ class TestMaskPlanner:
                 out = f"ValueError: {exc}"
         return out, calls
 
-    # Two pinned runs over V0, V1, V2 ask {0, 1}, {0, 2}, then {0}, whose
-    # miss is offered both one-larger tables, each smaller than the full
-    # table's six rows: one where {0, 2} has fewer rows than {0, 1} (4 < 5),
-    # so the smaller offer wins against the earlier variable; one where the
-    # two tie at four rows, so the first extra variable in order wins.
+    # Two pinned runs over V0, V1, V2 ask {0, 1}, {0, 2}, then {0}, which
+    # both earlier tables cover, each smaller than the full table's six rows:
+    # one where {0, 2} has fewer rows than {0, 1} (4 < 5), so the smaller
+    # wins against the earlier; one where the two tie at four rows, so the
+    # one projected first wins.
     @settings(max_examples=150, deadline=None)
     @given(planner_runs())
     @example(((0, 1, 2), dict.fromkeys(

@@ -782,7 +782,7 @@ class TestGenerator:
                 generate_scm(cfg, 121)
             assert str(exc.value) == (
                 "profile='base' entropy='strict' nodes=4 unsatisfied after 1 attempts "
-                f"(last failure: {reason})"
+                f"(1 strict_entropy_order; last failure: {reason})"
             )
 
     def test_injection_tables_check_the_budget_before_building_a_domain(self, monkeypatch):
@@ -811,7 +811,22 @@ class TestGenerator:
             generate_scm(cfg, seed=0)
         assert str(exc.value) == (
             "profile='plus_one' entropy='known' nodes=6 unsatisfied after 3 attempts "
-            "(last failure: structural tables need more than 8 entries)"
+            "(3 table_budget; last failure: structural tables need more than 8 entries)"
+        )
+
+    def test_failures_are_tallied_by_kind_in_order_of_first_occurrence(self, monkeypatch):
+        kinds = iter(["faithfulness", "table_budget", "faithfulness", "noise_pmf"])
+
+        def failing(cfg, rng, seed, attempt):
+            kind = next(kinds)
+            raise scm_module._Retry(kind, f"{kind} at attempt {attempt}")
+
+        monkeypatch.setattr(scm_module, "_generate_once", failing)
+        with pytest.raises(GenerationError) as exc:
+            generate_scm(GeneratorConfig(nodes=2, max_retries=4), seed=0)
+        assert str(exc.value) == (
+            "profile='base' entropy='known' nodes=2 unsatisfied after 4 attempts "
+            "(2 faithfulness, 1 table_budget, 1 noise_pmf; last failure: noise_pmf at attempt 4)"
         )
 
 
