@@ -122,19 +122,6 @@ class Pmf:
     def entropy_bits(self) -> float:
         return _entropy_bits(float(p) for p in self.probs)
 
-    def sample(self, rng: random.Random) -> int:
-        r = rng.random()
-        acc = 0.0
-        last = self.support[0]
-        for v, p in zip(self.support, self.probs):
-            q = float(p)
-            if q > 0.0:
-                last = v
-                acc += q
-                if r < acc:
-                    return v
-        return last
-
 
 @dataclass(frozen=True)
 class StructuralTable:
@@ -147,13 +134,6 @@ class StructuralTable:
 
     parent_order: tuple[NodeId, ...]
     entries: Mapping[tuple[int, ...], int]
-
-    def evaluate(self, parent_values: Sequence[int], noise_value: int) -> int:
-        key = (*parent_values, noise_value)
-        try:
-            return self.entries[key]
-        except KeyError:
-            raise ValueError(f"structural table has no entry for {key}") from None
 
 
 class Scm:
@@ -241,15 +221,6 @@ class Scm:
 
     def noise_label(self, v: NodeId) -> str:
         return "N_" + self._graph.label(v)
-
-    def evaluate(self, noise_values: Mapping[NodeId, int]) -> dict[NodeId, int]:
-        """Propagate one noise assignment through the structural tables."""
-        values: dict[int, int] = {}
-        for v in self._topo:
-            table = self._functions[v]
-            parent_vals = tuple(values[p] for p in table.parent_order)
-            values[v] = table.evaluate(parent_vals, noise_values[v])
-        return values
 
 
 def noise_entropy(m: Scm, v: NodeId) -> float:
@@ -849,33 +820,6 @@ def _generate_once(
     return m
 
 
-# --- sampling ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Dataset:
-    """Rows of full observed assignments, aligned with ``variables``."""
-
-    variables: tuple[NodeId, ...]
-    labels: tuple[str, ...]
-    rows: tuple[tuple[int, ...], ...]
-
-
-def sample(m: Scm, seed: int, n: int) -> Dataset:
-    """Draw ``n`` independent rows by forward evaluation; deterministic per seed."""
-    if n < 0:
-        raise ValueError("sample size must be non-negative")
-    rng = random.Random(seed)
-    variables = tuple(sorted(m.graph.nodes))
-    labels = tuple(m.label(v) for v in variables)
-    rows = []
-    for _ in range(n):
-        noise_values = {v: m.noise[v].sample(rng) for v in m.topological_order}
-        values = m.evaluate(noise_values)
-        rows.append(tuple(values[v] for v in variables))
-    return Dataset(variables, labels, tuple(rows))
-
-
 # --- file format --------------------------------------------------------------
 
 
@@ -1018,7 +962,9 @@ def scm_from_dict(data: dict) -> Scm:
             where = f"nodes[{i}]"
             label = _json_object(spec)["label"]
             where = f"nodes[{i}].label"
-            labels.append(_json_str(label))
+            if _json_str(label) in labels:
+                raise ValueError(f"duplicate label {label!r}")
+            labels.append(label)
             where = f"nodes[{i}].alphabet"
             declared.append(_json_ints(spec["alphabet"]))
         for i, spec in enumerate(edge_specs):
@@ -1054,9 +1000,21 @@ def scm_from_dict(data: dict) -> Scm:
                 raise ValueError(f"node {lab!r} has no function entry")
             where = f"functions.{lab}"
             fspec = _json_object(function_specs[lab])
-            parent_order = tuple(ids[p] for p in fspec["parent_order"])
+            order_specs, rows = fspec["parent_order"], fspec["table"]
+            where = f"functions.{lab}.parent_order"
+            if not isinstance(order_specs, list):
+                raise ValueError(f"expected an array of labels, got {_json_type(order_specs)}")
+            parent_order = []
+            for j, p in enumerate(order_specs):
+                where = f"functions.{lab}.parent_order[{j}]"
+                if _json_str(p) not in ids:
+                    raise ValueError(f"unknown label {p!r}")
+                parent_order.append(ids[p])
+            where = f"functions.{lab}.table"
+            if not isinstance(rows, list):
+                raise ValueError(f"expected an array, got {_json_type(rows)}")
             entries = {}
-            for k, row in enumerate(fspec["table"]):
+            for k, row in enumerate(rows):
                 row_at = where = f"functions.{lab}.table[{k}]"
                 parents, u, out = _json_object(row)["parents"], row["noise"], row["out"]
                 where = row_at + ".parents"
@@ -1069,7 +1027,7 @@ def scm_from_dict(data: dict) -> Scm:
                 if key in entries:
                     raise ValueError(f"node {lab!r} has duplicate table row {key}")
                 entries[key] = out
-            functions[ids[lab]] = StructuralTable(parent_order, entries)
+            functions[ids[lab]] = StructuralTable(tuple(parent_order), entries)
     except KeyError as exc:
         raise ValueError(f"{where}: missing key {exc}") from None
     except ZeroDivisionError:

@@ -16,7 +16,9 @@ code that replaced them. The oracle-free peeling helpers ``peel``,
 ``rr``, ``select_all``, ``sources_only``, ``sinks_only`` and
 ``is_layering`` came from ``graph``, where no command called them;
 ``discover`` still runs its rounds on ``peel``, the loop that discovery
-used before it built its layering from its own trace.
+used before it built its layering from its own trace. ``evaluate``, the
+forward simulator, came from ``scm``, where only the sampler of
+``check --empirical`` called it before rows were drawn from the exact table.
 """
 
 from __future__ import annotations
@@ -55,6 +57,16 @@ from causal_layering.verify import (
 )
 
 
+def evaluate(scm, noise_values) -> dict[int, int]:
+    """Forward-simulate one noise assignment: each node, in topological
+    order, reads its table at its parents' values and its noise value."""
+    values: dict[int, int] = {}
+    for v in scm.topological_order:
+        table = scm.functions[v]
+        values[v] = table.entries[(*(values[p] for p in table.parent_order), noise_values[v])]
+    return values
+
+
 def joint_probs(scm) -> dict[tuple, float]:
     """Forward-simulate every noise combination; float weights."""
     order = sorted(scm.graph.nodes)
@@ -69,7 +81,7 @@ def joint_probs(scm) -> dict[tuple, float]:
             noise_vals[v] = supports[idx][picks[idx]]
         if w == 0.0:
             continue
-        values = scm.evaluate(noise_vals)
+        values = evaluate(scm, noise_vals)
         key = tuple(values[v] for v in order)
         out[key] = out.get(key, 0.0) + w
     return out

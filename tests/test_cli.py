@@ -429,6 +429,11 @@ class TestCheck:
         assert "== discovery ==" in captured.out
         assert re.search(r"^overall: (PASS|FAIL)$", captured.out, re.M)
         assert captured.err == ""
+        # the diagnostic draws its rows from the same exact table
+        assert main(["check", "--scm", str(path), "--empirical", "500"]) in (0, 3)
+        captured = capsys.readouterr()
+        assert "== entropy bounds on 500 sampled rows (diagnostic) ==" in captured.out
+        assert captured.err == ""
 
     def test_gap_within_tie_width_is_no_strict_order(self, tmp_path, capsys):
         # A -> B with B equal to its noise: H(N_B) - H(N_A) is about 2e-11 bits,
@@ -522,6 +527,24 @@ class TestMalformedModel:
         (("edges",), [["A", "B", "C"]],
          "edges[0]: expected an array of two labels, got an array of length 3"),
         (("edges", 1, 0), 1, "edges[1][0]: expected a string, got a number"),
+        # parent_order is an array of labels: "A" and {"A": 1} loaded as ["A"]
+        (("functions", "B", "parent_order"), "A",
+         "functions.B.parent_order: expected an array of labels, got a string"),
+        (("functions", "B", "parent_order"), {"A": 1},
+         "functions.B.parent_order: expected an array of labels, got an object"),
+        (("functions", "B", "parent_order"), 2.5,
+         "functions.B.parent_order: expected an array of labels, got a number"),
+        (("functions", "B", "parent_order"), [["A"]],
+         "functions.B.parent_order[0]: expected a string, got an array"),
+        (("functions", "B", "parent_order"), [1],
+         "functions.B.parent_order[0]: expected a string, got a number"),
+        (("functions", "B", "parent_order"), ["Z"],
+         "functions.B.parent_order[0]: unknown label 'Z'"),
+        (("functions", "B", "table"), 3, "functions.B.table: expected an array, got a number"),
+        (("functions", "B", "table"), {"a": 1},
+         "functions.B.table: expected an array, got an object"),
+        # a repeated label used to be reported as an edge error
+        (("nodes", 1, "label"), "A", "nodes[1].label: duplicate label 'A'"),
     ])
     def test_named_error_without_traceback(self, tmp_path, affine_chain, path, value,
                                            where, capsys):

@@ -20,7 +20,6 @@ from causal_layering.graph import Dag
 from causal_layering.scm import (
     PROFILES,
     Assumptions,
-    Dataset,
     GenerationError,
     GeneratorConfig,
     Pmf,
@@ -854,15 +853,67 @@ class TestBlockTables:
 
 
 class TestEmpiricalJoint:
-    def test_counts_over_rows(self):
-        d = Dataset((0, 1), ("X", "Y"), ((0, 0), (0, 0), (1, 1), (0, 1)))
-        t = empirical_joint(d)
-        assert prob(t, (0, 0)) == Fraction(1, 2)
-        assert prob(t, (1, 1)) == Fraction(1, 4)
+    """Rows drawn from an exact table with integer arithmetic only. Each
+    block is drawn over its keys in sorted order, so these tests also run
+    under two hash seeds in CI."""
+
+    @staticmethod
+    def disconnected() -> Scm:
+        # A -> B with B = A xor N_B, and C alone: two blocks
+        return Scm(
+            Dag.of("ABC", [("A", "B")]),
+            {A: Pmf.of((0, 1), ("1/4", "3/4")), B: Pmf.of((0, 1), ("1/3", "2/3")),
+             C: Pmf.of((0, 1, 2), ("1/8", "1/4", "5/8"))},
+            {A: StructuralTable((), {(0,): 0, (1,): 1}),
+             B: StructuralTable((A,), {(a, u): a ^ u for a in (0, 1) for u in (0, 1)}),
+             C: StructuralTable((), {(u,): u for u in range(3)})},
+        )
+
+    def test_same_seed_same_table(self, affine_chain):
+        t = joint_distribution(affine_chain)
+        one, two = empirical_joint(t, 50, seed=5), empirical_joint(t, 50, seed=5)
+        assert one.items() == two.items()
+        assert one.items() != empirical_joint(t, 50, seed=6).items()
+
+    def test_counts_over_rows(self, affine_chain):
+        t = joint_distribution(affine_chain)
+        e = empirical_joint(t, 37, seed=1)
+        assert (e.variables, e.labels) == (t.variables, t.labels)
+        assert len(e._blocks) == 1 and e._denom == 37
+        assert sum(p for _, p in e.items()) == 1
+        assert all((p * 37).denominator == 1 for _, p in e.items())
+        assert {key for key, _ in e.items()} <= {key for key, _ in t.items()}
+
+    def test_blocks_are_drawn_apart_and_joined(self):
+        t = joint_distribution(self.disconnected())
+        assert len(t._blocks) == 2
+        e = empirical_joint(t, 20_000, seed=0)
+        assert len(e._blocks) == 1
+        want = dict(t.items())
+        assert set(dict(e.items())) == set(want)  # all 12 rows are drawn
+        assert max(abs(p - want[key]) for key, p in e.items()) < 0.005
+        # each block's marginal is drawn as that block's table
+        for keep in ({A, B}, {C}):
+            got = dict(e.marginal(keep).items())
+            for key, p in t.marginal(keep).items():
+                assert abs(got[key] - p) < 0.005
+
+    def test_frequencies_at_a_pinned_seed(self, affine_chain):
+        t = joint_distribution(affine_chain)
+        e = dict(empirical_joint(t, 20_000, seed=0).items())
+        assert max(abs(e.get(key, 0) - p) for key, p in t.items()) < 0.005
+
+    def test_denominator_past_float_range(self):
+        # the weights and denominator have 401 digits: none converts to a float
+        big = 10**400
+        t = JointTable((0,), ("X",), {(0,): big, (1,): 2 * big + 1}, 3 * big + 1)
+        e = dict(empirical_joint(t, 3_000, seed=0).items())
+        assert abs(e[(1,)] - Fraction(2, 3)) < 0.02
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="no rows"):
-            empirical_joint(Dataset((0,), ("X",), ()))
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="sample size must be positive"):
+                empirical_joint(exact_pair(), n, seed=0)
 
 
 class TestEntropyOracle:

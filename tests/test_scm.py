@@ -35,11 +35,11 @@ from causal_layering.scm import (
     guaranteed_assumptions,
     noise_entropy,
     parse_scm,
-    sample,
     scm_from_dict,
     scm_to_text,
 )
 
+import bruteforce
 from bruteforce import check_faithfulness as bf_check_faithfulness
 from bruteforce import check_injective_noise as bf_check_injective_noise
 from bruteforce import check_injective_noise_plus_one as bf_check_injective_noise_plus_one
@@ -134,27 +134,12 @@ class TestPmf:
         p = Pmf.of((0, 1, 2), ("1/2", "0", "1/2"))
         assert p.positive_support() == (0, 2)
 
-    def test_sampling_matches_distribution(self):
-        p = Pmf.of((0, 1), ("3/4", "1/4"))
-        rng = random.Random(0)
-        draws = [p.sample(rng) for _ in range(4000)]
-        assert draws.count(1) / 4000 == pytest.approx(0.25, abs=0.03)
-
     def test_entropy_uniform(self):
         p = Pmf.from_weights((0, 1, 2, 3), (1, 1, 1, 1))
         assert p.entropy_bits() == pytest.approx(2.0, abs=1e-12)
 
 
 class TestStructuralTable:
-    def test_evaluate(self):
-        t = StructuralTable((0,), {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0})
-        assert t.evaluate((1,), 1) == 0
-
-    def test_evaluate_missing_entry(self):
-        t = StructuralTable((), {(0,): 0})
-        with pytest.raises(ValueError, match="no entry"):
-            t.evaluate((), 7)
-
     def test_outputs_sorted_unique(self):
         # a node's alphabet is its table's outputs, sorted, without repeats
         t = StructuralTable((), {(0,): 3, (1,): 1, (2,): 3})
@@ -294,7 +279,7 @@ class TestScmValidation:
 
     def test_evaluate_propagates(self):
         m = tiny_chain()
-        assert m.evaluate({0: 1, 1: 1}) == {0: 1, 1: 3}
+        assert bruteforce.evaluate(m, {0: 1, 1: 1}) == {0: 1, 1: 3}
 
 
 class TestExplicitNoiseGraph:
@@ -830,23 +815,6 @@ class TestGenerator:
         )
 
 
-class TestSampling:
-    def test_sample_deterministic(self, affine_chain):
-        one = sample(affine_chain, seed=5, n=50)
-        two = sample(affine_chain, seed=5, n=50)
-        assert one == two
-        assert len(one.rows) == 50
-
-    def test_sample_frequencies_converge(self, affine_chain):
-        d = sample(affine_chain, seed=1, n=8000)
-        ones = sum(1 for row in d.rows if row[0] == 1)
-        assert ones / 8000 == pytest.approx(1 / 8, abs=0.02)
-
-    def test_sample_rejects_negative(self, affine_chain):
-        with pytest.raises(ValueError, match="non-negative"):
-            sample(affine_chain, seed=0, n=-1)
-
-
 class TestSerialization:
     def test_round_trip_presets(self, affine_chain, xor_chain):
         for m in (affine_chain, xor_chain):
@@ -947,8 +915,8 @@ class TestXorModel:
         noise = {v: Pmf.bernoulli(Fraction(1, 2)) for v in range(3)}
         m = xor_model(g, noise)
         # C = A xor B xor N_C
-        assert m.evaluate({0: 1, 1: 1, 2: 1})[2] == 1
-        assert m.evaluate({0: 1, 1: 0, 2: 0})[2] == 1
+        assert bruteforce.evaluate(m, {0: 1, 1: 1, 2: 1})[2] == 1
+        assert bruteforce.evaluate(m, {0: 1, 1: 0, 2: 0})[2] == 1
 
 
 @settings(max_examples=10, deadline=None)

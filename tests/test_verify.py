@@ -30,7 +30,6 @@ from causal_layering.scm import (
     StructuralTable,
     generate_scm,
     noise_entropy,
-    sample,
 )
 from causal_layering.verify import (
     BoundKind,
@@ -291,8 +290,8 @@ class TestExtremeSets:
     @example(3, 0.5, 4, 0)  # below_noise: the last descendant
     @example(4, 0.5, 5, 0)  # above_noise: the first unmediated parent
     @example(3, 0.5, 18, 0)  # above_noise: the last unmediated parent
-    @example(3, 0.5, 32, 3)  # equals_noise: S = nd, on 3 sampled rows
-    @example(2, 0.5, 2, 3)  # at_most_noise fails, on 3 sampled rows
+    @example(3, 0.5, 62, 3)  # equals_noise: S = nd, on 3 sampled rows
+    @example(2, 0.5, 3, 3)  # at_most_noise fails, on 3 sampled rows
     def test_verdicts_match_the_exhaustive_suite(self, n, p, seed, rows):
         m = random_scm(random.Random(seed), n, p)
         audit = Assumptions(m, reports=[
@@ -300,7 +299,9 @@ class TestExtremeSets:
             AssumptionReport("directed_faithfulness", True),
         ])
         exact = Assumptions(m)
-        orc = EntropyOracle(empirical_joint(sample(m, seed, rows))) if rows else exact.oracle()
+        orc = exact.oracle()
+        if rows:
+            orc = EntropyOracle(empirical_joint(orc.table, rows, seed))
         got = bruteforce.verdicts(check_entropy_bounds(m, orc, assumptions=audit), _node_kind)
         want = bruteforce.verdicts(
             bruteforce.check_entropy_bounds(m, orc, 1e-9, True, True), _node_kind)
