@@ -30,8 +30,6 @@ from .discovery import (
 )
 from .oracle import (
     EnumerationBudgetError,
-    EntropyOracle,
-    empirical_joint,
     joint_distribution,  # noqa: F401  perfbench/test_perfbench.py traces this binding
 )
 from .scm import (
@@ -94,10 +92,7 @@ def _build_parser() -> _Parser:
     chk = sub.add_parser("check", help="verify oracle bounds and discovery on an SCM file")
     chk.add_argument("--scm", type=Path, required=True)
     chk.add_argument("--budget", type=int, default=None)
-    chk.add_argument("--seed", type=int, default=0, help="seed for --empirical sampling")
-    chk.add_argument("--empirical", type=int, default=0, metavar="N",
-                     help="also report (without asserting) bounds measured on a "
-                          "plug-in oracle from N rows drawn from the exact joint table")
+    chk.add_argument("--seed", type=int, default=0, help="accepted and ignored")
     chk.add_argument("--machine", action="store_true")
 
     return parser
@@ -244,8 +239,6 @@ def _cmd_discover(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if args.empirical < 0:  # 0 turns the diagnostic off
-        raise _UsageError(f"--empirical must be non-negative, got {args.empirical}")
     model = _load_scm(args.scm)
     budget = _enumeration_budget(args)
     audit = Assumptions(model, budget)
@@ -293,12 +286,6 @@ def _cmd_check(args) -> int:
             f"discovery {algo}/{mode_name}: layering {layering} "
             f"calls {result.oracle_calls} {'PASS' if ok else 'FAIL'}{detail}"
         )
-
-    if args.empirical > 0:
-        emp = EntropyOracle(empirical_joint(orc.table, args.empirical, args.seed))
-        emp_cases = _verify.check_entropy_bounds(model, emp, assumptions=audit)
-        out.append(f"== entropy bounds on {args.empirical} sampled rows (diagnostic) ==")
-        out.append(_verify.render_bound_report(emp_cases, labels).rstrip("\n"))
 
     verdict = "FAIL" if failed else "PASS"
     out.append(f"overall: {verdict}")

@@ -12,12 +12,9 @@ from __future__ import annotations
 
 import math
 import operator
-import random
-from bisect import bisect_right
-from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import product
 from typing import TYPE_CHECKING
 
 from .graph import NodeId
@@ -140,9 +137,8 @@ class JointTable:
         """A table whose blocks' weights are positive and sum to denominators
         whose product is ``denom``, by construction, so nothing needs
         checking again: a projection of a checked table (sums of its positive
-        weights), an exact enumeration (products of validated ``Pmf``
-        numerators), or counts of rows drawn from a table (positive, summing
-        to the number drawn). ``own`` is the bits of the ids in ``cols``."""
+        weights) or an exact enumeration (products of validated ``Pmf``
+        numerators). ``own`` is the bits of the ids in ``cols``."""
         table = cls.__new__(cls)
         table._cols = cols
         table._own = own
@@ -331,28 +327,6 @@ def joint_distribution(
     return JointTable._derived(
         cols, sum(c[0] for c in cols), blocks, math.prod(b[2] for b in blocks)
     )
-
-
-def empirical_joint(table: JointTable, n: int, seed: int) -> JointTable:
-    """A plug-in table of ``n`` rows drawn i.i.d. from ``table``: each row's
-    probability is its count over n, exactly, with ``table``'s columns.
-
-    Each block is drawn on its own, over its keys in sorted order, from
-    ``random.Random(seed)``: one draw is the key whose cumulative integer
-    weight first exceeds a uniform integer below the block's denominator, so
-    no probability becomes a float. A row ORs one draw from each block.
-    """
-    if n < 1:
-        raise ValueError(f"sample size must be positive, got {n}")
-    rng = random.Random(seed)
-    rows = [0] * n
-    for _, ws, d in table._blocks:
-        keys = sorted(ws)
-        cumulative = list(accumulate(ws[k] for k in keys))
-        for i in range(n):
-            rows[i] |= keys[bisect_right(cumulative, rng.randrange(d))]
-    mask = sum(c[4] for c in table._cols)
-    return JointTable._derived(table._cols, table._own, ((mask, dict(Counter(rows)), n),), n)
 
 
 def render_joint_table(table: JointTable) -> str:

@@ -578,6 +578,11 @@ class GeneratorConfig:
         lo, hi = self.noise_support_sizes
         if not 1 <= lo <= hi:
             raise ValueError("noise_support_sizes must be an ordered positive pair")
+        if hi < 2:  # every profile guarantees nonconstant_noise
+            raise ValueError(
+                "noise_support_sizes must allow 2 or more values: "
+                "one noise value is constant noise, which every profile refuses"
+            )
         if hi > _MAX_NOISE_WEIGHT:
             raise ValueError(
                 f"noise_support_sizes must not exceed {_MAX_NOISE_WEIGHT}, "

@@ -17,8 +17,8 @@ code that replaced them. The oracle-free peeling helpers ``peel``,
 ``is_layering`` came from ``graph``, where no command called them;
 ``discover`` still runs its rounds on ``peel``, the loop that discovery
 used before it built its layering from its own trace. ``evaluate``, the
-forward simulator, came from ``scm``, where only the sampler of
-``check --empirical`` called it before rows were drawn from the exact table.
+forward simulator, came from ``scm``; every command now reads a model
+through its exact enumeration alone.
 """
 
 from __future__ import annotations

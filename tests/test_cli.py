@@ -78,11 +78,11 @@ class TestUsage:
         assert cli._build_parser() is cli._build_parser()
         check1, gen1, disc, check2, gen2 = seen
         assert (check1.seed, check1.machine) == (7, True)
-        assert (check2.empirical, check2.machine, check2.seed) == (0, False, 0)
+        assert (check2.machine, check2.seed) == (False, 0)
         assert (gen1.nodes, gen1.seed, gen1.profile) == (4, 5, "base")
         assert (gen2.nodes, gen2.seed, gen2.report) == (3, 0, None)
         assert (disc.algo, disc.one_at_a_time) == ("sir", False)
-        assert not hasattr(disc, "empirical") and not hasattr(gen2, "scm")
+        assert not hasattr(disc, "seed") and not hasattr(gen2, "scm")
 
     def test_missing_file(self, tmp_path, capsys):
         code = main(["discover", "--scm", str(tmp_path / "nope.json"),
@@ -112,9 +112,6 @@ class TestGen:
         assert "faithfulness: holds" in body
 
     @pytest.mark.parametrize("flags, reason, tally", [
-        (["1", "1", "--seed", "9", "--retries", "2"],
-         "nonconstant_noise fails; first witness ('A',)",
-         "1 parent_dependence, 1 nonconstant_noise"),
         # this candidate is unfaithful too: nonconstant_noise is audited first
         (["1", "2", "--seed", "3", "--retries", "1"],
          "nonconstant_noise fails; first witness ('B',)", "1 nonconstant_noise"),
@@ -134,6 +131,16 @@ class TestGen:
             f"error: profile='base' entropy='known' nodes=4 unsatisfied after {attempts} "
             f"attempts ({tally}; last failure: {reason})\n"
         )
+
+    def test_constant_noise_support_is_refused(self, tmp_path, capsys):
+        # every profile guarantees nonconstant_noise, so no attempt could succeed
+        out = str(tmp_path / "m.json")
+        assert main(["gen", "--nodes", "3", "--noise-support", "1", "1", "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            "error: noise_support_sizes must allow 2 or more values: "
+            "one noise value is constant noise, which every profile refuses\n"
+        )
+        assert not Path(out).exists()
 
     def test_noise_support_past_the_weight_range_is_refused(self, tmp_path, capsys):
         # noise weights are distinct draws from 1..63, so 64 values cannot all get one
@@ -402,18 +409,12 @@ class TestCheck:
         assert main(["check", "--scm", str(affine_file), "--machine"]) == 0
         assert "overall=pass" in capsys.readouterr().out
 
-    def test_empirical_section(self, affine_file, capsys):
-        assert main(["check", "--scm", str(affine_file), "--empirical", "500"]) == 0
-        assert "sampled rows (diagnostic)" in capsys.readouterr().out
-
-    def test_negative_empirical_is_a_usage_error(self, affine_file, capsys):
-        # 0 turns the diagnostic off; a negative count would silently do the same
-        assert main(["check", "--scm", str(affine_file), "--empirical", "-5"]) == 1
+    def test_empirical_is_not_an_option(self, affine_file, capsys):
+        # check decides every verdict on the exact oracle; there is no sampled-row audit
+        assert main(["check", "--scm", str(affine_file), "--empirical", "500"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "usage error: --empirical must be non-negative, got -5\n"
-        assert main(["check", "--scm", str(affine_file), "--empirical", "0"]) == 0
-        assert "sampled rows" not in capsys.readouterr().out
+        assert captured.err == "usage error: unrecognized arguments: --empirical 500\n"
 
     def test_denominator_past_float_range(self, tmp_path, capsys):
         # B's noise has 400-digit literals, so the joint table's denominator
@@ -428,11 +429,6 @@ class TestCheck:
         assert "== entropy bounds ==" in captured.out
         assert "== discovery ==" in captured.out
         assert re.search(r"^overall: (PASS|FAIL)$", captured.out, re.M)
-        assert captured.err == ""
-        # the diagnostic draws its rows from the same exact table
-        assert main(["check", "--scm", str(path), "--empirical", "500"]) in (0, 3)
-        captured = capsys.readouterr()
-        assert "== entropy bounds on 500 sampled rows (diagnostic) ==" in captured.out
         assert captured.err == ""
 
     def test_gap_within_tie_width_is_no_strict_order(self, tmp_path, capsys):
@@ -727,7 +723,7 @@ def validator_calls(monkeypatch):
 
 class TestValidatorRuns:
     def test_check_runs_each_validator_at_most_once(self, affine_file, validator_calls):
-        assert main(["check", "--scm", str(affine_file), "--empirical", "100"]) == 0
+        assert main(["check", "--scm", str(affine_file)]) == 0
         names = [name for name, _ in validator_calls]
         assert sorted(names) == sorted(set(names))
         assert "faithfulness" not in names
