@@ -112,6 +112,9 @@ class TestGen:
         assert "faithfulness: holds" in body
 
     @pytest.mark.parametrize("flags, reason, tally", [
+        (["1", "2", "--seed", "12", "--retries", "2"],
+         "nonconstant_noise fails; first witness ('A',)",
+         "1 parent_dependence, 1 nonconstant_noise"),
         # this candidate is unfaithful too: nonconstant_noise is audited first
         (["1", "2", "--seed", "3", "--retries", "1"],
          "nonconstant_noise fails; first witness ('B',)", "1 nonconstant_noise"),
