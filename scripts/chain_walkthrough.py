@@ -53,8 +53,7 @@ def main() -> None:
         print(name)
         print("-" * len(name))
         print(render_discovery_report(result, labels))
-        removal = "sources" if run is sour_discover else "sinks"
-        check = check_discovery_result(g, result, removal)
+        check = check_discovery_result(g, result)
         budget_ok = check_call_bound(result, len(g.nodes))
         print(f"replay check: {'ok' if check.ok else check.reason}")
         print(f"call budget:  {'within n(n+1)/2' if budget_ok else 'EXCEEDED'}")

@@ -16,7 +16,7 @@ front, conditioning each candidate on every other remaining node.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graph import Layering, NodeId
 from .oracle import TOL
@@ -92,28 +92,46 @@ DiscoveryMode = KnownNoiseEntropy | MonotoneEntropy
 
 @dataclass(frozen=True)
 class IterationTrace:
-    """One removal round: who remained, what was measured, what was taken."""
+    """One removal round: what was measured, what qualified, what was taken."""
 
-    remaining: frozenset[NodeId]
     entropies: dict[NodeId, float]
     qualifying: frozenset[NodeId]
     selected: frozenset[NodeId]
 
+    @property
+    def remaining(self) -> frozenset[NodeId]:
+        """The nodes the round measured: those no earlier round selected."""
+        return frozenset(self.entropies)
+
 
 @dataclass(frozen=True)
 class DiscoveryResult:
-    layering: Layering
-    oracle_calls: int
-    trace: tuple[IterationTrace, ...] = field(default=())
+    """One run: whether it peeled ``"sources"`` or ``"sinks"``, its mode and
+    its rounds. The layering and the call count are read off the rounds."""
+
+    removal: str
+    mode: DiscoveryMode
+    trace: tuple[IterationTrace, ...]
+
+    @property
+    def layering(self) -> Layering:
+        """The selections in round order for sources, reversed for sinks."""
+        groups = [step.selected for step in self.trace]
+        return Layering(tuple(groups if self.removal == "sources" else reversed(groups)))
+
+    @property
+    def oracle_calls(self) -> int:
+        """One ``cond_entropy`` per node measured in each round."""
+        return sum(len(step.entropies) for step in self.trace)
 
 
 class AssumptionViolation(RuntimeError):
-    """No remaining node matched its known noise entropy."""
+    """No remaining node matched its known noise entropy; ``trace`` holds the
+    rounds before the failing one."""
 
-    def __init__(self, message: str, trace: tuple[IterationTrace, ...], iteration: int):
+    def __init__(self, message: str, trace: tuple[IterationTrace, ...]):
         super().__init__(message)
         self.trace = trace
-        self.iteration = iteration
 
 
 def sour_discover(
@@ -123,7 +141,7 @@ def sour_discover(
     one_at_a_time: bool = False,
 ) -> DiscoveryResult:
     """Peel residual sources, conditioning on the removed variables."""
-    return _peel(nodes, oracle, mode, removal="sources", one_at_a_time=one_at_a_time)
+    return _peel("sources", nodes, oracle, mode, one_at_a_time)
 
 
 def sir_discover(
@@ -133,14 +151,14 @@ def sir_discover(
     one_at_a_time: bool = False,
 ) -> DiscoveryResult:
     """Peel residual sinks, conditioning on the other remaining variables."""
-    return _peel(nodes, oracle, mode, removal="sinks", one_at_a_time=one_at_a_time)
+    return _peel("sinks", nodes, oracle, mode, one_at_a_time)
 
 
 def _peel(
+    removal: str,
     nodes: Iterable[NodeId],
     oracle,
     mode: DiscoveryMode,
-    removal: str,
     one_at_a_time: bool,
 ) -> DiscoveryResult:
     all_nodes = frozenset(int(v) for v in nodes)
@@ -173,7 +191,6 @@ def _peel(
                     "no remaining node attained its known noise entropy "
                     f"(iteration {len(trace) + 1})",
                     tuple(trace),
-                    len(trace) + 1,
                 )
         else:
             extreme = (
@@ -182,13 +199,9 @@ def _peel(
             qualifying = frozenset(v for v in current if abs(entropies[v] - extreme) <= TOL)
 
         selected = frozenset({min(qualifying)}) if one_at_a_time else qualifying
-        trace.append(IterationTrace(current, entropies, qualifying, selected))
+        trace.append(IterationTrace(entropies, qualifying, selected))
         current -= selected
-
-    groups = [step.selected for step in trace]
-    layering = Layering(tuple(groups if removal == "sources" else reversed(groups)))
-    calls = sum(len(step.entropies) for step in trace)
-    return DiscoveryResult(layering, calls, tuple(trace))
+    return DiscoveryResult(removal, mode, tuple(trace))
 
 
 def render_discovery_report(
@@ -202,7 +215,7 @@ def render_discovery_report(
     for k, step in enumerate(result.trace, start=1):
         cands = ", ".join(
             f"{labels[v]}: {step.entropies[v]:.9f}"
-            for v in sorted(step.entropies, key=lambda v: labels[v])
+            for v in sorted(step.remaining, key=lambda v: labels[v])
         )
         chosen = ", ".join(sorted(labels[v] for v in step.selected))
         lines.append(f"iter {k}: candidates {{{cands}}} selected {{{chosen}}}")

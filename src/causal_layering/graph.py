@@ -195,16 +195,6 @@ class Layering:
     def of(cls, layers: Iterable[Iterable[NodeId]]) -> Layering:
         return cls(tuple(frozenset(int(v) for v in layer) for layer in layers))
 
-    @property
-    def nodes(self) -> frozenset[NodeId]:
-        out: set[int] = set()
-        for layer in self.layers:
-            out |= layer
-        return frozenset(out)
-
-    def positions(self) -> dict[NodeId, int]:
-        return {v: i for i, layer in enumerate(self.layers) for v in layer}
-
     def __iter__(self):
         return iter(self.layers)
 
@@ -215,30 +205,6 @@ class Layering:
         return self.layers[i]
 
 
-def layering_violations(g: Dag, layering: Layering) -> tuple[str, ...]:
-    """Reasons ``layering`` fails to be a layering of ``g``; empty if valid.
-
-    A valid layering partitions ``g.nodes`` and every edge goes from a
-    strictly earlier layer to a strictly later one.
-    """
-    reasons: list[str] = []
-    covered = layering.nodes
-    missing = g.nodes - covered
-    extra = covered - g.nodes
-    if missing:
-        reasons.append("missing nodes: " + ", ".join(g.label(v) for v in sorted(missing)))
-    if extra:
-        reasons.append("unknown nodes: " + ", ".join(str(v) for v in sorted(extra)))
-    pos = layering.positions()
-    for u, v in sorted(g.edges):
-        if u in pos and v in pos and pos[u] >= pos[v]:
-            reasons.append(
-                f"edge {g.label(u)} -> {g.label(v)} not strictly forward "
-                f"(layer {pos[u] + 1} vs {pos[v] + 1})"
-            )
-    return tuple(reasons)
-
-
 def d_separated(
     g: Dag,
     xs: Iterable[NodeId],
@@ -246,7 +212,7 @@ def d_separated(
     zs: Iterable[NodeId] = (),
 ) -> bool:
     """Whether ``xs`` and ``ys`` are d-separated given ``zs``: no node of
-    ``ys`` is in ``d_connected(g, xs, zs)``."""
+    ``ys`` is d-connected to ``xs`` given ``zs``."""
     xs, ys, zs = (frozenset(int(v) for v in s) for s in (xs, ys, zs))
     if not xs or not ys:
         raise ValueError("both endpoint sets must be non-empty")
@@ -254,27 +220,13 @@ def d_separated(
         g._require(v)
     if xs & ys or xs & zs or ys & zs:
         raise ValueError("endpoint and conditioning sets must be pairwise disjoint")
-    return not (d_connected(g, xs, zs) & ys)
-
-
-def d_connected(
-    g: Dag, xs: Iterable[NodeId], zs: Iterable[NodeId] = ()
-) -> frozenset[NodeId]:
-    """The nodes outside ``xs`` and ``zs`` that are d-connected to some node
-    of ``xs`` given ``zs``; ``d_connected_bits`` on node sets."""
-    xs, zs = frozenset(int(v) for v in xs), frozenset(int(v) for v in zs)
-    if not xs:
-        raise ValueError("the endpoint set must be non-empty")
-    for v in xs | zs:
-        g._require(v)
-    if xs & zs:
-        raise ValueError("endpoint and conditioning sets must be disjoint")
-    found = d_connected_bits(g, sum(1 << v for v in xs), sum(1 << v for v in zs))
-    return frozenset(v for v in g.nodes if found >> v & 1)
+    xbits, ybits, zbits = (sum(1 << v for v in s) for s in (xs, ys, zs))
+    return not d_connected_bits(g, xbits, zbits) & ybits
 
 
 def d_connected_bits(g: Dag, xs: int, zs: int = 0) -> int:
-    """``d_connected`` on bit masks (bit v for node v), unchecked.
+    """The nodes outside ``xs`` and ``zs`` that are d-connected to some node
+    of ``xs`` given ``zs``, all as bit masks (bit v for node v), unchecked.
 
     Linear-time reachability sweep by the Bayes-ball rules (Shachter 1998),
     one frontier mask per entry direction: an unconditioned node passes a

@@ -230,18 +230,15 @@ def noise_entropy(m: Scm, v: NodeId) -> float:
 
 @dataclass(frozen=True)
 class AssumptionReport:
-    """Outcome of one assumption check; witnesses are non-empty iff it fails."""
+    """Outcome of one assumption check: it fails iff it has a witness."""
 
     assumption: str
-    holds: bool
     witnesses: tuple = ()
     detail: str = ""
 
-    def __post_init__(self) -> None:
-        if self.holds and self.witnesses:
-            raise ValueError("a holding assumption cannot carry witnesses")
-        if not self.holds and not self.witnesses:
-            raise ValueError("a failing assumption needs at least one witness")
+    @property
+    def holds(self) -> bool:
+        return not self.witnesses
 
 
 def _first_collision(pairs: Iterable[tuple[object, int]]) -> tuple[object, object, int] | None:
@@ -265,7 +262,7 @@ def check_injective_noise(m: Scm) -> AssumptionReport:
             if hit is not None:
                 witnesses.append((m.label(v), combo, *hit))
                 break
-    return AssumptionReport("injective_noise", not witnesses, tuple(witnesses))
+    return AssumptionReport("injective_noise", tuple(witnesses))
 
 
 def check_injective_noise_plus_one(m: Scm) -> AssumptionReport:
@@ -293,7 +290,7 @@ def check_injective_noise_plus_one(m: Scm) -> AssumptionReport:
                     break
             if hit is not None:
                 break
-    return AssumptionReport("injective_noise_plus_one", not witnesses, tuple(witnesses))
+    return AssumptionReport("injective_noise_plus_one", tuple(witnesses))
 
 
 def check_nonconstant_noise(m: Scm) -> AssumptionReport:
@@ -303,7 +300,7 @@ def check_nonconstant_noise(m: Scm) -> AssumptionReport:
         for v in sorted(m.graph.nodes)
         if len(m.noise[v].positive_support()) < 2
     )
-    return AssumptionReport("nonconstant_noise", not witnesses, witnesses)
+    return AssumptionReport("nonconstant_noise", witnesses)
 
 
 def check_noise_entropy_order(m: Scm, mode: str) -> AssumptionReport:
@@ -323,7 +320,7 @@ def check_noise_entropy_order(m: Scm, mode: str) -> AssumptionReport:
                 ok = ent[d] - ent[v] > TOL
             if not ok:
                 witnesses.append((m.label(v), m.label(d), ent[v], ent[d]))
-    return AssumptionReport(f"{mode}_entropy_order", not witnesses, tuple(witnesses))
+    return AssumptionReport(f"{mode}_entropy_order", tuple(witnesses))
 
 
 def check_directed_faithfulness(m: Scm, oracle: _oracle.EntropyOracle) -> AssumptionReport:
@@ -343,7 +340,7 @@ def check_directed_faithfulness(m: Scm, oracle: _oracle.EntropyOracle) -> Assump
         mi = oracle.mutual_information(noise[v], {d})
         if mi <= TOL:
             witnesses.append((m.noise_label(v), m.label(d), mi))
-    return AssumptionReport("directed_faithfulness", not witnesses, tuple(witnesses))
+    return AssumptionReport("directed_faithfulness", tuple(witnesses))
 
 
 @functools.lru_cache(maxsize=256)
@@ -454,8 +451,8 @@ def check_faithfulness(m: Scm, oracle: _oracle.EntropyOracle) -> AssumptionRepor
             )
         if not sep and mi <= TOL:
             witness = (*(tuple(m.label(v) for v in members(t)) for t in (xs, ys, ss)), mi)
-            return AssumptionReport("faithfulness", False, (witness,), detail)
-    return AssumptionReport("faithfulness", True, (), detail)
+            return AssumptionReport("faithfulness", (witness,), detail)
+    return AssumptionReport("faithfulness", (), detail)
 
 
 # --- assumption registry -----------------------------------------------------

@@ -16,8 +16,12 @@ code that replaced them. The oracle-free peeling helpers ``peel``,
 ``rr``, ``select_all``, ``sources_only``, ``sinks_only`` and
 ``is_layering`` came from ``graph``, where no command called them;
 ``discover`` still runs its rounds on ``peel``, the loop that discovery
-used before it built its layering from its own trace. ``evaluate``, the
-forward simulator, came from ``scm``; every command now reads a model
+used before a run's layering was read off its trace. ``layering_violations``
+and the layering accessors ``layering_nodes`` and ``positions`` came from
+``graph`` when the package's replay dropped its layering pre-check (its
+round checks imply a layering), and the set wrapper ``d_connected`` when
+``d_separated`` came to call ``d_connected_bits`` directly. ``evaluate``,
+the forward simulator, came from ``scm``; every command now reads a model
 through its exact enumeration alone.
 """
 
@@ -38,14 +42,7 @@ from causal_layering.discovery import (
     IterationTrace,
     KnownNoiseEntropy,
 )
-from causal_layering.graph import (
-    Dag,
-    Layering,
-    NodeId,
-    d_connected_bits,
-    d_separated,
-    layering_violations,
-)
+from causal_layering.graph import Dag, Layering, NodeId, d_connected_bits, d_separated
 from causal_layering.oracle import JointTable
 from causal_layering.scm import AssumptionReport, Pmf, Scm, StructuralTable, noise_entropy
 from causal_layering.verify import (
@@ -242,6 +239,59 @@ def d_separated_paths(g: Dag, xs: frozenset[int], ys: frozenset[int],
                 if not path_blocked(g, path, zs):
                     return False
     return True
+
+
+def d_connected(
+    g: Dag, xs: Iterable[NodeId], zs: Iterable[NodeId] = ()
+) -> frozenset[NodeId]:
+    """The nodes outside ``xs`` and ``zs`` that are d-connected to some node
+    of ``xs`` given ``zs``; ``d_connected_bits`` on node sets."""
+    xs, zs = frozenset(int(v) for v in xs), frozenset(int(v) for v in zs)
+    if not xs:
+        raise ValueError("the endpoint set must be non-empty")
+    for v in xs | zs:
+        g._require(v)
+    if xs & zs:
+        raise ValueError("endpoint and conditioning sets must be disjoint")
+    found = d_connected_bits(g, sum(1 << v for v in xs), sum(1 << v for v in zs))
+    return frozenset(v for v in g.nodes if found >> v & 1)
+
+
+def layering_nodes(layering: Layering) -> frozenset[NodeId]:
+    """The union of the layers."""
+    out: set[int] = set()
+    for layer in layering:
+        out |= layer
+    return frozenset(out)
+
+
+def positions(layering: Layering) -> dict[NodeId, int]:
+    """Each node's layer index."""
+    return {v: i for i, layer in enumerate(layering) for v in layer}
+
+
+def layering_violations(g: Dag, layering: Layering) -> tuple[str, ...]:
+    """Reasons ``layering`` fails to be a layering of ``g``; empty if valid.
+
+    A valid layering partitions ``g.nodes`` and every edge goes from a
+    strictly earlier layer to a strictly later one.
+    """
+    reasons: list[str] = []
+    covered = layering_nodes(layering)
+    missing = g.nodes - covered
+    extra = covered - g.nodes
+    if missing:
+        reasons.append("missing nodes: " + ", ".join(g.label(v) for v in sorted(missing)))
+    if extra:
+        reasons.append("unknown nodes: " + ", ".join(str(v) for v in sorted(extra)))
+    pos = positions(layering)
+    for u, v in sorted(g.edges):
+        if u in pos and v in pos and pos[u] >= pos[v]:
+            reasons.append(
+                f"edge {g.label(u)} -> {g.label(v)} not strictly forward "
+                f"(layer {pos[u] + 1} vs {pos[v] + 1})"
+            )
+    return tuple(reasons)
 
 
 def random_dag(rng: random.Random, n: int, edge_prob: float = 0.4) -> Dag:
@@ -470,9 +520,12 @@ def sir_layering(g: Dag, select=None) -> Layering:
     return Layering(tuple(layers))
 
 
-def discover(nodes, oracle, mode, removal: str, one_at_a_time: bool = False) -> DiscoveryResult:
+def discover(
+    nodes, oracle, mode, removal: str, one_at_a_time: bool = False
+) -> tuple[Layering, DiscoveryResult]:
     """Reference discovery rounds: one ``cond_entropy`` query per candidate,
-    in node order, each a miss or a hit as the oracle's history has it."""
+    in node order, each a miss or a hit as the oracle's history has it. The
+    layering that ``peel`` builds from the rounds comes with the run."""
     all_nodes = frozenset(nodes)
     trace: list[IterationTrace] = []
 
@@ -490,7 +543,6 @@ def discover(nodes, oracle, mode, removal: str, one_at_a_time: bool = False) -> 
                     "no remaining node attained its known noise entropy "
                     f"(iteration {len(trace) + 1})",
                     tuple(trace),
-                    len(trace) + 1,
                 )
         else:
             extreme = (
@@ -498,24 +550,28 @@ def discover(nodes, oracle, mode, removal: str, one_at_a_time: bool = False) -> 
             )
             qualifying = frozenset(v for v in current if abs(entropies[v] - extreme) <= 1e-9)
         selected = frozenset({min(qualifying)}) if one_at_a_time else qualifying
-        trace.append(IterationTrace(current, entropies, qualifying, selected))
+        trace.append(IterationTrace(entropies, qualifying, selected))
         return (selected, frozenset()) if removal == "sources" else (frozenset(), selected)
 
     layering = peel(all_nodes, choose)
-    return DiscoveryResult(layering, sum(len(step.entropies) for step in trace), tuple(trace))
+    return layering, DiscoveryResult(removal, mode, tuple(trace))
 
 
-def check_discovery_result(
-    truth: Dag, result: DiscoveryResult, removal: str, expect_exact_selection: bool = False
-) -> TraceCheck:
-    """Reference replay on residual graphs: each round's pool is the sources
-    (or sinks) of the subgraph induced on the round's ``remaining`` set,
-    rebuilt by ``Dag.of`` over its labels. It trusts the ``remaining`` sets,
-    so it agrees with the package's replay on traces whose sets are the
-    nodes not yet selected."""
-    if removal not in ("sources", "sinks"):
-        raise ValueError(f"removal must be 'sources' or 'sinks', not {removal!r}")
-    problems = layering_violations(truth, result.layering)
+def check_discovery_result(truth: Dag, result: DiscoveryResult) -> TraceCheck:
+    """Reference replay: the run's ``layering`` (refused when its rounds
+    cannot make one) must be free of ``layering_violations``; each round's
+    pool is the sources (or sinks) of the subgraph induced on the round's
+    ``remaining`` set, rebuilt by ``Dag.of`` over its labels, and known mode
+    must qualify that pool exactly; and the selections, in order for sources
+    and reversed for sinks, must rebuild the layering. It trusts the
+    ``remaining`` sets, so it agrees with the package's replay on traces
+    whose sets are the nodes not yet selected."""
+    removal = result.removal
+    try:
+        layering = result.layering
+    except ValueError as exc:
+        return TraceCheck(False, None, f"no layering: {exc}")
+    problems = layering_violations(truth, layering)
     if problems:
         return TraceCheck(False, None, "; ".join(problems))
     rebuilt: list[frozenset[int]] = []
@@ -531,7 +587,7 @@ def check_discovery_result(
         if not step.selected <= pool:
             bad = ", ".join(truth.label(v) for v in sorted(step.selected - pool))
             return TraceCheck(False, i, f"selected non-{removal[:-1]} nodes: {bad}")
-        if expect_exact_selection and step.qualifying != pool:
+        if isinstance(result.mode, KnownNoiseEntropy) and step.qualifying != pool:
             want = ", ".join(truth.label(v) for v in sorted(pool))
             got = ", ".join(truth.label(v) for v in sorted(step.qualifying))
             return TraceCheck(
@@ -541,7 +597,7 @@ def check_discovery_result(
             rebuilt.append(step.selected)
         else:
             rebuilt.insert(0, step.selected)
-    if tuple(rebuilt) != result.layering.layers:
+    if tuple(rebuilt) != layering.layers:
         return TraceCheck(False, None, "trace does not rebuild the layering")
     return TraceCheck(True, None, "")
 
@@ -566,7 +622,7 @@ def check_injective_noise(m) -> AssumptionReport:
                 seen[out] = u
             if found:
                 break
-    return AssumptionReport("injective_noise", not witnesses, tuple(witnesses))
+    return AssumptionReport("injective_noise", tuple(witnesses))
 
 
 def check_injective_noise_plus_one(m) -> AssumptionReport:
@@ -600,7 +656,7 @@ def check_injective_noise_plus_one(m) -> AssumptionReport:
                     break
             if found:
                 break
-    return AssumptionReport("injective_noise_plus_one", not witnesses, tuple(witnesses))
+    return AssumptionReport("injective_noise_plus_one", tuple(witnesses))
 
 
 def subsets(items) -> list[frozenset[int]]:
@@ -722,7 +778,7 @@ def check_faithfulness(m, oracle, first_witness: bool = False) -> AssumptionRepo
             if first_witness:
                 break
     detail = "exhaustive triples" if len(nodes) <= 6 else "singleton pairs only"
-    return AssumptionReport("faithfulness", not witnesses, tuple(witnesses), detail)
+    return AssumptionReport("faithfulness", tuple(witnesses), detail)
 
 
 @functools.cache
@@ -791,8 +847,8 @@ def whole_graph_faithfulness(m, oracle) -> AssumptionReport:
             )
         if not sep and mi <= 1e-9:
             witness = (*(tuple(m.label(v) for v in members(t)) for t in (xs, ys, ss)), mi)
-            return AssumptionReport("faithfulness", False, (witness,), detail)
-    return AssumptionReport("faithfulness", True, (), detail)
+            return AssumptionReport("faithfulness", (witness,), detail)
+    return AssumptionReport("faithfulness", (), detail)
 
 
 def check_entropy_bounds(m, oracle, tol, assert_above, assert_below):

@@ -46,6 +46,7 @@ from bruteforce import cond_entropy as bf_cond_entropy
 from bruteforce import (
     d_separated_paths,
     joint_probs,
+    layering_violations,
     random_dag,
     rr,
     sinks_only,
@@ -123,8 +124,6 @@ def test_criterion_1_peeling_always_yields_layerings():
             rr(g, sources_only(take_k_by_label(g, 1))),
             rr(g, sinks_only(take_k_by_label(g, 2))),
         ):
-            from causal_layering.graph import layering_violations
-
             if layering_violations(g, lay):
                 ok = False
             checked += 1
@@ -216,8 +215,7 @@ def test_criterion_5_discovery_recovers_layerings(discovery_runs):
     """600 generated models, licensed algorithm/mode pairs, replay-verified."""
     bad = []
     for name, m, algo, mode_name, result in discovery_runs["runs"]:
-        removal = "sources" if algo == "sour" else "sinks"
-        check = check_discovery_result(m.graph, result, removal)
+        check = check_discovery_result(m.graph, result)
         if not check.ok:
             bad.append((name, algo, mode_name, check.reason))
     elapsed = discovery_runs["elapsed"]
@@ -236,10 +234,7 @@ def test_criterion_6_known_mode_selects_exactly(discovery_runs):
     for name, m, algo, mode_name, result in discovery_runs["runs"]:
         if mode_name != "known":
             continue
-        removal = "sources" if algo == "sour" else "sinks"
-        check = check_discovery_result(
-            m.graph, result, removal, expect_exact_selection=True
-        )
+        check = check_discovery_result(m.graph, result)
         checked += 1
         if not check.ok:
             bad.append((name, algo, check.reason))

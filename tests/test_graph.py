@@ -8,22 +8,24 @@ from causal_layering.graph import (
     CycleError,
     Dag,
     Layering,
-    d_connected,
     d_connected_bits,
     d_separated,
-    layering_violations,
     render_dag,
 )
 from causal_layering.scm import GeneratorConfig, generate_scm
 
 from bruteforce import ancestors as bf_ancestors
 from bruteforce import (
+    d_connected,
     d_separated_paths,
     explicit_noise_graph,
     is_layering,
+    layering_nodes,
+    layering_violations,
     parse_dag,
     parse_layering,
     peel,
+    positions,
     random_dag,
     render_layering,
     residual_sinks,
@@ -170,8 +172,8 @@ class TestLayering:
         lay = Layering.of([[0], [1, 2]])
         assert len(lay) == 2
         assert lay[1] == frozenset({1, 2})
-        assert lay.nodes == frozenset({0, 1, 2})
-        assert lay.positions() == {0: 0, 1: 1, 2: 1}
+        assert layering_nodes(lay) == frozenset({0, 1, 2})
+        assert positions(lay) == {0: 0, 1: 1, 2: 1}
 
     def test_rejects_empty_layer(self):
         with pytest.raises(ValueError, match="non-empty"):

@@ -17,7 +17,7 @@ from causal_layering.discovery import (
     sir_discover,
     sour_discover,
 )
-from causal_layering.graph import Dag, Layering
+from causal_layering.graph import Dag
 from causal_layering.oracle import EntropyOracle, JointTable, joint_distribution
 from causal_layering.scm import (
     PROFILES,
@@ -202,8 +202,8 @@ class TestCaseLists:
             },
         )
         audit = Assumptions(m, reports=[
-            AssumptionReport("injective_noise_plus_one", True),
-            AssumptionReport("directed_faithfulness", True),
+            AssumptionReport("injective_noise_plus_one"),
+            AssumptionReport("directed_faithfulness"),
         ])
         bounds = [(c.node, c.kind, c.cond) for c in
                   check_entropy_bounds(m, ZeroOracle(), assumptions=audit)]
@@ -308,8 +308,8 @@ class TestExtremeSets:
     def test_verdicts_match_the_exhaustive_suite(self, n, p, seed, spread):
         m = random_scm(random.Random(seed), n, p)
         audit = Assumptions(m, reports=[
-            AssumptionReport("injective_noise_plus_one", True),
-            AssumptionReport("directed_faithfulness", True),
+            AssumptionReport("injective_noise_plus_one"),
+            AssumptionReport("directed_faithfulness"),
         ])
         exact = Assumptions(m)
         orc = exact.oracle()
@@ -358,6 +358,16 @@ class TestExtremeSets:
         assert bruteforce.verdicts(got, _node_kind) == bruteforce.verdicts(want, _node_kind)
 
 
+def forged(removal: str, mode, *rounds) -> DiscoveryResult:
+    """A run of the given rounds, each (measured nodes, qualifying, selected);
+    every measured entropy reads 1.0."""
+    trace = tuple(
+        IterationTrace(dict.fromkeys(measured, 1.0), frozenset(qualifying), frozenset(selected))
+        for measured, qualifying, selected in rounds
+    )
+    return DiscoveryResult(removal, mode, trace)
+
+
 class TestDiscoveryReplay:
     def run_sour(self, m):
         orc = EntropyOracle(joint_distribution(m))
@@ -365,106 +375,65 @@ class TestDiscoveryReplay:
         return sour_discover(m.graph.nodes, orc, known)
 
     def test_passes_on_affine(self, affine_chain):
-        result = self.run_sour(affine_chain)
-        check = check_discovery_result(
-            affine_chain.graph, result, "sources", expect_exact_selection=True
-        )
+        check = check_discovery_result(affine_chain.graph, self.run_sour(affine_chain))
         assert check.ok, check.reason
 
     def test_catches_invalid_layering_from_unlicensed_run(self, xor_chain):
         orc = EntropyOracle(joint_distribution(xor_chain))
         known = KnownNoiseEntropy({v: noise_entropy(xor_chain, v) for v in range(3)})
         result = sir_discover(xor_chain.graph.nodes, orc, known)
-        check = check_discovery_result(xor_chain.graph, result, "sinks")
-        assert not check.ok
-        assert "not strictly forward" in check.reason
+        check = check_discovery_result(xor_chain.graph, result)
+        # round 1 takes B with the sink C; its layering would put B -> C in one layer
+        assert (check.ok, check.failed_iteration, check.reason) == (
+            False, 1, "selected non-sink nodes: B")
 
     def test_catches_non_source_selection(self):
         g = Dag.of("AB", [("A", "B")])
-        trace = (
-            IterationTrace(frozenset({0, 1}), {0: 1.0, 1: 2.0},
-                           frozenset({1}), frozenset({1})),
-            IterationTrace(frozenset({0}), {0: 1.0},
-                           frozenset({0}), frozenset({0})),
-        )
-        fake = DiscoveryResult(Layering.of([[1], [0]]), 3, trace)
-        # the layering itself is already broken (edge runs backward), so
-        # fabricate one that covers the graph but comes from bad selections
-        check = check_discovery_result(g, fake, "sources")
+        fake = forged("sources", MonotoneEntropy(), ({A, B}, {B}, {B}), ({A}, {A}, {A}))
+        check = check_discovery_result(g, fake)
         assert not check.ok
-
-        trace2 = (
-            IterationTrace(frozenset({0, 1}), {0: 1.0, 1: 2.0},
-                           frozenset({1}), frozenset({1})),
-            IterationTrace(frozenset({0}), {0: 1.0},
-                           frozenset({0}), frozenset({0})),
-        )
-        fake2 = DiscoveryResult(Layering.of([[0], [1]]), 3, trace2)
-        check2 = check_discovery_result(g, fake2, "sources")
-        assert not check2.ok
-        assert check2.failed_iteration == 1
-        assert "selected non-source" in check2.reason and "B" in check2.reason
+        assert check.failed_iteration == 1
+        assert check.reason == "selected non-source nodes: B"
 
     def test_catches_inexact_qualifying_set(self):
         g = Dag.of("AB")
-        trace = (
-            IterationTrace(frozenset({0, 1}), {0: 1.0, 1: 1.0},
-                           frozenset({0}), frozenset({0})),
-            IterationTrace(frozenset({1}), {1: 1.0},
-                           frozenset({1}), frozenset({1})),
-        )
-        result = DiscoveryResult(Layering.of([[0], [1]]), 3, trace)
-        loose = check_discovery_result(g, result, "sources")
+        rounds = (({A, B}, {A}, {A}), ({B}, {B}, {B}))
+        loose = check_discovery_result(g, forged("sources", MonotoneEntropy(), *rounds))
         assert loose.ok
-        strict = check_discovery_result(g, result, "sources", expect_exact_selection=True)
+        known = KnownNoiseEntropy({A: 1.0, B: 1.0})
+        strict = check_discovery_result(g, forged("sources", known, *rounds))
         assert not strict.ok
         assert "is not the residual set" in strict.reason
 
     def test_remaining_sets_must_be_the_unselected_nodes(self):
         # edgeless A, B peeled as {A} then {B}, each round qualifying only
-        # what it selects; the traces differ in their remaining sets alone
+        # what it selects; the traces differ only in the nodes each round
+        # measured. The replay takes each round's remaining set to be the
+        # nodes no earlier round selected, whatever the round measured
         g = Dag.of("AB")
 
-        def replay(remaining, exact=True):
-            trace = tuple(
-                IterationTrace(frozenset(rest), {v: 1.0 for v in rest},
-                               frozenset({v}), frozenset({v}))
-                for v, rest in zip((A, B), remaining)
-            )
-            result = DiscoveryResult(Layering.of([[A], [B]]), 3, trace)
-            check = check_discovery_result(g, result, "sources", expect_exact_selection=exact)
+        def replay(measured, mode):
+            result = forged("sources", mode, *(
+                (rest, {v}, {v}) for v, rest in zip((A, B), measured)))
+            check = check_discovery_result(g, result)
             return check.ok, check.failed_iteration, check.reason
 
-        assert replay(({A, B}, {B})) == (
-            False, 1, "qualifying set {A} is not the residual set {A, B}")
-        # leaving B out of round 1 made {A} look like the exact source set
-        assert replay(({A}, {B})) == (
-            False, 1, "remaining set {A} is not the unselected set {A, B}")
-        assert replay(({A, B}, {A, B}), exact=False) == (
-            False, 2, "remaining set {A, B} is not the unselected set {B}")
-        assert replay(({A, B}, {B}), exact=False) == (True, None, "")
-
-    def test_catches_trace_layering_mismatch(self):
-        g = Dag.of("AB")
-        result = DiscoveryResult(Layering.of([[0, 1]]), 2, ())
-        check = check_discovery_result(g, result, "sources")
-        assert not check.ok
-        assert check.reason == "trace does not rebuild the layering"
-
-    def test_rejects_bad_removal_keyword(self, affine_chain):
-        result = self.run_sour(affine_chain)
-        with pytest.raises(ValueError, match="removal"):
-            check_discovery_result(affine_chain.graph, result, "middles")
+        known, monotone = KnownNoiseEntropy({A: 1.0, B: 1.0}), MonotoneEntropy()
+        inexact = (False, 1, "qualifying set {A} is not the residual set {A, B}")
+        assert replay(({A, B}, {B}), known) == inexact
+        # leaving B out of round 1 does not make {A} the exact source set
+        assert replay(({A}, {B}), known) == inexact
+        assert replay(({A, B}, {A, B}), monotone) == (True, None, "")
+        assert replay(({A, B}, {B}), monotone) == (True, None, "")
 
 
-def moved_node_runs(result: DiscoveryResult, removal: str, rng: random.Random):
+def moved_node_run(result: DiscoveryResult, rng: random.Random) -> DiscoveryResult | None:
     """The run with one selected node moved to another round's selection (a
-    round left empty is dropped), each ``remaining`` set rebuilt from the
-    selections before it; once with the layering those selections give and
-    once with the run's own."""
+    round left empty is dropped), each round's measured nodes rebuilt from
+    the selections before it; None for a run of one round."""
     selections = [set(step.selected) for step in result.trace]
     if len(selections) < 2:
-        return []
+        return None
     i, j = rng.sample(range(len(selections)), 2)
     v = rng.choice(sorted(selections[i]))
     selections[i].remove(v)
@@ -472,12 +441,10 @@ def moved_node_runs(result: DiscoveryResult, removal: str, rng: random.Random):
     remaining, trace = frozenset().union(*selections), []
     for step, chosen in zip(result.trace, map(frozenset, selections)):
         if chosen:
-            trace.append(dataclasses.replace(step, remaining=remaining, selected=chosen))
+            entropies = {u: step.entropies.get(u, 0.0) for u in sorted(remaining)}
+            trace.append(dataclasses.replace(step, entropies=entropies, selected=chosen))
             remaining -= chosen
-    groups = [step.selected for step in trace]
-    layering = Layering(tuple(groups if removal == "sources" else reversed(groups)))
-    return [DiscoveryResult(lay, result.oracle_calls, tuple(trace))
-            for lay in (layering, result.layering)]
+    return dataclasses.replace(result, trace=tuple(trace))
 
 
 def shrunk_qualifying_run(result: DiscoveryResult, rng: random.Random) -> DiscoveryResult:
@@ -486,11 +453,31 @@ def shrunk_qualifying_run(result: DiscoveryResult, rng: random.Random) -> Discov
     i = rng.randrange(len(trace))
     v = rng.choice(sorted(trace[i].qualifying))
     trace[i] = dataclasses.replace(trace[i], qualifying=trace[i].qualifying - {v})
-    return DiscoveryResult(result.layering, result.oracle_calls, tuple(trace))
+    return dataclasses.replace(result, trace=tuple(trace))
+
+
+def empty_round_run(result: DiscoveryResult, rng: random.Random) -> DiscoveryResult:
+    """The run with a round inserted that measures the nodes of the round it
+    precedes (or, at the end, none) and selects nothing."""
+    i = rng.randrange(len(result.trace) + 1)
+    entropies = dict(result.trace[i].entropies) if i < len(result.trace) else {}
+    empty = IterationTrace(entropies, frozenset(), frozenset())
+    return dataclasses.replace(result, trace=(*result.trace[:i], empty, *result.trace[i:]))
+
+
+def forgeries(result: DiscoveryResult, rng: random.Random) -> list[DiscoveryResult]:
+    """The moved-node run (of a run with two rounds or more), the
+    shrunk-qualifying run, the run without its last round and the
+    empty-round run, in that order."""
+    moved = moved_node_run(result, rng)
+    rest = [shrunk_qualifying_run(result, rng), dataclasses.replace(result, trace=result.trace[:-1]),
+            empty_round_run(result, rng)]
+    return rest if moved is None else [moved, *rest]
 
 
 class TestReplayReference:
-    """The replay against its residual-graph reference in ``bruteforce``."""
+    """The replay against its reference in ``bruteforce``: a layering check
+    first, then the residual-graph pools and the rebuild of the layering."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -509,26 +496,43 @@ class TestReplayReference:
         audit = Assumptions(m, reports=m.meta.reports)
         known = KnownNoiseEntropy({v: noise_entropy(m, v) for v in m.graph.nodes})
         for algo, mode in LICENSES:  # every pair, licensed or not
-            removal = "sources" if algo == "sour" else "sinks"
             run = sour_discover if algo == "sour" else sir_discover
             try:
                 result = run(m.graph.nodes, audit.oracle(),
                              known if mode == "known" else MonotoneEntropy())
             except AssumptionViolation:
                 continue
-            runs = [result, *moved_node_runs(result, removal, rng),
-                    shrunk_qualifying_run(result, rng)]
-            for replayed, exact in product(runs, (False, True)):
-                got = check_discovery_result(m.graph, replayed, removal, exact)
-                want = bruteforce.check_discovery_result(m.graph, replayed, removal, exact)
-                assert got == want, (algo, mode, exact, replayed)
+            for replayed in (result, *forgeries(result, rng)):
+                got = check_discovery_result(m.graph, replayed)
+                want = bruteforce.check_discovery_result(m.graph, replayed)
+                assert got.ok == want.ok, (algo, mode, replayed, got, want)
+
+    def test_each_forgery_fails_both_replays(self, affine_chain):
+        # each round of the affine chain selects one node, so every forgery
+        # breaks the run: here A moves to round 3, so B is taken first; round
+        # 2 qualifies nothing; the third round goes; an empty round precedes it
+        result = sour_discover(
+            affine_chain.graph.nodes, EntropyOracle(joint_distribution(affine_chain)),
+            KnownNoiseEntropy({v: noise_entropy(affine_chain, v) for v in range(3)}))
+        reasons = []
+        for forgery in forgeries(result, random.Random(2)):
+            assert not bruteforce.check_discovery_result(affine_chain.graph, forgery).ok
+            got = check_discovery_result(affine_chain.graph, forgery)
+            reasons.append((got.ok, got.failed_iteration, got.reason))
+        assert reasons == [
+            (False, 1, "selected non-source nodes: B"),
+            (False, 2, "qualifying set {} is not the residual set {B}"),
+            (False, None, "missing nodes: C"),
+            (False, 3, "selected no node"),
+        ]
 
 
 class TestCallBound:
     def test_boundary(self):
-        result = DiscoveryResult(Layering.of([[0]]), 6, ())
-        assert check_call_bound(result, 3)
-        assert not check_call_bound(DiscoveryResult(Layering.of([[0]]), 7, ()), 3)
+        rounds = [({A, B, C}, {A}, {A}), ({B, C}, {B}, {B}), ({C}, {C}, {C})]
+        assert check_call_bound(forged("sources", MonotoneEntropy(), *rounds), 3)
+        rounds[1] = ({A, B, C}, {B}, {B})  # 3 + 3 + 1 measurements
+        assert not check_call_bound(forged("sources", MonotoneEntropy(), *rounds), 3)
 
 
 class TestRendering:
