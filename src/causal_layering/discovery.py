@@ -215,7 +215,7 @@ def render_discovery_report(
     for k, step in enumerate(result.trace, start=1):
         cands = ", ".join(
             f"{labels[v]}: {step.entropies[v]:.9f}"
-            for v in sorted(step.remaining, key=lambda v: labels[v])
+            for v in sorted(step.entropies, key=lambda v: labels[v])
         )
         chosen = ", ".join(sorted(labels[v] for v in step.selected))
         lines.append(f"iter {k}: candidates {{{cands}}} selected {{{chosen}}}")

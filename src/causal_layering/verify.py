@@ -147,21 +147,31 @@ class TraceCheck:
 def check_discovery_result(truth: Dag, result: DiscoveryResult) -> TraceCheck:
     """Replay a discovery run against the graph that generated the oracle.
 
-    Each round must select a non-empty set of residual sources (for a run
-    that peels ``"sources"``: nodes no earlier round selected, with no parent
-    among them) or residual sinks (no child among them). In known mode its
-    qualifying set must equal that residual set exactly. No node may be left
-    over. Then every edge u -> v runs strictly forward in the layering: a
-    source run cannot take v while u remains, nor a sink run u while v does.
+    The run must peel ``"sources"`` or ``"sinks"``. Each round must measure
+    exactly the nodes no earlier round selected, and select a non-empty set
+    of residual sources (nodes among those with no parent among them) or
+    residual sinks (no child among them). In known mode its qualifying set
+    must equal that residual set exactly. No node may be left over. Then
+    every edge u -> v runs strictly forward in the layering: a source run
+    cannot take v while u remains, nor a sink run u while v does.
     """
 
     def names(vs: Iterable[NodeId]) -> str:
         return ", ".join(truth.label(v) for v in sorted(vs))
 
+    if result.removal not in ("sources", "sinks"):
+        return TraceCheck(
+            False, None, f"removal must be 'sources' or 'sinks', not {result.removal!r}")
     linked = truth.parents if result.removal == "sources" else truth.children
     exact = isinstance(result.mode, KnownNoiseEntropy)
     remaining = truth.nodes
     for i, step in enumerate(result.trace, start=1):
+        unknown = (step.remaining | step.qualifying | step.selected) - truth.nodes
+        if unknown:
+            return TraceCheck(False, i, "unknown nodes: " + ", ".join(map(str, sorted(unknown))))
+        if step.remaining != remaining:
+            return TraceCheck(False, i, f"remaining set {{{names(step.remaining)}}} "
+                                        f"is not the unselected set {{{names(remaining)}}}")
         pool = frozenset(v for v in remaining if not linked(v) & remaining)
         if not step.selected:
             return TraceCheck(False, i, "selected no node")

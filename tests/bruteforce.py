@@ -560,12 +560,11 @@ def discover(
 def check_discovery_result(truth: Dag, result: DiscoveryResult) -> TraceCheck:
     """Reference replay: the run's ``layering`` (refused when its rounds
     cannot make one) must be free of ``layering_violations``; each round's
-    pool is the sources (or sinks) of the subgraph induced on the round's
-    ``remaining`` set, rebuilt by ``Dag.of`` over its labels, and known mode
-    must qualify that pool exactly; and the selections, in order for sources
-    and reversed for sinks, must rebuild the layering. It trusts the
-    ``remaining`` sets, so it agrees with the package's replay on traces
-    whose sets are the nodes not yet selected."""
+    ``remaining`` set must be the nodes no earlier round selected, its pool
+    is the sources (or sinks) of the subgraph induced on that set, rebuilt
+    by ``Dag.of`` over its labels, and known mode must qualify that pool
+    exactly; and the selections, in order for sources and reversed for
+    sinks, must rebuild the layering."""
     removal = result.removal
     try:
         layering = result.layering
@@ -575,7 +574,11 @@ def check_discovery_result(truth: Dag, result: DiscoveryResult) -> TraceCheck:
     if problems:
         return TraceCheck(False, None, "; ".join(problems))
     rebuilt: list[frozenset[int]] = []
+    unselected = truth.nodes
     for i, step in enumerate(result.trace, start=1):
+        if step.remaining != unselected:
+            return TraceCheck(False, i, "remaining set is not the unselected set")
+        unselected -= step.selected
         kept = sorted(step.remaining)
         residual = Dag.of(
             [truth.label(v) for v in kept],

@@ -407,9 +407,7 @@ class TestDiscoveryReplay:
 
     def test_remaining_sets_must_be_the_unselected_nodes(self):
         # edgeless A, B peeled as {A} then {B}, each round qualifying only
-        # what it selects; the traces differ only in the nodes each round
-        # measured. The replay takes each round's remaining set to be the
-        # nodes no earlier round selected, whatever the round measured
+        # what it selects; the traces differ in the nodes each round measured
         g = Dag.of("AB")
 
         def replay(measured, mode):
@@ -419,12 +417,32 @@ class TestDiscoveryReplay:
             return check.ok, check.failed_iteration, check.reason
 
         known, monotone = KnownNoiseEntropy({A: 1.0, B: 1.0}), MonotoneEntropy()
-        inexact = (False, 1, "qualifying set {A} is not the residual set {A, B}")
-        assert replay(({A, B}, {B}), known) == inexact
-        # leaving B out of round 1 does not make {A} the exact source set
-        assert replay(({A}, {B}), known) == inexact
-        assert replay(({A, B}, {A, B}), monotone) == (True, None, "")
+        assert replay(({A, B}, {B}), known) == (
+            False, 1, "qualifying set {A} is not the residual set {A, B}")
+        # leaving B out of round 1 made {A} look like the exact source set
+        assert replay(({A}, {B}), known) == (
+            False, 1, "remaining set {A} is not the unselected set {A, B}")
+        assert replay(({A, B}, {A, B}), monotone) == (
+            False, 2, "remaining set {A, B} is not the unselected set {B}")
         assert replay(({A, B}, {B}), monotone) == (True, None, "")
+
+    def test_catches_unknown_nodes(self):
+        # node 2 is not in the graph of A, B: a verdict, not a lookup error
+        g = Dag.of("AB")
+        runs = {
+            "selected": (({A, B}, {A}, {A}), ({B}, {B, 2}, {B, 2})),
+            "measured": (({A, B}, {A}, {A}), ({B, 2}, {B}, {B})),
+        }
+        for rounds in runs.values():
+            check = check_discovery_result(g, forged("sources", MonotoneEntropy(), *rounds))
+            assert (check.ok, check.failed_iteration, check.reason) == (
+                False, 2, "unknown nodes: 2")
+
+    def test_rejects_bad_removal_keyword(self, affine_chain):
+        result = dataclasses.replace(self.run_sour(affine_chain), removal="middles")
+        check = check_discovery_result(affine_chain.graph, result)
+        assert (check.ok, check.failed_iteration, check.reason) == (
+            False, None, "removal must be 'sources' or 'sinks', not 'middles'")
 
 
 def moved_node_run(result: DiscoveryResult, rng: random.Random) -> DiscoveryResult | None:
@@ -465,14 +483,26 @@ def empty_round_run(result: DiscoveryResult, rng: random.Random) -> DiscoveryRes
     return dataclasses.replace(result, trace=(*result.trace[:i], empty, *result.trace[i:]))
 
 
+def remeasured_run(result: DiscoveryResult, rng: random.Random) -> DiscoveryResult | None:
+    """The run with one node that an earlier round selected measured again
+    in a later round; None for a run of one round."""
+    if len(result.trace) < 2:
+        return None
+    trace = list(result.trace)
+    i = rng.randrange(1, len(trace))
+    v = rng.choice(sorted(trace[i - 1].selected))
+    trace[i] = dataclasses.replace(trace[i], entropies={**trace[i].entropies, v: 0.0})
+    return dataclasses.replace(result, trace=tuple(trace))
+
+
 def forgeries(result: DiscoveryResult, rng: random.Random) -> list[DiscoveryResult]:
-    """The moved-node run (of a run with two rounds or more), the
-    shrunk-qualifying run, the run without its last round and the
-    empty-round run, in that order."""
-    moved = moved_node_run(result, rng)
-    rest = [shrunk_qualifying_run(result, rng), dataclasses.replace(result, trace=result.trace[:-1]),
-            empty_round_run(result, rng)]
-    return rest if moved is None else [moved, *rest]
+    """The moved-node run, the shrunk-qualifying run, the run without its
+    last round, the empty-round run and the remeasured run, in that order;
+    a run of one round has no moved-node or remeasured run."""
+    runs = [moved_node_run(result, rng), shrunk_qualifying_run(result, rng),
+            dataclasses.replace(result, trace=result.trace[:-1]), empty_round_run(result, rng),
+            remeasured_run(result, rng)]
+    return [run for run in runs if run is not None]
 
 
 class TestReplayReference:
@@ -510,7 +540,8 @@ class TestReplayReference:
     def test_each_forgery_fails_both_replays(self, affine_chain):
         # each round of the affine chain selects one node, so every forgery
         # breaks the run: here A moves to round 3, so B is taken first; round
-        # 2 qualifies nothing; the third round goes; an empty round precedes it
+        # 2 qualifies nothing; the third round goes; an empty round precedes
+        # it; round 3 measures B, which round 2 took
         result = sour_discover(
             affine_chain.graph.nodes, EntropyOracle(joint_distribution(affine_chain)),
             KnownNoiseEntropy({v: noise_entropy(affine_chain, v) for v in range(3)}))
@@ -524,6 +555,7 @@ class TestReplayReference:
             (False, 2, "qualifying set {} is not the residual set {B}"),
             (False, None, "missing nodes: C"),
             (False, 3, "selected no node"),
+            (False, 3, "remaining set {B, C} is not the unselected set {C}"),
         ]
 
 
